@@ -87,6 +87,23 @@ def _net(spec: str, C: float, P: float, **kwargs):
     return from_spec(spec, delays=FixedDelays(C, P), **kwargs)
 
 
+def _broadcast_factory(scheme: str, net, root):
+    """Protocol factory for one broadcast scheme on ``net``.
+
+    Flooding needs no topology knowledge; the other schemes get the
+    omniscient adjacency and ID lookup, computed only for them.
+    """
+    if scheme == "flood":
+        return lambda api: FloodingBroadcast(api, root=root)
+    protocol = {
+        "bpaths": BranchingPathsBroadcast,
+        "direct": DirectBroadcast,
+        "dfs": DfsBroadcast,
+    }[scheme]
+    adjacency = net.adjacency()
+    return lambda api: protocol(api, root=root, adjacency=adjacency, ids=net.id_lookup)
+
+
 # ----------------------------------------------------------------------
 # Observability wiring
 # ----------------------------------------------------------------------
@@ -323,20 +340,9 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
         if observed:
             observed_net, observed_stats = net, stats
             host = _attach_monitors(args, net, command="broadcast", scheme=scheme)
-        adjacency = net.adjacency()
-        factories = {
-            "bpaths": lambda api: BranchingPathsBroadcast(
-                api, root=args.root, adjacency=adjacency, ids=net.id_lookup
-            ),
-            "flood": lambda api: FloodingBroadcast(api, root=args.root),
-            "direct": lambda api: DirectBroadcast(
-                api, root=args.root, adjacency=adjacency, ids=net.id_lookup
-            ),
-            "dfs": lambda api: DfsBroadcast(
-                api, root=args.root, adjacency=adjacency, ids=net.id_lookup
-            ),
-        }
-        run = run_standalone_broadcast(net, factories[scheme], args.root)
+        run = run_standalone_broadcast(
+            net, _broadcast_factory(scheme, net, args.root), args.root
+        )
         rows.append(
             [scheme, net.n, net.m, run.coverage, run.system_calls,
              run.completion_time(), run.metrics.hops]
@@ -576,20 +582,9 @@ def cmd_observe(args: argparse.Namespace) -> int:
         scheme=args.scheme if args.workload == "broadcast" else None,
     )
     if args.workload == "broadcast":
-        adjacency = net.adjacency()
-        factories = {
-            "bpaths": lambda api: BranchingPathsBroadcast(
-                api, root=args.root, adjacency=adjacency, ids=net.id_lookup
-            ),
-            "flood": lambda api: FloodingBroadcast(api, root=args.root),
-            "direct": lambda api: DirectBroadcast(
-                api, root=args.root, adjacency=adjacency, ids=net.id_lookup
-            ),
-            "dfs": lambda api: DfsBroadcast(
-                api, root=args.root, adjacency=adjacency, ids=net.id_lookup
-            ),
-        }
-        run = run_standalone_broadcast(net, factories[args.scheme], args.root)
+        run = run_standalone_broadcast(
+            net, _broadcast_factory(args.scheme, net, args.root), args.root
+        )
         print(
             f"{args.scheme} broadcast on {args.topology}: "
             f"covered {run.coverage}/{net.n}, {run.system_calls} system "
@@ -676,10 +671,9 @@ def cmd_topology_info(args: argparse.Namespace) -> int:
         from .obs.perf import PerfCounters
 
         perf = PerfCounters()
-        # The spec's graph is private, so the substrate can adopt it;
-        # the gauge is retained construction bytes (graph excluded).
+        # The gauge is retained construction bytes (graph excluded).
         perf.measure_build_bytes_per_node(
-            lambda: Network(graph, trace=False, copy_graph=False), nodes=n
+            lambda: Network(graph, trace=False), nodes=n
         )
         per_node = perf.build_bytes_per_node
         rows.append(["build bytes/node", f"{per_node:,.0f}"])

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-import networkx as nx
-
 from ..hardware.ids import NCU_ID
 from ..hardware.link import LinkInfo
 from ..hardware.ncu import NodeApi
@@ -310,6 +308,8 @@ def is_converged(net: Network) -> bool:
     (among component nodes; opinions about other components may be
     stale, as the paper allows).
     """
+    import networkx as nx
+
     actual = net.active_graph()
     for component in nx.connected_components(actual):
         component_edges = {

@@ -14,10 +14,12 @@ from .builder import (
     from_edges,
     from_spec,
     graph_from_spec,
+    topology_from_spec,
 )
 from .network import Network
 from .protocol import Protocol, ProtocolFactory
 from .spanning import Tree, bfs_tree, tree_from_parent
+from .topologies import Topology
 
 __all__ = [
     "FailureAction",
@@ -31,10 +33,12 @@ __all__ = [
     "graph_from_spec",
     "Protocol",
     "ProtocolFactory",
+    "Topology",
     "Tree",
     "bfs_tree",
     "flapping_link",
     "random_link_failures",
     "topologies",
+    "topology_from_spec",
     "tree_from_parent",
 ]

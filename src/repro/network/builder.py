@@ -1,19 +1,22 @@
 """Convenience constructors for :class:`~repro.network.network.Network`.
 
 Accepts the graph descriptions that turn up in practice — edge lists,
-adjacency mappings, compact text specs — so scripts and the CLI don't
-need to build :class:`networkx.Graph` objects by hand.
+adjacency mappings, compact text specs — and hands each to ``Network``
+as a :class:`~repro.network.topologies.Topology` (plain node and edge
+sequences), so neither scripts nor the CLI build :class:`networkx.Graph`
+objects by hand, and the datacenter fabric specs never import networkx.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-import networkx as nx
-
-from ..sim.delays import DelayModel
 from . import topologies
 from .network import Network
+from .topologies import Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 def from_edges(
@@ -23,10 +26,7 @@ def from_edges(
     **network_kwargs: Any,
 ) -> Network:
     """Build a network from an edge list (plus optional isolated nodes)."""
-    g = nx.Graph()
-    g.add_nodes_from(nodes)
-    g.add_edges_from(edges)
-    return Network(g, copy_graph=False, **network_kwargs)
+    return Network(Topology(nodes, edges), **network_kwargs)
 
 
 def from_edge_arrays(
@@ -36,19 +36,12 @@ def from_edge_arrays(
 ) -> Network:
     """Bulk-build a network over nodes ``0..num_nodes-1`` from edge pairs.
 
-    The scale-out entry point: the graph is assembled in one pass from
-    the arrays and handed to :class:`Network` without the defensive
-    copy (``copy_graph=False``) — at 10⁴–10⁵ nodes the copy alone
-    costs more than the rest of construction.  The resulting network
-    is identical (including traces) to ``from_edges`` over the same
-    pairs.
+    The resulting network is identical (including traces) to
+    ``from_edges`` over the same pairs with ``nodes=range(num_nodes)``.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be >= 0")
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    g.add_edges_from(edges)
-    return Network(g, copy_graph=False, **network_kwargs)
+    return Network(Topology(range(num_nodes), edges), **network_kwargs)
 
 
 def from_adjacency(
@@ -57,17 +50,21 @@ def from_adjacency(
     """Build a network from a node -> neighbours mapping.
 
     The mapping may be one-sided (each edge listed at either endpoint).
+    Nodes are ordered as first seen: each key, then its new neighbours.
     """
-    g = nx.Graph()
+    nodes: list[Any] = []
+    edges: list[tuple[Any, Any]] = []
     for node, neighbors in adjacency.items():
-        g.add_node(node)
+        nodes.append(node)
         for neighbor in neighbors:
-            g.add_edge(node, neighbor)
-    return Network(g, copy_graph=False, **network_kwargs)
+            nodes.append(neighbor)
+            edges.append((node, neighbor))
+    return Network(Topology(nodes, edges), **network_kwargs)
 
 
 #: Named topology factories usable from specs and the CLI.  Each value
-#: maps the spec's integer arguments to a graph.
+#: maps the spec's integer arguments to a graph: an ``nx.Graph``, or a
+#: :class:`Topology` for the datacenter fabrics, made without networkx.
 TOPOLOGY_FACTORIES = {
     "line": lambda n: topologies.line(n),
     "ring": lambda n: topologies.ring(n),
@@ -84,22 +81,19 @@ TOPOLOGY_FACTORIES = {
     "geometric": lambda n, seed=0: topologies.random_geometric_connected(
         n, 0.3, seed=seed
     ),
-    "clos": lambda leaves, spines, hosts=0: topologies.clos(leaves, spines, hosts),
-    "fat_tree": lambda k: topologies.fat_tree(k),
-    "torus": lambda *dims: topologies.torus(*dims),
-    "dragonfly": lambda groups, routers, hosts=0: topologies.dragonfly(
-        groups, routers, hosts
-    ),
+    "clos": topologies.clos_topology,
+    "fat_tree": topologies.fat_tree_topology,
+    "torus": topologies.torus_topology,
+    "dragonfly": topologies.dragonfly_topology,
 }
 
 
-def graph_from_spec(spec: str) -> nx.Graph:
-    """The graph a compact text spec describes, without a substrate.
+def topology_from_spec(spec: str) -> Topology:
+    """The node and edge sequences a compact text spec describes.
 
     Format: ``name:arg1,arg2`` — e.g. ``ring:64``, ``grid:6,8``,
     ``fat_tree:32``, ``random:128,7`` (size, seed).  The names are the
-    keys of :data:`TOPOLOGY_FACTORIES`.  The returned graph is private
-    to the caller (the memoised generators return per-call copies).
+    keys of :data:`TOPOLOGY_FACTORIES`.
     """
     name, _, argstr = spec.partition(":")
     name = name.strip().lower()
@@ -110,14 +104,20 @@ def graph_from_spec(spec: str) -> nx.Graph:
         )
     args = [int(a) for a in argstr.split(",") if a.strip()] if argstr else []
     try:
-        return TOPOLOGY_FACTORIES[name](*args)
+        graph = TOPOLOGY_FACTORIES[name](*args)
     except TypeError as exc:
         raise ValueError(f"bad arguments {args} for topology {name!r}") from exc
+    return Topology(graph.nodes, graph.edges)
+
+
+def graph_from_spec(spec: str) -> nx.Graph:
+    """The ``nx.Graph`` a compact text spec describes, without a
+    substrate (see :func:`topology_from_spec` for the format).  The
+    graph is a new object, private to the caller."""
+    return topology_from_spec(spec).to_graph()
 
 
 def from_spec(spec: str, **network_kwargs: Any) -> Network:
     """Build a network from a compact text spec (see
-    :func:`graph_from_spec` for the format)."""
-    # The spec's graph has no other references, so the Network can
-    # adopt it without the defensive copy.
-    return Network(graph_from_spec(spec), copy_graph=False, **network_kwargs)
+    :func:`topology_from_spec` for the format)."""
+    return Network(topology_from_spec(spec), **network_kwargs)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterator
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from .network import Network
 
 
@@ -105,6 +105,8 @@ def random_link_failures(
     eventual-consistency statement is about ("the correct topology of
     its connected component" is then the whole network).
     """
+    import networkx as nx
+
     rng = random.Random(seed)
     working = nx.Graph(graph)
     schedule = FailureSchedule()

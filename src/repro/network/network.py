@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import gc
 import itertools
-from typing import Any, Iterable, Mapping
-
-import networkx as nx
+from array import array
+from collections import Counter
+from functools import cached_property
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..hardware.ids import LinkIdSpace
 from ..hardware.link import Link
@@ -30,6 +32,10 @@ from ..sim.scheduler import Scheduler
 from ..sim.trace import Trace, TraceKind
 from .datalink import DataLinkMonitor
 from .protocol import ProtocolFactory
+from .topologies import Topology
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class Network:
@@ -45,7 +51,7 @@ class Network:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Topology | nx.Graph,
         *,
         delays: DelayModel | None = None,
         dmax: int | None = None,
@@ -53,20 +59,15 @@ class Network:
         trace_capacity: int | None = None,
         datalink_delay: float = 0.0,
         kernel: str | None = None,
-        copy_graph: bool = True,
     ) -> None:
-        """Assemble the substrate from ``graph``.
+        """Assemble the substrate from ``graph.nodes`` and ``graph.edges``.
 
-        ``copy_graph=False`` takes ownership of ``graph`` instead of
-        copying it — the bulk build path (:mod:`repro.network.builder`)
-        passes graphs it constructed privately, and at 10⁴–10⁵ nodes
-        the defensive ``nx.Graph(graph)`` copy is a measurable share of
-        both build time and retained memory.  Callers passing
-        ``copy_graph=False`` must not mutate the graph afterwards.
+        ``graph`` is a :class:`~repro.network.topologies.Topology` or an
+        ``nx.Graph`` — both are read through those two attributes, with
+        ``nx.Graph`` insertion semantics, and neither is kept: the
+        network never aliases its input, and :attr:`graph` is rebuilt
+        from the link table when first read.
         """
-        if graph.number_of_nodes() == 0:
-            raise ValueError("a network needs at least one node")
-
         # Pause the cyclic GC for the whole build (restored in the
         # ``finally`` below).  Construction allocates O(n + m) objects
         # that are all retained, so collections triggered mid-build can
@@ -77,14 +78,14 @@ class Network:
         gc.disable()
         try:
             self._build(
-                graph,
+                graph.nodes,
+                graph.edges,
                 delays=delays,
                 dmax=dmax,
                 trace=trace,
                 trace_capacity=trace_capacity,
                 datalink_delay=datalink_delay,
                 kernel=kernel,
-                copy_graph=copy_graph,
             )
         finally:
             if gc_was_enabled:
@@ -92,7 +93,8 @@ class Network:
 
     def _build(
         self,
-        graph: nx.Graph,
+        nodes: Iterable[Any],
+        edges: Iterable[tuple[Any, Any]],
         *,
         delays: DelayModel | None,
         dmax: int | None,
@@ -100,9 +102,14 @@ class Network:
         trace_capacity: int | None,
         datalink_delay: float,
         kernel: str | None,
-        copy_graph: bool,
     ) -> None:
-        self.graph = nx.Graph(graph) if copy_graph else graph
+        edges = list(edges)
+        order = Topology(nodes, edges).node_order()
+        if not order:
+            raise ValueError("a network needs at least one node")
+        #: Node order of the input; :attr:`graph` and :meth:`active_graph`
+        #: hold their nodes in this order.
+        self._node_order = order
         #: ``kernel`` picks the event-kernel implementation ("heap" /
         #: "wheel"; ``None`` = the ``REPRO_KERNEL`` env default) — a
         #: pure performance choice, never a behavioural one (the fired
@@ -111,7 +118,7 @@ class Network:
         self.delays = delays if delays is not None else limiting_model()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=trace, capacity=trace_capacity)
-        self.dmax = dmax if dmax is not None else 2 * graph.number_of_nodes() + 2
+        self.dmax = dmax if dmax is not None else 2 * len(order) + 2
         self.outputs: dict[Any, dict[str, Any]] = {}
         #: Observability probe (see :mod:`repro.obs.live`).  ``None``
         #: means disabled; the NCU and SS hot paths then pay one
@@ -133,8 +140,15 @@ class Network:
         self._adjacency_cache: tuple[int, dict[Any, tuple[Any, ...]]] | None = None
         self._diameter_cache: tuple[int, int] | None = None
 
-        max_degree = max((d for _, d in self.graph.degree), default=1)
-        id_space = LinkIdSpace(capacity=max(max_degree, 1))
+        # Each pair oriented by node order — exactly what
+        # ``nx.Graph.edges`` yields — with repeats merged into their
+        # first occurrence.
+        position = dict(zip(order, range(len(order))))
+        pairs = list(dict.fromkeys([
+            (u, v) if position[u] < position[v] else (v, u) for u, v in edges
+        ]))
+        degree = Counter(itertools.chain.from_iterable(pairs))
+        id_space = LinkIdSpace(capacity=max(degree.values(), default=1))
         self.id_space = id_space
 
         # One fused pass over nodes and edges.  Everything below is the
@@ -149,11 +163,10 @@ class Network:
         #
         # The repr of every node is needed many times below (node order,
         # edge order, link keys); compute each exactly once.
-        graph_nodes = self.graph.nodes
-        reprs = dict(zip(graph_nodes, map(repr, graph_nodes)))
+        reprs = dict(zip(order, map(repr, order)))
         self.nodes: dict[Any, Node] = {
             node_id: Node(node_id, self, id_space)
-            for node_id in sorted(reprs, key=reprs.__getitem__)
+            for node_id in sorted(order, key=reprs.__getitem__)
         }
         self.links: dict[tuple[Any, Any], Link] = {}
         links = self.links
@@ -163,16 +176,20 @@ class Network:
         link_new = Link.__new__
         # Decorate-sort-undecorate beats ``sorted(key=...)`` here: the
         # list comp builds the sort keys at comprehension speed instead
-        # of one lambda frame per edge, and the unique index tie-break
-        # reproduces the stable keyed sort exactly without ever
-        # comparing node objects.
-        edge_list = list(self.graph.edges)
+        # of one lambda frame per edge.  Links are ordered by endpoint
+        # reprs; equal reprs fall back to ``nx.Graph.edges`` order
+        # (first endpoint's node position, then first occurrence), so
+        # node objects are never compared.
         decorated = [
-            (reprs[u], reprs[v], i) for i, (u, v) in enumerate(edge_list)
+            (reprs[u], reprs[v], position[u], i) for i, (u, v) in enumerate(pairs)
         ]
         decorated.sort()
-        for repr_u, repr_v, i in decorated:
-            u, v = edge_list[i]
+        #: First-occurrence rank of each link, in link order: replaying
+        #: the pairs by rank rebuilds the input's ``edges`` order (see
+        #: :attr:`graph`).
+        self._edge_rank = array("I", map(itemgetter(3), decorated))
+        for repr_u, repr_v, _, i in decorated:
+            u, v = pairs[i]
             if u == v:
                 raise ValueError("self-loops are not supported")
             iu, iv = link_index[u], link_index[v]
@@ -202,8 +219,8 @@ class Network:
             link._arrival_u = 0.0
             link._arrival_v = 0.0
             link.fc = None
-            # ``add_link`` without the parallel-edge check (nx.Graph is
-            # simple by construction) ...
+            # ``add_link`` without the parallel-edge check (the pairs
+            # are distinct by construction) ...
             node_u.links[v] = link
             node_v.links[u] = link
             links[key] = link
@@ -217,6 +234,22 @@ class Network:
             ss_u._port_by_id[flag | normal_u] = port_u
             ss_v._port_by_id[normal_v] = port_v
             ss_v._port_by_id[flag | normal_v] = port_v
+
+    @cached_property
+    def graph(self) -> nx.Graph:
+        """The full topology (every link, active or not) as an ``nx.Graph``.
+
+        Built on first read and kept; construction never needs it.  It
+        holds the input's nodes and ``edges`` in the input's order, and
+        is this network's own object, never the caller's graph.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(self._node_order)
+        ranked = sorted(zip(self._edge_rank, self.links.values()), key=itemgetter(0))
+        graph.add_edges_from((link._u_id, link._v_id) for _, link in ranked)
+        return graph
 
     # ------------------------------------------------------------------
     # Shape
@@ -303,6 +336,8 @@ class Network:
         if exact is None:
             exact = g.number_of_nodes() <= self.EXACT_DIAMETER_MAX_NODES
         if exact:
+            import networkx as nx
+
             diameter = nx.diameter(g)
         else:
             from .topologies import pseudo_diameter
@@ -321,8 +356,10 @@ class Network:
         version = self._topology_version
         if cached is not None and cached[0] == version:
             return cached[1]
+        import networkx as nx
+
         g = nx.Graph()
-        g.add_nodes_from(self.graph.nodes)
+        g.add_nodes_from(self._node_order)
         g.add_edges_from(key for key, link in self.links.items() if link.active)
         self._active_graph_cache = (version, g)
         return g
@@ -334,15 +371,17 @@ class Network:
         """Restore this network to its pristine pre-:meth:`attach` state.
 
         The expensive build products survive — node objects, links,
-        SS port tables, ID assignments, ``Link.key``\\s, the copied
-        graph — while every piece of *run* state is renewed: a fresh
-        :class:`Scheduler` (time 0, sequence 0), fresh
+        SS port tables, ID assignments, ``Link.key``\\s, :attr:`graph`
+        once built — while every piece of *run* state is renewed: a
+        fresh :class:`Scheduler` (time 0, sequence 0), fresh
         :class:`MetricsCollector` and :class:`Trace` (same
         ``enabled``/``capacity`` configuration), empty outputs, no
         protocol/handler on any node, empty NCU queues, no installed
         multicast groups, all links active with FIFO watermarks at 0,
         restarted packet/group sequences, a cleared data-link monitor
-        and no observability probe.
+        and no observability probe.  A per-network
+        :meth:`PerfCounters.install <repro.obs.perf.PerfCounters.install>`
+        stays: the fresh scheduler and trace feed the same registry.
 
         The contract is **bit-identity**: a workload run on a reset
         network produces byte-for-byte the same metrics, drop reasons,
@@ -360,11 +399,14 @@ class Network:
         self.scheduler = Scheduler(kernel=self.scheduler.kernel)
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)
+        perf = self.__dict__.get("perf")
+        if perf is not None:
+            # Carry a per-network perf install over to the new scheduler
+            # and trace (global activations live on the classes).
+            self.scheduler.perf = perf
+            self.trace.perf = perf
         self.outputs = {}
         self.probe = None
-        # Drop any per-network perf install (global activations live on
-        # the class and are deliberately untouched).
-        self.__dict__.pop("perf", None)
         self._packet_seq = itertools.count(1)
         self._group_seq = itertools.count(0)
         self._protocol_factory = None
@@ -611,10 +653,14 @@ class Network:
         version = self._topology_version
         if cached is not None and cached[0] == version:
             return cached[1]
-        g = self.active_graph()
+        # Read off the link table: ``self.nodes`` is already in repr
+        # order, and each node's ``links`` in link order.
         adjacency = {
-            node: tuple(sorted(g.neighbors(node), key=repr))
-            for node in sorted(g.nodes, key=repr)
+            node_id: tuple(sorted(
+                (neighbor for neighbor, link in node.links.items() if link.active),
+                key=repr,
+            ))
+            for node_id, node in self.nodes.items()
         }
         self._adjacency_cache = (version, adjacency)
         return adjacency

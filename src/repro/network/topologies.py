@@ -18,21 +18,59 @@ rejection-sampled random graphs — cost orders of magnitude more than a
 dict hit.  Every call returns a **private copy** of the cached graph, so
 callers may mutate their result freely.  ``cache_info`` and
 ``cache_clear`` expose the cache for tests and long-lived processes.
+
+The datacenter fabrics (:func:`clos`, :func:`fat_tree`, :func:`torus`,
+:func:`dragonfly`) are defined once, as plain node and edge sequences
+(:class:`Topology`, from the ``*_topology`` functions); their graph
+functions build the ``nx.Graph`` from those sequences.  Substrate
+construction reads the sequences directly, so building a fabric
+network never imports networkx — this module imports it only inside
+the functions that need it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from functools import wraps
-from typing import Callable
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 #: Bounded FIFO-evicted generator cache: (fn name, args, kwargs) -> graph.
 _CACHE_MAX = 128
 _cache: OrderedDict[tuple, nx.Graph] = OrderedDict()
 _hits = 0
 _misses = 0
+
+
+class Topology(NamedTuple):
+    """A graph as two plain sequences: ``nodes`` and ``edges`` (pairs).
+
+    Read with ``nx.Graph`` insertion semantics — ``add_nodes_from(nodes)``
+    then ``add_edges_from(edges)``: an endpoint missing from ``nodes`` is
+    appended when its first edge arrives (``u`` before ``v``), and a
+    repeated pair, in either orientation, merges into the first.  This
+    is the construction input of :class:`~repro.network.network.Network`,
+    which accepts an ``nx.Graph`` through the same two attributes.
+    """
+
+    nodes: Iterable[Any]
+    edges: Iterable[tuple[Any, Any]]
+
+    def node_order(self) -> list[Any]:
+        """Every node once, in the order an ``nx.Graph`` would hold them."""
+        return list(dict.fromkeys(chain(self.nodes, chain.from_iterable(self.edges))))
+
+    def to_graph(self) -> nx.Graph:
+        """The ``nx.Graph`` these sequences describe (a new object)."""
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(self.nodes)
+        graph.add_edges_from(self.edges)
+        return graph
 
 
 def _memoised(fn: Callable[..., nx.Graph]) -> Callable[..., nx.Graph]:
@@ -82,6 +120,8 @@ def cache_clear() -> None:
 
 def _relabel(graph: nx.Graph) -> nx.Graph:
     """Relabel nodes to 0..n-1 deterministically (sorted old labels)."""
+    import networkx as nx
+
     mapping = {old: new for new, old in enumerate(sorted(graph.nodes, key=repr))}
     return nx.relabel_nodes(graph, mapping)
 
@@ -89,6 +129,8 @@ def _relabel(graph: nx.Graph) -> nx.Graph:
 @_memoised
 def line(n: int) -> nx.Graph:
     """Path graph on ``n`` nodes."""
+    import networkx as nx
+
     if n < 1:
         raise ValueError("n must be positive")
     return nx.path_graph(n)
@@ -97,6 +139,8 @@ def line(n: int) -> nx.Graph:
 @_memoised
 def ring(n: int) -> nx.Graph:
     """Cycle on ``n >= 3`` nodes."""
+    import networkx as nx
+
     if n < 3:
         raise ValueError("a ring needs at least 3 nodes")
     return nx.cycle_graph(n)
@@ -105,6 +149,8 @@ def ring(n: int) -> nx.Graph:
 @_memoised
 def star(n: int) -> nx.Graph:
     """Star: node 0 is the hub, nodes 1..n-1 are leaves."""
+    import networkx as nx
+
     if n < 2:
         raise ValueError("a star needs at least 2 nodes")
     return nx.star_graph(n - 1)
@@ -113,6 +159,8 @@ def star(n: int) -> nx.Graph:
 @_memoised
 def complete(n: int) -> nx.Graph:
     """Complete graph K_n — the Section 5 setting."""
+    import networkx as nx
+
     if n < 1:
         raise ValueError("n must be positive")
     return nx.complete_graph(n)
@@ -121,6 +169,8 @@ def complete(n: int) -> nx.Graph:
 @_memoised
 def grid(rows: int, cols: int) -> nx.Graph:
     """2-D grid, relabelled to integers row-major."""
+    import networkx as nx
+
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     return _relabel(nx.grid_2d_graph(rows, cols))
@@ -129,6 +179,8 @@ def grid(rows: int, cols: int) -> nx.Graph:
 @_memoised
 def hypercube(dim: int) -> nx.Graph:
     """Binary hypercube of the given dimension (2**dim nodes)."""
+    import networkx as nx
+
     if dim < 1:
         raise ValueError("dimension must be positive")
     return _relabel(nx.hypercube_graph(dim))
@@ -143,6 +195,8 @@ def complete_binary_tree(depth: int) -> nx.Graph:
     ``2i+1`` and ``2i+2``).  This is the lower-bound instance of
     Section 3.4.
     """
+    import networkx as nx
+
     if depth < 0:
         raise ValueError("depth must be non-negative")
     n = 2 ** (depth + 1) - 1
@@ -158,6 +212,8 @@ def complete_binary_tree(depth: int) -> nx.Graph:
 @_memoised
 def balanced_tree(branching: int, height: int) -> nx.Graph:
     """Balanced ``branching``-ary tree of the given height (root = 0)."""
+    import networkx as nx
+
     if branching < 1 or height < 0:
         raise ValueError("branching must be >= 1 and height >= 0")
     return _relabel(nx.balanced_tree(branching, height))
@@ -171,6 +227,8 @@ def caterpillar(spine: int, legs_per_node: int) -> nx.Graph:
     paths, making them the friendly extreme for the branching-paths
     broadcast (label of the spine stays small).
     """
+    import networkx as nx
+
     if spine < 1 or legs_per_node < 0:
         raise ValueError("spine must be positive, legs non-negative")
     g = nx.path_graph(spine)
@@ -188,6 +246,8 @@ def broom(handle: int, bristles: int) -> nx.Graph:
 
     Node 0 is the tip of the handle; the last handle node is the hub.
     """
+    import networkx as nx
+
     if handle < 1 or bristles < 0:
         raise ValueError("handle must be positive, bristles non-negative")
     g = nx.path_graph(handle)
@@ -202,6 +262,8 @@ def broom(handle: int, bristles: int) -> nx.Graph:
 @_memoised
 def random_connected(n: int, p: float, seed: int = 0, max_tries: int = 200) -> nx.Graph:
     """Erdős–Rényi G(n, p), resampled until connected."""
+    import networkx as nx
+
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -218,6 +280,8 @@ def random_geometric_connected(
     n: int, radius: float, seed: int = 0, max_tries: int = 200
 ) -> nx.Graph:
     """Random geometric graph in the unit square, resampled until connected."""
+    import networkx as nx
+
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
@@ -232,6 +296,21 @@ def random_geometric_connected(
     )
 
 
+def clos_topology(leaves: int, spines: int, hosts_per_leaf: int = 0) -> Topology:
+    """The node and edge sequences of :func:`clos`."""
+    if leaves < 1 or spines < 1:
+        raise ValueError("a Clos fabric needs at least one leaf and one spine")
+    if hosts_per_leaf < 0:
+        raise ValueError("hosts_per_leaf must be non-negative")
+    edges = []
+    next_id = spines + leaves
+    for leaf in range(spines, spines + leaves):
+        edges.extend((leaf, spine) for spine in range(spines))
+        edges.extend((leaf, host) for host in range(next_id, next_id + hosts_per_leaf))
+        next_id += hosts_per_leaf
+    return Topology(range(spines + leaves), edges)
+
+
 @_memoised
 def clos(leaves: int, spines: int, hosts_per_leaf: int = 0) -> nx.Graph:
     """Two-tier folded Clos (leaf–spine) fabric.
@@ -242,20 +321,28 @@ def clos(leaves: int, spines: int, hosts_per_leaf: int = 0) -> nx.Graph:
     after the switches.  With hosts the graph models the full datacenter
     pod; without them it is the pure switching fabric.
     """
-    if leaves < 1 or spines < 1:
-        raise ValueError("a Clos fabric needs at least one leaf and one spine")
-    if hosts_per_leaf < 0:
-        raise ValueError("hosts_per_leaf must be non-negative")
-    g = nx.Graph()
-    g.add_nodes_from(range(spines + leaves))
-    next_id = spines + leaves
-    for leaf in range(spines, spines + leaves):
-        for spine in range(spines):
-            g.add_edge(leaf, spine)
-        for _ in range(hosts_per_leaf):
-            g.add_edge(leaf, next_id)
-            next_id += 1
-    return g
+    return clos_topology(leaves, spines, hosts_per_leaf).to_graph()
+
+
+def fat_tree_topology(k: int) -> Topology:
+    """The node and edge sequences of :func:`fat_tree`."""
+    if k < 2 or k % 2:
+        raise ValueError("fat tree arity k must be even and >= 2")
+    half = k // 2
+    edges = []
+    next_id = half * half  # cores are 0 .. (k/2)² - 1
+    for _pod in range(k):
+        aggs = range(next_id, next_id + half)
+        next_id += half
+        edge_switches = range(next_id, next_id + half)
+        next_id += half
+        for j, agg in enumerate(aggs):
+            edges.extend((agg, core) for core in range(j * half, (j + 1) * half))
+            edges.extend((agg, edge) for edge in edge_switches)
+        for edge in edge_switches:
+            edges.extend((edge, host) for host in range(next_id, next_id + half))
+            next_id += half
+    return Topology(range(half * half), edges)
 
 
 @_memoised
@@ -269,27 +356,28 @@ def fat_tree(k: int) -> nx.Graph:
     so any host pair is at most 6 hops apart.  Node numbering: cores
     first, then per pod aggregation, edge, hosts.
     """
-    if k < 2 or k % 2:
-        raise ValueError("fat tree arity k must be even and >= 2")
-    half = k // 2
-    g = nx.Graph()
-    next_id = half * half  # cores are 0 .. (k/2)² - 1
-    g.add_nodes_from(range(next_id))
-    for _pod in range(k):
-        aggs = range(next_id, next_id + half)
-        next_id += half
-        edges = range(next_id, next_id + half)
-        next_id += half
-        for j, agg in enumerate(aggs):
-            for core in range(j * half, (j + 1) * half):
-                g.add_edge(agg, core)
-            for edge in edges:
-                g.add_edge(agg, edge)
-        for edge in edges:
-            for _ in range(half):
-                g.add_edge(edge, next_id)
-                next_id += 1
-    return g
+    return fat_tree_topology(k).to_graph()
+
+
+def torus_topology(*dims: int) -> Topology:
+    """The node and edge sequences of :func:`torus`."""
+    if not dims:
+        raise ValueError("a torus needs at least one dimension")
+    if any(d < 3 for d in dims):
+        raise ValueError("every torus dimension must be at least 3")
+    n = 1
+    strides = []
+    for d in reversed(dims):
+        strides.append(n)
+        n *= d
+    strides.reverse()  # strides[i] multiplies coordinate i (row-major)
+    edges = []
+    for node in range(n):
+        for dim, stride in zip(dims, strides):
+            coord = (node // stride) % dim
+            neighbor = node + stride if coord + 1 < dim else node - (dim - 1) * stride
+            edges.append((node, neighbor))
+    return Topology(range(n), edges)
 
 
 @_memoised
@@ -301,24 +389,39 @@ def torus(*dims: int) -> nx.Graph:
     would collapse its wrap link onto the grid link).  Nodes are
     numbered row-major.
     """
-    if not dims:
-        raise ValueError("a torus needs at least one dimension")
-    if any(d < 3 for d in dims):
-        raise ValueError("every torus dimension must be at least 3")
-    g = nx.Graph()
-    n = 1
-    strides = []
-    for d in reversed(dims):
-        strides.append(n)
-        n *= d
-    strides.reverse()  # strides[i] multiplies coordinate i (row-major)
-    g.add_nodes_from(range(n))
-    for node in range(n):
-        for dim, stride in zip(dims, strides):
-            coord = (node // stride) % dim
-            neighbor = node + stride if coord + 1 < dim else node - (dim - 1) * stride
-            g.add_edge(node, neighbor)
-    return g
+    return torus_topology(*dims).to_graph()
+
+
+def dragonfly_topology(
+    groups: int, routers_per_group: int, hosts_per_router: int = 0
+) -> Topology:
+    """The node and edge sequences of :func:`dragonfly`."""
+    if groups < 1 or routers_per_group < 1:
+        raise ValueError("dragonfly needs positive groups and routers per group")
+    if hosts_per_router < 0:
+        raise ValueError("hosts_per_router must be non-negative")
+    a = routers_per_group
+    n_routers = groups * a
+    edges = []
+    for group in range(groups):
+        base = group * a
+        edges.extend(
+            (base + i, base + j) for i in range(a) for j in range(i + 1, a)
+        )
+    # Round-robin endpoint spread: group gi's link toward gj leaves
+    # router (gj - 1) mod a, and vice versa.
+    edges.extend(
+        (gi * a + (gj - 1) % a, gj * a + gi % a)
+        for gi in range(groups)
+        for gj in range(gi + 1, groups)
+    )
+    next_id = n_routers
+    for router in range(n_routers):
+        edges.extend(
+            (router, host) for host in range(next_id, next_id + hosts_per_router)
+        )
+        next_id += hosts_per_router
+    return Topology(range(n_routers), edges)
 
 
 @_memoised
@@ -333,35 +436,14 @@ def dragonfly(groups: int, routers_per_group: int, hosts_per_router: int = 0) ->
     routers.  The group-level topology is complete, giving the
     low-diameter, low-degree shape datacenter dragonflies target.
     """
-    if groups < 1 or routers_per_group < 1:
-        raise ValueError("dragonfly needs positive groups and routers per group")
-    if hosts_per_router < 0:
-        raise ValueError("hosts_per_router must be non-negative")
-    a = routers_per_group
-    g = nx.Graph()
-    n_routers = groups * a
-    g.add_nodes_from(range(n_routers))
-    for group in range(groups):
-        base = group * a
-        for i in range(a):
-            for j in range(i + 1, a):
-                g.add_edge(base + i, base + j)
-    for gi in range(groups):
-        for gj in range(gi + 1, groups):
-            # Round-robin endpoint spread: group gi's link toward gj
-            # leaves router (gj - 1) mod a, and vice versa.
-            g.add_edge(gi * a + (gj - 1) % a, gj * a + gi % a)
-    next_id = n_routers
-    for router in range(n_routers):
-        for _ in range(hosts_per_router):
-            g.add_edge(router, next_id)
-            next_id += 1
-    return g
+    return dragonfly_topology(groups, routers_per_group, hosts_per_router).to_graph()
 
 
 @_memoised
 def barbell(clique: int, path: int) -> nx.Graph:
     """Two cliques of size ``clique`` joined by a path of ``path`` nodes."""
+    import networkx as nx
+
     if clique < 3:
         raise ValueError("clique size must be at least 3")
     return nx.barbell_graph(clique, path)
@@ -390,6 +472,8 @@ def _bfs_eccentricity(graph: nx.Graph, source) -> tuple[int, list]:
         if frontier:
             depth += 1
     if len(visited) != graph.number_of_nodes():
+        import networkx as nx
+
         raise nx.NetworkXError(
             "Found infinite path length because the graph is not connected"
         )
@@ -433,6 +517,8 @@ def two_connected_example() -> nx.Graph:
     pendant edges while each triangle node broadcasts with a DFS-style
     traversal produces the deadlock described in the paper.
     """
+    import networkx as nx
+
     g = nx.Graph()
     g.add_edges_from([(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])
     return g

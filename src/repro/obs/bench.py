@@ -636,11 +636,12 @@ def _bench_substrate_scale() -> tuple[dict[str, float], RunManifest]:
     """Construction at fabric scale: live builder vs pre-slots replica.
 
     Builds a ~10⁴-node fat-tree (k=32: 9472 nodes, 24576 links) through
-    the live path (``copy_graph=False``, fused single-pass loop, slotted
-    classes, in-build GC pause) and through the in-file pre-slots
-    replica, **interleaved** within each round, and reports the median
-    per-round wall ratio as ``build_speedup`` (higher is better) — the
-    drift-robust form of "5× faster construction".  Both legs run under
+    the live path (one read of the graph's nodes and edges, fused
+    single-pass loop, slotted classes, in-build GC pause) and through
+    the in-file pre-slots replica, **interleaved** within each round,
+    and reports the median per-round wall ratio as ``build_speedup``
+    (higher is better) — the drift-robust form of "5× faster
+    construction".  Both legs run under
     whatever GC regime the process has (the live path pauses collection
     itself; the replica, like the pre-slots builder, does not), with a
     ``gc.collect()`` before each leg so neither inherits the other's
@@ -675,7 +676,7 @@ def _bench_substrate_scale() -> tuple[dict[str, float], RunManifest]:
         source = fat_tree(k)
         gc.collect()
         t0 = time.perf_counter()
-        net = Network(source, trace=False, copy_graph=False)
+        net = Network(source, trace=False)
         new_wall = time.perf_counter() - t0
 
         if (len(net.nodes), len(net.links)) != (len(legacy[1]), len(legacy[2])):
@@ -699,7 +700,7 @@ def _bench_substrate_scale() -> tuple[dict[str, float], RunManifest]:
 
     legacy_bytes = retained_bytes(_legacy_build)
     new_bytes = retained_bytes(
-        lambda source: Network(source, trace=False, copy_graph=False)
+        lambda source: Network(source, trace=False)
     )
 
     ratios.sort()

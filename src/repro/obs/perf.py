@@ -126,10 +126,9 @@ class PerfCounters:
         """Instrument one network (and its scheduler/trace); returns self.
 
         Instance-scoped: other networks in the process are untouched.
-        Note that :meth:`Network.reset` replaces the scheduler and the
-        trace, dropping this installation — reinstall after a reset, or
-        use :meth:`activate` for process-wide collection that survives
-        resets.
+        The installation survives :meth:`Network.reset`, which points
+        the fresh scheduler and trace at this registry; use
+        :meth:`activate` for process-wide collection.
         """
         net.perf = self
         net.scheduler.perf = self

@@ -87,14 +87,14 @@ def search_report(
     churn, so the time side reports observations only.
     """
     from ..analysis.closed_forms import election_message_bound
-    from ..network.builder import from_spec
+    from ..network.builder import topology_from_spec
 
     if not rows:
         raise ValueError("search_report needs at least the at-bounds row")
     at_bounds = rows[0]
     worst_time = max(rows, key=lambda r: r["final_time"])
     worst_calls = max(rows, key=lambda r: r["tour_return_calls"])
-    n = from_spec(spec.topology).n
+    n = len(topology_from_spec(spec.topology).node_order())
     calls_bound: float | None = None
     if spec.protocol == "election":
         calls_bound = float(election_rounds(spec) * election_message_bound(n))

@@ -191,14 +191,13 @@ def churn_scenario(
     exactly one leader per (now single) component, which is what
     :class:`~repro.obs.monitors.ChurnMonitor` asserts at finish.
     """
-    from ..network.builder import from_spec
+    from ..network.builder import topology_from_spec
 
     if crashes < 1:
         raise ValueError("crashes must be >= 1")
     if spacing <= 0:
         raise ValueError("spacing must be > 0")
-    net = from_spec(topology)
-    node_ids = sorted(net.nodes, key=repr)
+    node_ids = sorted(topology_from_spec(topology).node_order(), key=repr)
     if crashes >= len(node_ids):
         raise ValueError(f"crashes={crashes} needs a topology with more nodes")
     rng = random.Random(

@@ -141,6 +141,24 @@ def test_install_and_uninstall_are_instance_scoped():
     assert type(net.scheduler).perf is None
 
 
+def test_install_survives_reset():
+    net = _flood_net()
+    counters = PerfCounters().install(net)
+    runs = []
+    for _ in range(2):
+        _run_flood(net)
+        runs.append((net.metrics.snapshot(), net.scheduler.events_processed))
+        net.reset(delays=FixedDelays(0.5, 1.0))
+    (first, first_events), (second, second_events) = runs
+    assert first.system_calls > 0 and second == first
+    assert counters.ss_hops == first.hops + second.hops
+    assert counters.ncu_jobs == first.system_calls + second.system_calls
+    assert counters.sched_pop == first_events + second_events
+    assert counters.sched_push == (
+        counters.sched_pop + counters.sched_cancelled_drops + net.scheduler.pending
+    )
+
+
 def test_global_activation_captures_networks_built_later():
     counters = PerfCounters()
     with counters:
