@@ -11,7 +11,7 @@ Examples::
     python -m repro multicast --topology random:64,1 --messages 5
     python -m repro observe   --topology grid:8,8 --workload broadcast --stats
     python -m repro election  --topology ring:32 --monitor budgets,watchdog
-    python -m repro bench --compare benchmarks/baselines/heap/BENCH_election_ring.json
+    python -m repro bench --compare benchmarks/baselines/BENCH_election_ring.json
     python -m repro bench --jobs 4
     python -m repro campaign tradeoff --n 48 --jobs 4 --rows-out rows.json
 
@@ -49,7 +49,6 @@ live queues against closed-form network-calculus delay/backlog bounds
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -731,11 +730,7 @@ def _instrumented_benchmarks(names: list, args: argparse.Namespace) -> dict:
     the sampler's steal time).
     """
     from .obs import PerfCounters, SamplingProfiler, run_benchmark
-    from .sim import default_kernel
 
-    # Stamp artifacts with the active kernel so wheel-vs-heap profiles
-    # are distinguishable side by side in CI artifact listings.
-    kernel = default_kernel()
     docs: dict = {}
     for name in names:
         profiler = SamplingProfiler(hz=args.flamegraph_hz) if args.flamegraph else None
@@ -749,17 +744,16 @@ def _instrumented_benchmarks(names: list, args: argparse.Namespace) -> dict:
         if profiler is not None:
             base = Path(args.out_dir)
             collapsed = profiler.write_collapsed(
-                base / f"FLAME_{name}.{kernel}.collapsed.txt"
+                base / f"FLAME_{name}.collapsed.txt"
             )
             speedscope = profiler.write_speedscope(
-                base / f"FLAME_{name}.{kernel}.speedscope.json",
-                name=f"{name} [{kernel}]",
+                base / f"FLAME_{name}.speedscope.json", name=name
             )
             print(f"flamegraph: {speedscope} ({profiler.samples} samples; "
                   f"collapsed stacks: {collapsed})")
         if args.perf:
             print(PerfCounters.from_dict(docs[name]["perf"]).render(
-                title=f"{name}: perf attribution [{kernel} kernel]"
+                title=f"{name}: perf attribution"
             ))
             print()
     return docs
@@ -1239,17 +1233,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def kernel_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--kernel", choices=("heap", "wheel"), default=None,
-                       help="event-kernel implementation; sets the "
-                            "REPRO_KERNEL default for this process and "
-                            "its workers (default: env, else heap); "
-                            "never changes behaviour, only speed")
-
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--topology", default="random:64,0",
                        help="e.g. ring:64, grid:6,8, random:128,7 (default %(default)s)")
-        kernel_arg(p)
         p.add_argument("--C", type=float, default=0.0,
                        help="hardware delay bound (default %(default)s)")
         p.add_argument("--P", type=float, default=1.0,
@@ -1324,7 +1310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("globalfn", help="optimal aggregation trees (E7-E10)")
-    kernel_arg(p)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--P", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
@@ -1405,7 +1390,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the benchmark telemetry suite, write BENCH_*.json, "
              "gate regressions",
     )
-    kernel_arg(p)
     p.add_argument("--name", default=None, metavar="LIST",
                    help="comma list of benchmarks (default: all; see --list)")
     p.add_argument("--out-dir", default=".", metavar="DIR",
@@ -1441,7 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "runs serially)")
     p.add_argument("--flamegraph", action="store_true",
                    help="sample each benchmark's stack and write "
-                        "FLAME_<name>.<kernel>.collapsed.txt + "
+                        "FLAME_<name>.collapsed.txt + "
                         ".speedscope.json next to the documents "
                         "(runs serially)")
     p.add_argument("--flamegraph-hz", type=float, default=251.0,
@@ -1512,7 +1496,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", choices=CAMPAIGN_WORKLOADS,
                    help="which task family to run")
-    kernel_arg(p)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes (default %(default)s); rows are "
                         "byte-identical for any N")
@@ -1579,12 +1562,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point (``python -m repro ...``)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        # One mechanism for every command: ``--kernel`` becomes the
-        # process-wide env default, which schedulers read at
-        # construction and campaign workers inherit.
-        os.environ["REPRO_KERNEL"] = kernel
     try:
         return args.func(args)
     except Exception:

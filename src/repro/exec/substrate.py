@@ -27,13 +27,9 @@ from time import perf_counter as _perf_counter
 from ..network.builder import from_spec
 from ..network.network import Network
 from ..sim.delays import DelayModel
-from ..sim.kernel import resolve_kernel
 
 #: Hashable pool key: everything that shapes the built substrate.
-#: The event kernel is part of it (resolved to a concrete name, so a
-#: mid-process env-default change can never hand back a mismatched
-#: network).
-PoolKey = tuple[str, int | None, bool, int | None, float, str]
+PoolKey = tuple[str, int | None, bool, int | None, float]
 
 #: Environment variable gating substrate reuse (default: enabled).
 REUSE_ENV_VAR = "REPRO_SUBSTRATE_REUSE"
@@ -89,7 +85,6 @@ class SubstratePool:
         trace: bool = False,
         trace_capacity: int | None = None,
         datalink_delay: float = 0.0,
-        kernel: str | None = None,
     ) -> Network:
         """A pristine network for ``spec`` — built once, reset thereafter.
 
@@ -98,8 +93,7 @@ class SubstratePool:
         nothing is retained, so both modes run identical code up to the
         build-vs-reset choice.
         """
-        kernel = resolve_kernel(kernel)
-        key: PoolKey = (spec, dmax, trace, trace_capacity, datalink_delay, kernel)
+        key: PoolKey = (spec, dmax, trace, trace_capacity, datalink_delay)
         if not reuse_enabled():
             t0 = _perf_counter()
             net = from_spec(
@@ -109,7 +103,6 @@ class SubstratePool:
                 trace=trace,
                 trace_capacity=trace_capacity,
                 datalink_delay=datalink_delay,
-                kernel=kernel,
             )
             self._note_build(_perf_counter() - t0)
             return net
@@ -123,7 +116,6 @@ class SubstratePool:
                 trace=trace,
                 trace_capacity=trace_capacity,
                 datalink_delay=datalink_delay,
-                kernel=kernel,
             )
             self._note_build(_perf_counter() - t0)
             if len(self._entries) >= self._max_entries:

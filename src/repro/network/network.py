@@ -58,7 +58,6 @@ class Network:
         trace: bool = False,
         trace_capacity: int | None = None,
         datalink_delay: float = 0.0,
-        kernel: str | None = None,
     ) -> None:
         """Assemble the substrate from ``graph.nodes`` and ``graph.edges``.
 
@@ -85,7 +84,6 @@ class Network:
                 trace=trace,
                 trace_capacity=trace_capacity,
                 datalink_delay=datalink_delay,
-                kernel=kernel,
             )
         finally:
             if gc_was_enabled:
@@ -101,7 +99,6 @@ class Network:
         trace: bool,
         trace_capacity: int | None,
         datalink_delay: float,
-        kernel: str | None,
     ) -> None:
         edges = list(edges)
         order = Topology(nodes, edges).node_order()
@@ -110,11 +107,7 @@ class Network:
         #: Node order of the input; :attr:`graph` and :meth:`active_graph`
         #: hold their nodes in this order.
         self._node_order = order
-        #: ``kernel`` picks the event-kernel implementation ("heap" /
-        #: "wheel"; ``None`` = the ``REPRO_KERNEL`` env default) — a
-        #: pure performance choice, never a behavioural one (the fired
-        #: event sequence is kernel-invariant).
-        self.scheduler = Scheduler(kernel=kernel)
+        self.scheduler = Scheduler()
         self.delays = delays if delays is not None else limiting_model()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=trace, capacity=trace_capacity)
@@ -394,9 +387,7 @@ class Network:
 
         Returns ``self`` so callers can chain ``net.reset().attach(...)``.
         """
-        # Preserve the kernel choice across reset: a pooled substrate
-        # must replay on the same kernel it was built with.
-        self.scheduler = Scheduler(kernel=self.scheduler.kernel)
+        self.scheduler = Scheduler()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)
         perf = self.__dict__.get("perf")

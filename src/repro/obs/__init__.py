@@ -14,7 +14,6 @@ from .bench import (
     bench_path,
     benchmark_names,
     compare_documents,
-    kernel_speedup,
     load_bench_document,
     regressions,
     render_comparison,
@@ -95,7 +94,6 @@ __all__ = [
     "compare_documents",
     "election_budgets",
     "git_revision",
-    "kernel_speedup",
     "load_bench_document",
     "makespan",
     "merge_perf_dicts",

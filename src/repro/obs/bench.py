@@ -202,32 +202,28 @@ def _bench_kernel_scale() -> tuple[dict[str, float], RunManifest]:
     """Pure event-kernel throughput at a large pending set.
 
     Preloads 400k no-op events spread over 13 distinct timestamps —
-    the paper's (C, P) regime taken to the pending-set sizes the
-    ROADMAP's 10⁴–10⁵-node studies imply: a handful of distinct delay
-    values, huge same-timestamp cohorts.  No protocol and no NCU, so
-    the number isolates the kernel data structure itself.  This is the
-    regime that separates the kernels: the heap pays an O(log n) sift
-    with n in the hundreds of thousands for every push and pop, while
-    the wheel pays a dict hit per push and drains whole cohorts batch-
-    wise — the CI kernel-speedup gate runs this bench under the wheel
-    against the committed heap baseline.  (``scheduler_churn`` keeps
-    only ~32 events pending and is NCU-bound — see
-    ``docs/PERFORMANCE.md`` for the Amdahl split.)
+    the paper's (C, P) regime taken to pending-set sizes far beyond
+    any end-to-end workload's (at most ~9k on a 9472-node fat tree):
+    a handful of distinct delay values, huge same-timestamp cohorts.
+    No protocol and no NCU, so the number isolates the heap itself,
+    which pays an O(log n) sift with n in the hundreds of thousands
+    for every push and pop.  CI gates it against the committed
+    baseline.  (``scheduler_churn`` keeps only ~32 events pending and
+    is NCU-bound — see ``docs/PERFORMANCE.md`` for the Amdahl split.)
     """
     from ..network.builder import from_spec
 
     events, spread, repeats = 400_000, 13, 3
     # Timestamps are precomputed so the timed section is kernel work
-    # (schedule + drain), not float arithmetic common to both kernels.
+    # (schedule + drain), not float arithmetic.
     times = [float(i % spread) for i in range(events)]
 
     def noop() -> None:
         pass
 
-    # Best-of-3 on fresh networks: the CI speedup gate compares this
-    # number across kernels with a tight threshold, so single-shot
-    # scheduling jitter must not be able to flip it.  Deterministic
-    # counters are cross-checked identical across repeats.
+    # Best-of-3 on fresh networks, so single-shot scheduling jitter
+    # cannot flip the throughput gate.  Deterministic counters are
+    # cross-checked identical across repeats.
     best: dict[str, float] | None = None
     net = None
     for _ in range(repeats):
@@ -801,59 +797,6 @@ def run_benchmark(name: str, *, perf: bool = False) -> dict[str, Any]:
     if counters is not None:
         doc["perf"] = counters.to_dict()
     return doc
-
-
-def kernel_speedup(
-    name: str,
-    *,
-    rounds: int = 3,
-    kernels: tuple[str, str] = ("heap", "wheel"),
-) -> float:
-    """A/B kernel throughput ratio on one registered benchmark.
-
-    Runs the benchmark alternately under both kernels *within* each
-    round and returns the median of the per-round
-    ``events_per_sec[kernels[1]] / events_per_sec[kernels[0]]`` ratios.
-    Machine speed drifts between invocations (easily 2× on shared
-    hardware), so a ratio of two independently timed runs — even two
-    committed baseline documents — is meaningless; only back-to-back
-    interleaved runs with a median across rounds is trustworthy (see
-    ``docs/PERFORMANCE.md`` § Measuring kernels).  The CI kernel gate
-    is built on this.  Deterministic counters are asserted identical
-    across kernels every round, so the speedup can never come from
-    doing different work.
-    """
-    import os
-    import statistics
-
-    from ..sim.kernel import KERNEL_ENV_VAR, resolve_kernel
-
-    base, candidate = (resolve_kernel(k) for k in kernels)
-    deterministic = ("system_calls", "hops", "sim_time", "events")
-    ratios = []
-    for _ in range(max(1, rounds)):
-        metrics: dict[str, dict[str, float]] = {}
-        for kernel in (base, candidate):
-            saved = os.environ.get(KERNEL_ENV_VAR)
-            os.environ[KERNEL_ENV_VAR] = kernel
-            try:
-                metrics[kernel] = run_benchmark(name)["metrics"]
-            finally:
-                if saved is None:
-                    os.environ.pop(KERNEL_ENV_VAR, None)
-                else:
-                    os.environ[KERNEL_ENV_VAR] = saved
-        for key in deterministic:
-            if metrics[base].get(key) != metrics[candidate].get(key):
-                raise RuntimeError(
-                    f"kernel A/B on {name!r} diverged: {key} "
-                    f"{metrics[base].get(key)} ({base}) != "
-                    f"{metrics[candidate].get(key)} ({candidate})"
-                )
-        ratios.append(
-            metrics[candidate]["events_per_sec"] / metrics[base]["events_per_sec"]
-        )
-    return statistics.median(ratios)
 
 
 def run_benchmarks(

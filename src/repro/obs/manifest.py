@@ -74,11 +74,9 @@ class RunManifest:
     #: This process's substrate-pool counters (``None`` if the pool was
     #: never used): ``{"builds": ..., "reuses": ...}``.
     substrate_pool: dict[str, int] | None = None
-    #: Event-kernel implementation the run's scheduler used ("heap" /
-    #: "wheel").  Like ``substrate_reuse``, deliberately outside spec
-    #: hashes — the fired event sequence is kernel-invariant, so the
-    #: manifest is the provenance record of which kernel produced a
-    #: (wall-clock) measurement.
+    #: Event kernel that ran the simulation (always ``"heap"``).  Kept
+    #: because :meth:`load` passes every stored field to the
+    #: constructor, so older manifests that record a kernel must load.
     kernel: str | None = None
     git: str | None = None
     python: str = ""
@@ -121,7 +119,7 @@ class RunManifest:
             trace_dropped=net.trace.dropped,
             substrate_reuse=reuse_enabled(),
             substrate_pool=pool_stats(),
-            kernel=net.scheduler.kernel,
+            kernel=_default_kernel(),
             git=git_revision(),
             python=sys.version.split()[0],
             platform=platform.platform(),
@@ -176,8 +174,7 @@ class CampaignManifest:
     #: State of the ``REPRO_SUBSTRATE_REUSE`` gate in the driver when
     #: the campaign ran (workers inherit the environment).
     substrate_reuse: bool | None = None
-    #: Event-kernel default in the driver when the campaign ran
-    #: (workers inherit it through ``REPRO_KERNEL``).
+    #: Event kernel the campaign ran on (see :class:`RunManifest`).
     kernel: str | None = None
     #: Campaign-wide perf attribution: every task's
     #: :class:`~repro.obs.perf.PerfCounters` merged

@@ -68,7 +68,7 @@ COUNTER_FIELDS = (
     "sched_push",
     "sched_pop",
     # Cancelled entries swept out of the queue without firing.  Closes
-    # the queue ledger: at any instant, for either kernel,
+    # the queue ledger: at any instant,
     # ``sched_push == sched_pop + sched_cancelled_drops + pending``.
     "sched_cancelled_drops",
     "ss_hops",

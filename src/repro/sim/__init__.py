@@ -23,9 +23,8 @@ from .errors import (
     SimulationError,
 )
 from .events import Event
-from .kernel import KERNEL_ENV_VAR, KERNEL_NAMES, default_kernel, resolve_kernel
+from .kernel import default_kernel
 from .scheduler import Scheduler
-from .wheel import WheelScheduler
 from .seeding import derive_seed, seed_sequence, splitmix64
 from .trace import Trace, TraceKind, TraceRecord
 
@@ -36,8 +35,6 @@ __all__ = [
     "random_delay_search",
     "Event",
     "FixedDelays",
-    "KERNEL_ENV_VAR",
-    "KERNEL_NAMES",
     "NotConvergedError",
     "PathTooLongError",
     "PerturbedDelays",
@@ -50,12 +47,10 @@ __all__ = [
     "Trace",
     "TraceKind",
     "TraceRecord",
-    "WheelScheduler",
     "default_kernel",
     "derive_seed",
     "limiting_model",
     "parameterized_model",
-    "resolve_kernel",
     "seed_sequence",
     "splitmix64",
 ]

@@ -11,8 +11,8 @@ The scheduler assigns ``seq`` from its **own** per-scheduler counter, so
 an event stream — and anything exported from it — never depends on how
 many simulations ran earlier in the same process (load-bearing for the
 campaign engine's byte-identity guarantees with in-process workers).
-All event construction goes through a kernel's shared ``_push`` fast
-path; hand-constructed events (tests) default to ``seq=0`` and must
+All event construction goes through the scheduler's shared ``_push``
+fast path; hand-constructed events (tests) default to ``seq=0`` and must
 pass an explicit ``seq`` when FIFO order among equals matters.
 
 Performance note: the scheduler's heap stores ``(time, priority, seq,

@@ -1,108 +1,15 @@
-"""Kernel selection for the discrete-event scheduler.
+"""Name of the event kernel, for provenance records.
 
-A *kernel* is an implementation of the narrow scheduling protocol the
-rest of the simulator is written against:
-
-``schedule(delay, action, ...) -> Event``
-    Relative-time scheduling; validates ``delay >= 0``.
-``schedule_at(time, action, ...) -> Event``
-    Absolute-time scheduling; validates ``time >= now``.
-``run(until=..., max_events=..., stop_when=...) -> float``
-    Drain the queue, firing events in ``(time, priority, seq)`` order.
-``step() -> bool`` / ``iter_steps()``
-    Single-event stepping.
-``peek_time() -> float | None``
-    Firing time of the next live event.
-``now`` / ``pending`` / ``pending_live`` / ``events_processed``
-    Clock and queue-depth introspection.
-``Event.cancel()`` accounting
-    Cancelled events stay queued but never fire; ``pending_live``
-    reflects the cancellation immediately (O(1)), and lazily dropped
-    entries are counted in ``PerfCounters.sched_cancelled_drops``.
-
-Two kernels ship:
-
-``heap``
-    The reference implementation — a binary heap of ``(time, priority,
-    seq, event)`` tuples (:class:`repro.sim.scheduler.Scheduler`).
-    Robust for any delay distribution; the default.
-``wheel``
-    A bucketed calendar-queue / timing-wheel kernel
-    (:class:`repro.sim.wheel.WheelScheduler`): events are hashed into
-    per-timestamp buckets with per-priority FIFO lanes, a small heap
-    indexes only *distinct* pending times inside the wheel horizon, and
-    far-future timers spill to an overflow heap so correctness never
-    depends on wheel span.  Fired ``Event`` objects are recycled
-    through a free-list.  Wins when many events share firing
-    timestamps — the common case under the paper's (C, P) delay model.
-
-Both kernels fire the exact same ``(time, priority, seq, tag)`` event
-sequence for the same schedule calls; the golden-equivalence and
-scenario-identity suites pin this byte-for-byte.
-
-Selection
----------
-Per scheduler: ``Scheduler(kernel="wheel")``.  Process default: the
-``REPRO_KERNEL`` environment variable (mirroring
-``REPRO_SUBSTRATE_REUSE``), surfaced as ``--kernel`` on the CLI.  Like
-substrate reuse, the kernel is an execution detail: it never enters
-campaign spec hashes, but it *is* recorded in run/campaign manifests
-and benchmark documents so artifacts are attributable.
+The binary-heap :class:`repro.sim.scheduler.Scheduler` is the only
+event kernel.  Run and campaign manifests, benchmark documents and the
+end-to-end benchmark harness still record a ``kernel`` field, so
+artifacts written by older versions (which shipped a second kernel)
+keep loading and stay comparable.
 """
 
 from __future__ import annotations
 
-import os
-
-from .errors import SimulationError
-
-#: Environment variable holding the process-wide default kernel.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Valid kernel names, in documentation order.
-KERNEL_NAMES: tuple[str, ...] = ("heap", "wheel")
-
-#: Fallback when neither a constructor arg nor the env var names one.
-DEFAULT_KERNEL = "heap"
-
 
 def default_kernel() -> str:
-    """The process-wide default kernel (env override or ``heap``)."""
-    name = os.environ.get(KERNEL_ENV_VAR)
-    if name is None or name == "":
-        return DEFAULT_KERNEL
-    if name not in KERNEL_NAMES:
-        raise SimulationError(
-            f"invalid {KERNEL_ENV_VAR}={name!r}; expected one of {KERNEL_NAMES}"
-        )
-    return name
-
-
-def resolve_kernel(name: str | None) -> str:
-    """Validate an explicit kernel name, or fall back to the default."""
-    if name is None:
-        return default_kernel()
-    if name not in KERNEL_NAMES:
-        raise SimulationError(
-            f"unknown scheduler kernel {name!r}; expected one of {KERNEL_NAMES}"
-        )
-    return name
-
-
-def kernel_class(name: str) -> type:
-    """Map a validated kernel name to its Scheduler subclass.
-
-    Imports lazily: ``scheduler`` imports this module, and the wheel
-    kernel subclasses ``Scheduler``, so a top-level import would cycle.
-    """
-    if name == "heap":
-        from .scheduler import Scheduler
-
-        return Scheduler
-    if name == "wheel":
-        from .wheel import WheelScheduler
-
-        return WheelScheduler
-    raise SimulationError(
-        f"unknown scheduler kernel {name!r}; expected one of {KERNEL_NAMES}"
-    )
+    """The event kernel every scheduler runs: always ``"heap"``."""
+    return "heap"

@@ -14,15 +14,6 @@ for the test suite, which asserts exact system-call counts.  The
 insertion sequence is **per scheduler**, so two networks simulated in
 the same process produce identical event streams regardless of order.
 
-Kernels
--------
-This class is both the kernel *protocol* (see :mod:`repro.sim.kernel`)
-and its reference implementation: a binary heap of ``(time, priority,
-seq, event)`` tuples.  ``Scheduler(kernel="wheel")`` dispatches to the
-timing-wheel kernel (:class:`repro.sim.wheel.WheelScheduler`), which
-fires the identical event sequence faster when many events share
-timestamps.  ``Scheduler()`` honours the ``REPRO_KERNEL`` env default.
-
 Performance
 -----------
 The heap stores ``(time, priority, seq, event)`` tuples, not events:
@@ -41,7 +32,6 @@ from typing import Any, Callable, Iterator
 
 from .errors import SimulationError
 from .events import Event
-from .kernel import kernel_class, resolve_kernel
 
 #: Signature of a scheduler observer: called with each event just fired.
 Observer = Callable[[Event], None]
@@ -53,9 +43,6 @@ HeapEntry = tuple[float, int, int, Event]
 class Scheduler:
     """Priority-queue driven simulation loop."""
 
-    #: Kernel name this implementation registers as (subclasses override).
-    kernel: str = "heap"
-
     #: Perf-counter registry (class attribute so a process-global
     #: activation reaches every scheduler; instance installs shadow
     #: it).  The simulator never imports the observability layer — it
@@ -63,19 +50,7 @@ class Scheduler:
     #: ``is not None`` guard the observer hook uses.
     perf: Any = None
 
-    def __new__(cls, *, kernel: str | None = None, **kwargs: Any) -> "Scheduler":
-        # ``Scheduler(kernel=...)`` is the kernel factory; subclasses
-        # constructed directly (``WheelScheduler(span=...)``) skip
-        # dispatch, and their extra kwargs pass through to __init__.
-        if cls is Scheduler:
-            name = resolve_kernel(kernel)
-            if name != "heap":
-                cls = kernel_class(name)
-        return super().__new__(cls)
-
-    def __init__(self, *, kernel: str | None = None) -> None:
-        # ``kernel`` was consumed by __new__; accepted here so the
-        # factory signature and the subclass signature line up.
+    def __init__(self) -> None:
         self._queue: list[HeapEntry] = []
         self._now: float = 0.0
         self._seq: int = 0
@@ -117,9 +92,8 @@ class Scheduler:
         O(1): cancelled-but-queued events are counted as they are
         cancelled, not by scanning the heap.  This is the depth metric
         observability samples — cancelled timers must not inflate it.
-        Identical across kernels at every point in a run (it depends
-        only on schedule/fire/cancel, never on when a kernel happens to
-        sweep out cancelled entries).
+        It depends only on schedule/fire/cancel, never on when the run
+        loop happens to sweep out cancelled entries.
         """
         return len(self._queue) - self._cancelled_pending
 
@@ -163,13 +137,14 @@ class Scheduler:
         tag: str,
         args: tuple[Any, ...],
     ) -> Event:
-        """Shared enqueue fast path (the kernel insertion primitive).
+        """Shared enqueue fast path behind ``schedule``/``schedule_at``.
 
         Hand-rolled construction: this is the hottest allocation in a
         simulation, and the generated dataclass __init__ plus kwargs
-        is measurable at that volume.  Kernels override only this (plus
-        the drain side); ``schedule``/``schedule_at`` stay validation
-        shims on the base class.
+        is measurable at that volume.  ``schedule``/``schedule_at`` are
+        validation shims over it.  Every call allocates a fresh
+        :class:`Event`, so a handle stays bound to its own event: a
+        late ``cancel()`` on a fired event is a harmless no-op.
         """
         seq = self._seq
         self._seq = seq + 1

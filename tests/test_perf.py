@@ -213,18 +213,16 @@ def test_perf_dict_round_trip_and_merge():
     assert merge_perf_dicts([data])["counters"] == data["counters"]
 
 
-@pytest.mark.parametrize("kernel", ("heap", "wheel"))
-def test_scheduler_ledger_balances(kernel):
+def test_scheduler_ledger_balances():
     """``sched_push == sched_pop + sched_cancelled_drops + pending``.
 
-    The push/pop/drop ledger must account for every event on both
-    kernels, mid-run and at quiescence — it is how a perf breakdown
-    proves no event was lost or double-counted by the cancelled-entry
-    sweeps (which the two kernels run at different moments).
+    The push/pop/drop ledger must account for every event, mid-run and
+    at quiescence — it is how a perf breakdown proves no event was lost
+    or double-counted by the cancelled-entry sweeps.
     """
     from repro.sim import Scheduler
 
-    sched = Scheduler(kernel=kernel)
+    sched = Scheduler()
     counters = PerfCounters()
     sched.perf = counters
 
