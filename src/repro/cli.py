@@ -419,7 +419,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     result = converge_by_rounds(net, max_rounds=args.max_rounds)
     rows.append(["cold start", result.rounds, result.system_calls])
     if args.fail:
-        schedule = random_link_failures(net.graph, count=args.fail, seed=args.seed)
+        schedule = random_link_failures(net.topology(), count=args.fail, seed=args.seed)
         for action in schedule:
             net.fail_link(*action.target)
         net.run_to_quiescence()

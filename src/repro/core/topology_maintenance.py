@@ -307,29 +307,30 @@ def is_converged(net: Network) -> bool:
     member's view must contain exactly the component's active edges
     (among component nodes; opinions about other components may be
     stale, as the paper allows).
-    """
-    import networkx as nx
 
-    actual = net.active_graph()
-    for component in nx.connected_components(actual):
-        component_edges = {
-            tuple(sorted(edge, key=repr))
-            for edge in actual.subgraph(component).edges
-        }
+    A member's view passes when every view edge touching the component
+    is one of its active links and every such link is in the view: the
+    view's component of the member is then the actual component, with
+    the actual edges — without building a graph per view.
+    """
+    nodes = net.nodes
+    for component in net.components():
+        # Each active link inside the component, under both orientations.
+        links = {}
         for node_id in component:
-            protocol = net.node(node_id).protocol
-            view = nx.Graph()
-            view.add_node(node_id)
-            view.add_edges_from(protocol.view_edges())
-            believed_component = nx.node_connected_component(view, node_id)
-            if believed_component != component:
-                return False  # e.g. a detached leaf still believed attached
-            believed_edges = {
-                tuple(sorted(edge, key=repr))
-                for edge in view.subgraph(believed_component).edges
-            }
-            if believed_edges != component_edges:
-                return False
+            for neighbor, link in nodes[node_id].links.items():
+                if link.active:
+                    links[node_id, neighbor] = link.key
+        for node_id in component:
+            seen = set()
+            for u, v in nodes[node_id].protocol.view_edges():
+                if u in component or v in component:
+                    key = links.get((u, v))
+                    if key is None:
+                        return False  # a stale edge, or one leaving the component
+                    seen.add(key)
+            if 2 * len(seen) != len(links):
+                return False  # a missing edge
     return True
 
 

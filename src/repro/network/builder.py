@@ -4,7 +4,8 @@ Accepts the graph descriptions that turn up in practice — edge lists,
 adjacency mappings, compact text specs — and hands each to ``Network``
 as a :class:`~repro.network.topologies.Topology` (plain node and edge
 sequences), so neither scripts nor the CLI build :class:`networkx.Graph`
-objects by hand, and the datacenter fabric specs never import networkx.
+objects by hand, and neither the datacenter fabric specs nor the
+``random:`` specs import networkx.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def from_adjacency(
 
 #: Named topology factories usable from specs and the CLI.  Each value
 #: maps the spec's integer arguments to a graph: an ``nx.Graph``, or a
-#: :class:`Topology` for the datacenter fabrics, made without networkx.
+#: :class:`Topology` for the datacenter fabrics and ``random``, made
+#: without networkx.
 TOPOLOGY_FACTORIES = {
     "line": lambda n: topologies.line(n),
     "ring": lambda n: topologies.ring(n),
@@ -75,7 +77,7 @@ TOPOLOGY_FACTORIES = {
     "tree": lambda depth: topologies.complete_binary_tree(depth),
     "caterpillar": lambda spine, legs: topologies.caterpillar(spine, legs),
     "broom": lambda handle, bristles: topologies.broom(handle, bristles),
-    "random": lambda n, seed=0: topologies.random_connected(
+    "random": lambda n, seed=0: topologies.random_connected_topology(
         n, min(0.5, 2.5 * __import__("math").log(max(n, 2)) / n), seed=seed
     ),
     "geometric": lambda n, seed=0: topologies.random_geometric_connected(

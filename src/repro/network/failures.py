@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterator
 
+from .topologies import reachable
+
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
 
     from .network import Network
+    from .topologies import Topology
 
 
 class FailureKind(Enum):
@@ -90,7 +93,7 @@ class FailureSchedule:
 
 
 def random_link_failures(
-    graph: nx.Graph,
+    graph: Topology | nx.Graph,
     count: int,
     *,
     seed: int = 0,
@@ -100,37 +103,59 @@ def random_link_failures(
 ) -> FailureSchedule:
     """Random distinct link failures at ``start, start+spacing, ...``.
 
+    ``graph`` is anything with ``nodes`` and ``edges`` — an ``nx.Graph``,
+    a :class:`~repro.network.topologies.Topology` such as
+    ``net.topology()`` — read with ``nx.Graph`` insertion semantics and
+    never modified.  The same input gives the same schedule whichever
+    form it comes in.
+
     With ``keep_connected`` (the default) every failed link is chosen so
     the surviving topology stays connected — the setting Theorem 1's
     eventual-consistency statement is about ("the correct topology of
     its connected component" is then the whole network).
     """
-    import networkx as nx
-
     rng = random.Random(seed)
-    working = nx.Graph(graph)
+    # A private adjacency copy kept in ``nx.Graph`` dict order: each
+    # round's candidates are listed as ``nx.Graph.edges`` would list
+    # them, and a link put back after a trial removal moves to the end
+    # of both endpoints' dicts, as ``add_edge`` does.
+    working: dict[Any, dict[Any, None]] = {node: {} for node in graph.nodes}
+    for u, v in graph.edges:
+        working.setdefault(u, {})[v] = None
+        working.setdefault(v, {})[u] = None
     schedule = FailureSchedule()
+    if keep_connected and working:
+        if len(reachable(working, next(iter(working)))) < len(working):
+            return schedule  # already disconnected: no removal keeps it connected
     when = start
     for _ in range(count):
-        candidates = list(working.edges)
+        candidates = _edge_list(working)
         rng.shuffle(candidates)
         chosen = None
         for u, v in candidates:
-            if not keep_connected:
+            del working[u][v]
+            if u != v:
+                del working[v][u]
+            if not keep_connected or v in reachable(working, u):
                 chosen = (u, v)
                 break
-            working.remove_edge(u, v)
-            if nx.is_connected(working):
-                chosen = (u, v)
-                break
-            working.add_edge(u, v)
+            working[u][v] = None
+            working[v][u] = None
         if chosen is None:
             break  # no removable link remains
-        if not keep_connected:
-            working.remove_edge(*chosen)
         schedule.fail_link(chosen[0], chosen[1], when)
         when += spacing
     return schedule
+
+
+def _edge_list(adjacency: dict[Any, dict[Any, None]]) -> list[tuple[Any, Any]]:
+    """Each edge once, from its earlier endpoint: ``nx.Graph.edges`` order."""
+    edges = []
+    done: set[Any] = set()
+    for node, neighbors in adjacency.items():
+        edges.extend((node, nbr) for nbr in neighbors if nbr not in done)
+        done.add(node)
+    return edges
 
 
 def flapping_link(

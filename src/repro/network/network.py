@@ -32,7 +32,7 @@ from ..sim.scheduler import Scheduler
 from ..sim.trace import Trace, TraceKind
 from .datalink import DataLinkMonitor
 from .protocol import ProtocolFactory
-from .topologies import Topology
+from .topologies import Topology, reachable
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -127,10 +127,12 @@ class Network:
         self._protocol_factory: ProtocolFactory | None = None
 
         #: Bumped whenever a link changes state; the derived-view caches
-        #: (``active_graph`` / ``adjacency`` / ``diameter``) key on it.
+        #: (``active_graph`` / ``adjacency`` / ``components`` /
+        #: ``diameter``) key on it.
         self._topology_version = 0
         self._active_graph_cache: tuple[int, nx.Graph] | None = None
         self._adjacency_cache: tuple[int, dict[Any, tuple[Any, ...]]] | None = None
+        self._components_cache: tuple[int, tuple[frozenset, ...]] | None = None
         self._diameter_cache: tuple[int, int] | None = None
 
         # Each pair oriented by node order — exactly what
@@ -228,21 +230,28 @@ class Network:
             ss_v._port_by_id[normal_v] = port_v
             ss_v._port_by_id[flag | normal_v] = port_v
 
+    def topology(self) -> Topology:
+        """The full topology (every link, active or not) as a :class:`Topology`.
+
+        The input's nodes, then its distinct ``edges`` in first-occurrence
+        order, each oriented as ``nx.Graph.edges`` would yield it — read
+        off the link table, without networkx.  A new object per call.
+        """
+        ranked = sorted(zip(self._edge_rank, self.links.values()), key=itemgetter(0))
+        return Topology(
+            tuple(self._node_order),
+            tuple((link._u_id, link._v_id) for _, link in ranked),
+        )
+
     @cached_property
     def graph(self) -> nx.Graph:
         """The full topology (every link, active or not) as an ``nx.Graph``.
 
-        Built on first read and kept; construction never needs it.  It
-        holds the input's nodes and ``edges`` in the input's order, and
-        is this network's own object, never the caller's graph.
+        Built from :meth:`topology` on first read and kept; construction
+        never needs it.  It is this network's own object, never the
+        caller's graph.
         """
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._node_order)
-        ranked = sorted(zip(self._edge_rank, self.links.values()), key=itemgetter(0))
-        graph.add_edges_from((link._u_id, link._v_id) for _, link in ranked)
-        return graph
+        return self.topology().to_graph()
 
     # ------------------------------------------------------------------
     # Shape
@@ -655,3 +664,27 @@ class Network:
         }
         self._adjacency_cache = (version, adjacency)
         return adjacency
+
+    def components(self) -> tuple[frozenset, ...]:
+        """Connected components of the active topology, from the link table.
+
+        The sets ``nx.connected_components(self.active_graph())`` yields,
+        in the same order — by each component's first node in input
+        order — without building a graph or importing networkx.
+        Memoised on the topology version.
+        """
+        cached = self._components_cache
+        version = self._topology_version
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        adjacency = self.adjacency()
+        seen: set[Any] = set()
+        components = []
+        for source in self._node_order:
+            if source not in seen:
+                component = frozenset(reachable(adjacency, source))
+                seen |= component
+                components.append(component)
+        result = tuple(components)
+        self._components_cache = (version, result)
+        return result

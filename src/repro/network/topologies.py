@@ -20,20 +20,22 @@ callers may mutate their result freely.  ``cache_info`` and
 ``cache_clear`` expose the cache for tests and long-lived processes.
 
 The datacenter fabrics (:func:`clos`, :func:`fat_tree`, :func:`torus`,
-:func:`dragonfly`) are defined once, as plain node and edge sequences
-(:class:`Topology`, from the ``*_topology`` functions); their graph
-functions build the ``nx.Graph`` from those sequences.  Substrate
-construction reads the sequences directly, so building a fabric
-network never imports networkx — this module imports it only inside
-the functions that need it.
+:func:`dragonfly`) and the random graphs (:func:`random_connected`) are
+defined once, as plain node and edge sequences (:class:`Topology`, from
+the ``*_topology`` functions); their graph functions build the
+``nx.Graph`` from those sequences.  Substrate construction reads the
+sequences directly, so building a fabric or ``random:`` network never
+imports networkx — this module imports it only inside the functions
+that need it.
 """
 
 from __future__ import annotations
 
+import random
 from collections import OrderedDict
 from functools import wraps
-from itertools import chain
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -71,6 +73,18 @@ class Topology(NamedTuple):
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges)
         return graph
+
+
+def reachable(adjacency: Mapping[Any, Iterable[Any]], source: Any) -> set[Any]:
+    """Every node ``adjacency`` connects to ``source``, ``source`` included."""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return seen
 
 
 def _memoised(fn: Callable[..., nx.Graph]) -> Callable[..., nx.Graph]:
@@ -259,20 +273,45 @@ def broom(handle: int, bristles: int) -> nx.Graph:
     return g
 
 
-@_memoised
-def random_connected(n: int, p: float, seed: int = 0, max_tries: int = 200) -> nx.Graph:
-    """Erdős–Rényi G(n, p), resampled until connected."""
-    import networkx as nx
+def random_connected_topology(
+    n: int, p: float, seed: int = 0, max_tries: int = 200
+) -> Topology:
+    """Erdős–Rényi G(n, p) as node and edge sequences, resampled until connected.
 
+    Attempt ``a`` makes exactly the draws of
+    ``nx.gnp_random_graph(n, p, seed=seed + a)``: one
+    ``random.Random(seed + a).random() < p`` per node pair, pairs in
+    :func:`itertools.combinations` order (none for ``p <= 0`` or
+    ``p >= 1``).  So the result is the graph :func:`random_connected`
+    returns, with its edges in ``nx.Graph.edges`` order, made without
+    networkx.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return nx.empty_graph(1)
+    nodes = range(n)
+    pairs = list(combinations(nodes, 2))
     for attempt in range(max_tries):
-        g = nx.gnp_random_graph(n, p, seed=seed + attempt)
-        if nx.is_connected(g):
-            return g
+        if p >= 1:
+            edges = pairs
+        elif p <= 0:
+            edges = []
+        else:
+            draw = random.Random(seed + attempt).random
+            edges = [pair for pair in pairs if draw() < p]
+        adjacency: dict[int, list[int]] = {node: [] for node in nodes}
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        if len(reachable(adjacency, 0)) == n:
+            return Topology(nodes, edges)
     raise ValueError(f"could not sample a connected G({n}, {p}) in {max_tries} tries")
+
+
+@_memoised
+def random_connected(n: int, p: float, seed: int = 0, max_tries: int = 200) -> nx.Graph:
+    """Erdős–Rényi G(n, p), resampled until connected (see
+    :func:`random_connected_topology`)."""
+    return random_connected_topology(n, p, seed, max_tries).to_graph()
 
 
 @_memoised

@@ -392,27 +392,16 @@ class ProgressWatchdog(Monitor):
         self._stall_armed = True
         self._deadline_armed = deadline is not None
         self._queue_armed = queue_limit is not None
-        self._partition_cache: tuple[int, bool] | None = None
         self._partition_noted = False
 
     def _partitioned(self) -> bool:
-        """Whether the active topology is disconnected (memoised).
+        """Whether the active topology is disconnected.
 
-        Keyed on the topology version, so after the first computation a
-        stalled-but-stable network pays one tuple compare per event that
-        reaches the stall threshold.
+        :meth:`Network.components` is memoised on the topology version,
+        so a stalled-but-stable network pays one tuple compare per event
+        that reaches the stall threshold.
         """
-        import networkx as nx
-
-        net = self.net
-        version = net._topology_version
-        cached = self._partition_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        g = net.active_graph()
-        partitioned = g.number_of_nodes() > 1 and not nx.is_connected(g)
-        self._partition_cache = (version, partitioned)
-        return partitioned
+        return len(self.net.components()) > 1
 
     def check(self, event: "Event") -> Iterable[Alert]:
         alerts: list[Alert] = []
@@ -801,8 +790,6 @@ class ChurnMonitor(Monitor):
         return alerts
 
     def finish(self) -> Iterable[Alert]:
-        import networkx as nx
-
         net = self.net
         alerts: list[Alert] = []
         pending = net.scheduler.pending_live
@@ -823,7 +810,7 @@ class ChurnMonitor(Monitor):
         if not self.expect_leaders:
             return alerts
         leaders = net.outputs_for_key("is_leader")
-        for component in nx.connected_components(net.active_graph()):
+        for component in net.components():
             up = [
                 node_id
                 for node_id in component

@@ -42,8 +42,6 @@ def run_scenario(
     ``violations == 0``.  Every value in the row is deterministic, so
     identical specs produce byte-identical rows wherever they run.
     """
-    import networkx as nx
-
     from ..obs.monitors import ChurnMonitor, MonitorHost
 
     attach_protocol(net, spec)
@@ -75,9 +73,7 @@ def run_scenario(
         "drops": int(metrics.drops),
         "events": int(net.scheduler.events_processed),
         "leaders": leaders,
-        "components": int(
-            nx.number_connected_components(net.active_graph())
-        ),
+        "components": len(net.components()),
         "alerts": len(alerts),
         "violations": sum(1 for a in alerts if a.severity == "violation"),
     }

@@ -324,8 +324,36 @@ def test_net_graph_is_built_on_first_read_and_never_aliases():
     assert net.active_graph().number_of_edges() == 5
 
 
-@pytest.mark.parametrize("scheme", ["flood", "bpaths"])
-def test_fabric_broadcast_never_imports_networkx(scheme):
+@pytest.mark.parametrize(
+    "argv,blocked",
+    [
+        pytest.param(
+            ["broadcast", "--topology", "fat_tree:4", "--scheme", "flood"], False,
+            id="flood",
+        ),
+        pytest.param(
+            ["broadcast", "--topology", "fat_tree:4", "--scheme", "bpaths"], False,
+            id="bpaths",
+        ),
+        # With networkx blocked (campaign workers are forked and inherit
+        # the block): any import of it fails the run.
+        pytest.param(
+            ["converge", "--topology", "torus:4,4", "--fail", "2",
+             "--link-rate", "1", "--link-buffer", "2"], True,
+            id="converge-blocked",
+        ),
+        pytest.param(
+            ["scenario", "run", "--topology", "clos:8,4,2", "--churn-seed", "1"], True,
+            id="scenario-blocked",
+        ),
+        pytest.param(
+            ["campaign", "montecarlo", "--seeds", "4", "--topology", "random:24,3",
+             "--jobs", "2", "--no-cache"], True,
+            id="campaign-blocked",
+        ),
+    ],
+)
+def test_fabric_broadcast_never_imports_networkx(argv, blocked):
     import os
     import subprocess
     import sys
@@ -335,11 +363,12 @@ def test_fabric_broadcast_never_imports_networkx(scheme):
 
     code = (
         "import sys\n"
-        "import repro.cli\n"
-        "code = repro.cli.main(['broadcast', '--topology', 'fat_tree:4', "
-        f"'--scheme', {scheme!r}])\n"
+        + ("sys.modules['networkx'] = None\n" if blocked else "")
+        + "import repro.cli\n"
+        f"code = repro.cli.main({argv!r})\n"
         "assert code == 0, code\n"
-        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        "assert sys.modules.get('networkx') is None, 'networkx was imported'\n"
+        "assert not [m for m in sys.modules if m.startswith('networkx.')]\n"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

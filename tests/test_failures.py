@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import networkx as nx
+import pytest
 
 from conftest import attach_recorders, limiting_net
 from repro.network import (
@@ -11,6 +12,7 @@ from repro.network import (
     flapping_link,
     random_link_failures,
     topologies,
+    topology_from_spec,
 )
 
 
@@ -78,6 +80,32 @@ def test_random_link_failures_unconstrained_can_disconnect():
     g = topologies.line(4)
     schedule = random_link_failures(g, count=2, seed=0, keep_connected=False)
     assert len(schedule) == 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: topology_from_spec("ring:5"),
+        lambda: topology_from_spec("grid:4,4"),
+        lambda: topologies.torus_topology(4, 4),
+        lambda: topologies.clos_topology(4, 2, 1),
+    ],
+    ids=["ring:5", "grid:4,4", "torus_topology", "clos_topology"],
+)
+@pytest.mark.parametrize("keep_connected", [True, False])
+def test_random_link_failures_accepts_a_topology(make, keep_connected):
+    # Regression: a Topology used to raise NetworkXError ("Input is not
+    # a valid edge list") from the nx.Graph copy.
+    topology = make()
+    for seed in range(5):
+        schedule = random_link_failures(
+            topology, count=4, seed=seed, keep_connected=keep_connected
+        )
+        expected = random_link_failures(
+            topology.to_graph(), count=4, seed=seed, keep_connected=keep_connected
+        )
+        assert len(schedule) > 0
+        assert list(schedule) == list(expected)
 
 
 def test_flapping_link_alternates():
