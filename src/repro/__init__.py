@@ -34,69 +34,43 @@ Quickstart::
     leader = {k for k, v in net.outputs_for_key("is_leader").items() if v}
 """
 
-from . import analysis, core, hardware, metrics, network, scenario, sim
-from .core import (
-    BranchingPathsBroadcast,
-    ChangRoberts,
-    DfsBroadcast,
-    DirectBroadcast,
-    FloodingBroadcast,
-    HirschbergSinclair,
-    LayeredBfsBroadcast,
-    LeaderElection,
-    OptTreeBuilder,
-    TopologyMaintenance,
-    TreeAggregation,
-    attach_topology_maintenance,
-    converge_by_rounds,
-    is_converged,
-    optimal_spanning_tree,
-    run_standalone_broadcast,
-    run_tree_aggregation,
-)
-from .metrics import MetricsCollector, MetricsSnapshot, format_table
-from .network import Network, Protocol, Tree, bfs_tree, topologies
-from .sim import FixedDelays, RandomDelays, Scheduler, limiting_model, parameterized_model
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "BranchingPathsBroadcast",
-    "ChangRoberts",
-    "DfsBroadcast",
-    "DirectBroadcast",
-    "FixedDelays",
-    "FloodingBroadcast",
-    "HirschbergSinclair",
-    "LayeredBfsBroadcast",
-    "LeaderElection",
-    "MetricsCollector",
-    "MetricsSnapshot",
-    "Network",
-    "OptTreeBuilder",
-    "Protocol",
-    "RandomDelays",
-    "Scheduler",
-    "TopologyMaintenance",
-    "Tree",
-    "TreeAggregation",
-    "analysis",
-    "attach_topology_maintenance",
-    "bfs_tree",
-    "converge_by_rounds",
-    "core",
-    "format_table",
-    "hardware",
-    "is_converged",
-    "limiting_model",
-    "metrics",
-    "network",
-    "optimal_spanning_tree",
-    "parameterized_model",
-    "run_standalone_broadcast",
-    "run_tree_aggregation",
-    "scenario",
-    "sim",
-    "topologies",
-    "__version__",
-]
+#: Every public name and the subpackage that defines it (``None`` for a
+#: subpackage itself).  A name is imported when first read, so
+#: ``import repro.cli`` loads only what the command it runs needs.
+_EXPORTS: dict[str, str | None] = {
+    **dict.fromkeys(["analysis", "core", "hardware", "metrics", "network", "scenario", "sim"]),
+    **dict.fromkeys([
+        "BranchingPathsBroadcast", "ChangRoberts", "DfsBroadcast", "DirectBroadcast",
+        "FloodingBroadcast", "HirschbergSinclair", "LayeredBfsBroadcast", "LeaderElection",
+        "OptTreeBuilder", "TopologyMaintenance", "TreeAggregation",
+        "attach_topology_maintenance", "converge_by_rounds", "is_converged",
+        "optimal_spanning_tree", "run_standalone_broadcast", "run_tree_aggregation",
+    ], "core"),
+    **dict.fromkeys(["MetricsCollector", "MetricsSnapshot", "format_table"], "metrics"),
+    **dict.fromkeys(["Network", "Protocol", "Tree", "bfs_tree", "topologies"], "network"),
+    **dict.fromkeys(
+        ["FixedDelays", "RandomDelays", "Scheduler", "limiting_model", "parameterized_model"],
+        "sim",
+    ),
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a public name on first access (PEP 562) and keep it."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    home = _EXPORTS[name]
+    module = importlib.import_module(f"{__name__}.{home or name}")
+    value = module if home is None else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -54,7 +54,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .analysis.sweeps import tradeoff_sweep
 from .core import (
     BranchingPathsBroadcast,
     ChangRoberts,
@@ -442,6 +441,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 
 def cmd_globalfn(args: argparse.Namespace) -> int:
+    from .analysis.sweeps import tradeoff_sweep
+
     builder = OptTreeBuilder(args.P, args.C)
     t_opt, tree = builder.optimal_tree_for(args.n)
     print(f"optimal tree for n={args.n}, P={args.P}, C={args.C}:")

@@ -29,8 +29,6 @@ import json
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -300,6 +298,9 @@ def _run_pool(
     perf: bool = False,
 ) -> int:
     """The sharded execution loop; returns total retry attempts used."""
+    from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     queue: deque[_Pending] = deque(_Pending(index) for index in todo)
     inflight: dict[Future, tuple[_Pending, float]] = {}
     retries_used = 0

@@ -15,11 +15,11 @@ so a cached result is only reused while both match.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import importlib.util
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Mapping
 
 #: JSON types allowed in task parameters (checked at spec creation so
@@ -107,6 +107,8 @@ def code_fingerprint(path: str) -> str:
     functions; results from unrelated modules survive.  Falls back to
     hashing the path itself for modules without a source file.
     """
+    import hashlib
+
     module_name = path.partition(":")[0]
     cached = _fingerprints.get(module_name)
     if cached is not None:
@@ -120,7 +122,7 @@ def code_fingerprint(path: str) -> str:
     digest = hashlib.sha256()
     if origin and origin != "built-in":
         try:
-            digest.update(open(origin, "rb").read())
+            digest.update(Path(origin).read_bytes())
         except OSError:
             digest.update(origin.encode())
     else:
@@ -186,6 +188,8 @@ class TaskSpec:
         """SHA-256 over the canonical JSON — the task's identity."""
         digest = object.__getattribute__(self, "_hash")
         if not digest:
+            import hashlib
+
             digest = hashlib.sha256(
                 canonical_json(self.canonical()).encode()
             ).hexdigest()

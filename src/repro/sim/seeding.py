@@ -18,8 +18,6 @@ reproducible across platforms and Python versions.
 
 from __future__ import annotations
 
-import hashlib
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
@@ -44,6 +42,8 @@ def _component(part: int | str) -> int:
     if isinstance(part, int):
         return part & _MASK64
     if isinstance(part, str):
+        import hashlib
+
         digest = hashlib.sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
     raise TypeError(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -14,6 +17,7 @@ from repro.exec import (
     SpecError,
     TaskSpec,
     canonical_json,
+    code_fingerprint,
     fn_path,
     resolve_fn,
     run_campaign,
@@ -157,6 +161,23 @@ def test_cache_key_covers_code_fingerprint(tmp_path, monkeypatch):
         cache_mod, "code_fingerprint", lambda path: "different-code"
     )
     assert cache.key_for(spec) != key
+
+
+def test_code_fingerprint_closes_the_source_file(monkeypatch):
+    """Fingerprinting reads the module source without leaking the file:
+    an unclosed file's ``ResourceWarning`` is turned into an error,
+    which surfaces through ``sys.unraisablehook``."""
+    import repro.exec.task as task_mod
+
+    unraisable = []
+    monkeypatch.setattr(task_mod, "_fingerprints", {})
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        fingerprint = code_fingerprint("repro.exec.workloads:election_calls_per_node")
+        gc.collect()
+    assert not unraisable, unraisable[0].exc_value
+    assert len(fingerprint) == 64
 
 
 def test_cache_corrupt_entry_is_a_miss(tmp_path):
