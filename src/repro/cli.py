@@ -75,7 +75,7 @@ from .core import (
 )
 from .metrics import format_table
 from .network import bfs_tree, random_link_failures, topologies
-from .network.builder import from_spec
+from .network.builder import TopologySpecError, from_spec, topology_from_spec
 from .sim import FixedDelays
 
 BROADCAST_SCHEMES = ("bpaths", "flood", "direct", "dfs")
@@ -1071,9 +1071,9 @@ def _campaign_specs(args: argparse.Namespace) -> tuple[list, dict]:
 
         if args.topology is not None:
             # Fixed topology: only the delays vary with the seed, so
-            # every worker serves the campaign from its substrate pool
-            # (the REPRO_SUBSTRATE_REUSE env var gates reuse without
-            # entering the spec params or the rows).
+            # every worker serves the campaign from its substrate pool.
+            # A bad spec fails here, before any task runs.
+            topology_from_spec(args.topology)
             specs = [
                 TaskSpec.make(
                     "repro.exec.workloads:election_calls_per_node",
@@ -1565,6 +1565,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except TopologySpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception:
         # An armed flight recorder turns a crash into a postmortem:
         # dump the ring before the traceback propagates.

@@ -18,7 +18,7 @@ from .engine import (
     TaskResult,
     run_campaign,
 )
-from .substrate import REUSE_ENV_VAR, SubstratePool, reuse_enabled, worker_pool
+from .substrate import SubstratePool, worker_pool
 from .task import (
     SpecError,
     TaskSpec,
@@ -33,7 +33,6 @@ __all__ = [
     "CampaignOutcome",
     "CacheEntry",
     "DEFAULT_CACHE_DIR",
-    "REUSE_ENV_VAR",
     "ResultCache",
     "STATUSES",
     "SpecError",
@@ -44,7 +43,6 @@ __all__ = [
     "code_fingerprint",
     "fn_path",
     "resolve_fn",
-    "reuse_enabled",
     "run_campaign",
     "worker_pool",
 ]

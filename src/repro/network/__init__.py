@@ -9,6 +9,7 @@ from .failures import (
     random_link_failures,
 )
 from .builder import (
+    TopologySpecError,
     from_adjacency,
     from_edge_arrays,
     from_edges,
@@ -34,6 +35,7 @@ __all__ = [
     "Protocol",
     "ProtocolFactory",
     "Topology",
+    "TopologySpecError",
     "Tree",
     "bfs_tree",
     "flapping_link",

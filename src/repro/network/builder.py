@@ -78,7 +78,7 @@ TOPOLOGY_FACTORIES = {
     "caterpillar": lambda spine, legs: topologies.caterpillar(spine, legs),
     "broom": lambda handle, bristles: topologies.broom(handle, bristles),
     "random": lambda n, seed=0: topologies.random_connected_topology(
-        n, min(0.5, 2.5 * __import__("math").log(max(n, 2)) / n), seed=seed
+        n, min(0.5, 2.5 * __import__("math").log(max(n, 2)) / max(n, 1)), seed=seed
     ),
     "geometric": lambda n, seed=0: topologies.random_geometric_connected(
         n, 0.3, seed=seed
@@ -90,25 +90,41 @@ TOPOLOGY_FACTORIES = {
 }
 
 
+class TopologySpecError(ValueError):
+    """A topology spec that names no buildable topology; the message
+    names the spec."""
+
+
 def topology_from_spec(spec: str) -> Topology:
     """The node and edge sequences a compact text spec describes.
 
     Format: ``name:arg1,arg2`` — e.g. ``ring:64``, ``grid:6,8``,
     ``fat_tree:32``, ``random:128,7`` (size, seed).  The names are the
-    keys of :data:`TOPOLOGY_FACTORIES`.
+    keys of :data:`TOPOLOGY_FACTORIES`.  Every bad spec — an unknown
+    name, a non-integer argument, the wrong number of arguments, or
+    arguments the generator rejects — raises :class:`TopologySpecError`.
     """
     name, _, argstr = spec.partition(":")
     name = name.strip().lower()
     if name not in TOPOLOGY_FACTORIES:
-        raise ValueError(
-            f"unknown topology {name!r}; choose from "
+        raise TopologySpecError(
+            f"topology spec {spec!r}: unknown topology {name!r}; choose from "
             f"{sorted(TOPOLOGY_FACTORIES)}"
         )
-    args = [int(a) for a in argstr.split(",") if a.strip()] if argstr else []
+    try:
+        args = [int(a) for a in argstr.split(",") if a.strip()]
+    except ValueError:
+        raise TopologySpecError(
+            f"topology spec {spec!r}: arguments must be integers"
+        ) from None
     try:
         graph = TOPOLOGY_FACTORIES[name](*args)
     except TypeError as exc:
-        raise ValueError(f"bad arguments {args} for topology {name!r}") from exc
+        raise TopologySpecError(
+            f"topology spec {spec!r}: bad arguments {args} for topology {name!r}"
+        ) from exc
+    except ValueError as exc:
+        raise TopologySpecError(f"topology spec {spec!r}: {exc}") from exc
     return Topology(graph.nodes, graph.edges)
 
 

@@ -12,12 +12,8 @@ paper's analyses distinguish:
 * **grids, hypercubes, random graphs** — generic multi-path topologies
   for topology-maintenance experiments with failures.
 
-Generators are memoised: campaigns rebuild the same parameterised
-topology hundreds of times (once per seed), and the expensive ones —
-rejection-sampled random graphs — cost orders of magnitude more than a
-dict hit.  Every call returns a **private copy** of the cached graph, so
-callers may mutate their result freely.  ``cache_info`` and
-``cache_clear`` expose the cache for tests and long-lived processes.
+Every call builds a new graph, so callers may mutate their result
+freely.
 
 The datacenter fabrics (:func:`clos`, :func:`fat_tree`, :func:`torus`,
 :func:`dragonfly`) and the random graphs (:func:`random_connected`) are
@@ -32,19 +28,11 @@ that need it.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
-from functools import wraps
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
-
-#: Bounded FIFO-evicted generator cache: (fn name, args, kwargs) -> graph.
-_CACHE_MAX = 128
-_cache: OrderedDict[tuple, nx.Graph] = OrderedDict()
-_hits = 0
-_misses = 0
 
 
 class Topology(NamedTuple):
@@ -87,51 +75,6 @@ def reachable(adjacency: Mapping[Any, Iterable[Any]], source: Any) -> set[Any]:
     return seen
 
 
-def _memoised(fn: Callable[..., nx.Graph]) -> Callable[..., nx.Graph]:
-    """Memoise a generator on its parameters; return copies of the hit.
-
-    Invalid parameters raise inside ``fn`` before anything is cached, so
-    error behaviour is unchanged.  The copy preserves node attributes
-    (geometric layouts carry ``pos``).
-    """
-
-    @wraps(fn)
-    def wrapper(*args: object, **kwargs: object) -> nx.Graph:
-        global _hits, _misses
-        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
-        cached = _cache.get(key)
-        if cached is None:
-            _misses += 1
-            cached = fn(*args, **kwargs)
-            _cache[key] = cached
-            while len(_cache) > _CACHE_MAX:
-                _cache.popitem(last=False)
-        else:
-            _hits += 1
-            _cache.move_to_end(key)
-        return cached.copy()
-
-    return wrapper
-
-
-def cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for the generator cache."""
-    return {
-        "hits": _hits,
-        "misses": _misses,
-        "size": len(_cache),
-        "max_size": _CACHE_MAX,
-    }
-
-
-def cache_clear() -> None:
-    """Empty the generator cache and zero its counters."""
-    global _hits, _misses
-    _cache.clear()
-    _hits = 0
-    _misses = 0
-
-
 def _relabel(graph: nx.Graph) -> nx.Graph:
     """Relabel nodes to 0..n-1 deterministically (sorted old labels)."""
     import networkx as nx
@@ -140,7 +83,6 @@ def _relabel(graph: nx.Graph) -> nx.Graph:
     return nx.relabel_nodes(graph, mapping)
 
 
-@_memoised
 def line(n: int) -> nx.Graph:
     """Path graph on ``n`` nodes."""
     import networkx as nx
@@ -150,7 +92,6 @@ def line(n: int) -> nx.Graph:
     return nx.path_graph(n)
 
 
-@_memoised
 def ring(n: int) -> nx.Graph:
     """Cycle on ``n >= 3`` nodes."""
     import networkx as nx
@@ -160,7 +101,6 @@ def ring(n: int) -> nx.Graph:
     return nx.cycle_graph(n)
 
 
-@_memoised
 def star(n: int) -> nx.Graph:
     """Star: node 0 is the hub, nodes 1..n-1 are leaves."""
     import networkx as nx
@@ -170,7 +110,6 @@ def star(n: int) -> nx.Graph:
     return nx.star_graph(n - 1)
 
 
-@_memoised
 def complete(n: int) -> nx.Graph:
     """Complete graph K_n — the Section 5 setting."""
     import networkx as nx
@@ -180,7 +119,6 @@ def complete(n: int) -> nx.Graph:
     return nx.complete_graph(n)
 
 
-@_memoised
 def grid(rows: int, cols: int) -> nx.Graph:
     """2-D grid, relabelled to integers row-major."""
     import networkx as nx
@@ -190,7 +128,6 @@ def grid(rows: int, cols: int) -> nx.Graph:
     return _relabel(nx.grid_2d_graph(rows, cols))
 
 
-@_memoised
 def hypercube(dim: int) -> nx.Graph:
     """Binary hypercube of the given dimension (2**dim nodes)."""
     import networkx as nx
@@ -200,7 +137,6 @@ def hypercube(dim: int) -> nx.Graph:
     return _relabel(nx.hypercube_graph(dim))
 
 
-@_memoised
 def complete_binary_tree(depth: int) -> nx.Graph:
     """Complete binary tree of the given depth (root = node 0).
 
@@ -223,7 +159,6 @@ def complete_binary_tree(depth: int) -> nx.Graph:
     return g
 
 
-@_memoised
 def balanced_tree(branching: int, height: int) -> nx.Graph:
     """Balanced ``branching``-ary tree of the given height (root = 0)."""
     import networkx as nx
@@ -233,7 +168,6 @@ def balanced_tree(branching: int, height: int) -> nx.Graph:
     return _relabel(nx.balanced_tree(branching, height))
 
 
-@_memoised
 def caterpillar(spine: int, legs_per_node: int) -> nx.Graph:
     """A spine path with ``legs_per_node`` leaves hanging off each node.
 
@@ -254,7 +188,6 @@ def caterpillar(spine: int, legs_per_node: int) -> nx.Graph:
     return g
 
 
-@_memoised
 def broom(handle: int, bristles: int) -> nx.Graph:
     """A path of length ``handle`` ending in a star of ``bristles`` leaves.
 
@@ -307,14 +240,12 @@ def random_connected_topology(
     raise ValueError(f"could not sample a connected G({n}, {p}) in {max_tries} tries")
 
 
-@_memoised
 def random_connected(n: int, p: float, seed: int = 0, max_tries: int = 200) -> nx.Graph:
     """Erdős–Rényi G(n, p), resampled until connected (see
     :func:`random_connected_topology`)."""
     return random_connected_topology(n, p, seed, max_tries).to_graph()
 
 
-@_memoised
 def random_geometric_connected(
     n: int, radius: float, seed: int = 0, max_tries: int = 200
 ) -> nx.Graph:
@@ -347,10 +278,9 @@ def clos_topology(leaves: int, spines: int, hosts_per_leaf: int = 0) -> Topology
         edges.extend((leaf, spine) for spine in range(spines))
         edges.extend((leaf, host) for host in range(next_id, next_id + hosts_per_leaf))
         next_id += hosts_per_leaf
-    return Topology(range(spines + leaves), edges)
+    return Topology(range(next_id), edges)
 
 
-@_memoised
 def clos(leaves: int, spines: int, hosts_per_leaf: int = 0) -> nx.Graph:
     """Two-tier folded Clos (leaf–spine) fabric.
 
@@ -368,23 +298,30 @@ def fat_tree_topology(k: int) -> Topology:
     if k < 2 or k % 2:
         raise ValueError("fat tree arity k must be even and >= 2")
     half = k // 2
-    edges = []
     next_id = half * half  # cores are 0 .. (k/2)² - 1
+    nodes = list(range(next_id))
+    edges = []
     for _pod in range(k):
         aggs = range(next_id, next_id + half)
         next_id += half
         edge_switches = range(next_id, next_id + half)
         next_id += half
         for j, agg in enumerate(aggs):
+            # Nodes in order of first appearance: the pod's edge
+            # switches arrive with the first aggregation switch's links.
+            nodes.append(agg)
+            if j == 0:
+                nodes.extend(edge_switches)
             edges.extend((agg, core) for core in range(j * half, (j + 1) * half))
             edges.extend((agg, edge) for edge in edge_switches)
         for edge in edge_switches:
-            edges.extend((edge, host) for host in range(next_id, next_id + half))
+            hosts = list(range(next_id, next_id + half))  # ints shared with edges
+            nodes.extend(hosts)
+            edges.extend((edge, host) for host in hosts)
             next_id += half
-    return Topology(range(half * half), edges)
+    return Topology(nodes, edges)
 
 
-@_memoised
 def fat_tree(k: int) -> nx.Graph:
     """Three-tier k-ary fat tree (k even): the canonical datacenter fabric.
 
@@ -419,7 +356,6 @@ def torus_topology(*dims: int) -> Topology:
     return Topology(range(n), edges)
 
 
-@_memoised
 def torus(*dims: int) -> nx.Graph:
     """k-ary n-cube: a grid with wraparound links in every dimension.
 
@@ -460,10 +396,9 @@ def dragonfly_topology(
             (router, host) for host in range(next_id, next_id + hosts_per_router)
         )
         next_id += hosts_per_router
-    return Topology(range(n_routers), edges)
+    return Topology(range(next_id), edges)
 
 
-@_memoised
 def dragonfly(groups: int, routers_per_group: int, hosts_per_router: int = 0) -> nx.Graph:
     """Dragonfly: fully meshed router groups, one global link per group pair.
 
@@ -478,7 +413,6 @@ def dragonfly(groups: int, routers_per_group: int, hosts_per_router: int = 0) ->
     return dragonfly_topology(groups, routers_per_group, hosts_per_router).to_graph()
 
 
-@_memoised
 def barbell(clique: int, path: int) -> nx.Graph:
     """Two cliques of size ``clique`` joined by a path of ``path`` nodes."""
     import networkx as nx
@@ -547,7 +481,6 @@ def pseudo_diameter(graph: nx.Graph) -> int:
     return max(first_depth, depth)
 
 
-@_memoised
 def two_connected_example() -> nx.Graph:
     """The six-node graph of the Section 3 non-convergence example.
 

@@ -170,51 +170,35 @@ class Histogram:
         return hist
 
 
+#: Bin bounds of the :class:`LiveStats` histograms.
+_DEPTH_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384)
+_WALLCLOCK_BOUNDS_US = Histogram.geometric(0.1, 100_000.0, 16).bounds
+_SERVICE_BOUNDS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+_OCCUPANCY_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
+_STALL_BOUNDS = Histogram.geometric(0.01, 1_000.0, 12).bounds
+
+
 class LiveStats:
     """Streaming run statistics; install on a network, read any time.
 
     Implements both the scheduler-observer and the network-probe
-    protocols.  ``sample_queue_every`` thins the queue-depth sampling
-    (every k-th event) for very hot runs; 1 samples every event.
+    protocols.  Every event is sampled.
     """
 
-    def __init__(
-        self,
-        *,
-        sample_queue_every: int = 1,
-        depth_bounds: Sequence[float] | None = None,
-        wallclock_bounds_us: Sequence[float] | None = None,
-        service_bounds: Sequence[float] | None = None,
-        occupancy_bounds: Sequence[float] | None = None,
-        stall_bounds: Sequence[float] | None = None,
-    ) -> None:
-        if sample_queue_every < 1:
-            raise ValueError("sample_queue_every must be >= 1")
-        self.queue_depth = Histogram(
-            depth_bounds or [1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096, 16384]
-        )
-        self.wallclock_us = Histogram(
-            wallclock_bounds_us or Histogram.geometric(0.1, 100_000.0, 16).bounds
-        )
-        self.service_time = Histogram(
-            service_bounds or [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-        )
+    def __init__(self) -> None:
+        self.queue_depth = Histogram(_DEPTH_BOUNDS)
+        self.wallclock_us = Histogram(_WALLCLOCK_BOUNDS_US)
+        self.service_time = Histogram(_SERVICE_BOUNDS)
         #: Link queue occupancy (stalled + in flight), one sample per
         #: flow-control transition; only fed on flow-controlled links.
-        self.queue_occupancy = Histogram(
-            occupancy_bounds
-            or [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
-        )
+        self.queue_occupancy = Histogram(_OCCUPANCY_BOUNDS)
         #: Simulated time each stalled packet waited for a credit.
-        self.link_stall_time = Histogram(
-            stall_bounds or Histogram.geometric(0.01, 1_000.0, 12).bounds
-        )
+        self.link_stall_time = Histogram(_STALL_BOUNDS)
         self.events_seen = 0
         self.ncu_busy_by_node: dict[Any, float] = {}
         self.jobs_by_kind: Counter = Counter()
         self.hops_by_link: Counter = Counter()
         self.stalls_by_link: Counter = Counter()
-        self._sample_every = sample_queue_every
         self._scheduler = None
         self._net: "Network | None" = None
         self._last_wall: float | None = None
@@ -252,10 +236,7 @@ class LiveStats:
         if self._last_wall is not None:
             self.wallclock_us.add((wall - self._last_wall) * 1e6)
         self._last_wall = wall
-        if (
-            self._scheduler is not None
-            and self.events_seen % self._sample_every == 0
-        ):
+        if self._scheduler is not None:
             self.queue_depth.add(self._scheduler.pending_live)
 
     # ------------------------------------------------------------------

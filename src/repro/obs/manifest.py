@@ -67,9 +67,9 @@ class RunManifest:
     drops: int | None = None
     trace_records: int | None = None
     trace_dropped: int | None = None
-    #: State of the ``REPRO_SUBSTRATE_REUSE`` gate when the run was
-    #: made — deliberately outside spec hashes (PR 5), so manifests are
-    #: the only provenance record of which mode produced a result.
+    #: Always ``True``: the substrate pool has no off switch.  Kept
+    #: because :meth:`load` passes every stored field to the
+    #: constructor, so stored manifests that record it must load.
     substrate_reuse: bool | None = None
     #: This process's substrate-pool counters (``None`` if the pool was
     #: never used): ``{"builds": ..., "reuses": ...}``.
@@ -97,7 +97,7 @@ class RunManifest:
         **extra: Any,
     ) -> "RunManifest":
         """Capture a network's current state plus environment stamps."""
-        from ..exec.substrate import pool_stats, reuse_enabled
+        from ..exec.substrate import pool_stats
 
         snap = net.metrics.snapshot()
         return cls(
@@ -117,7 +117,7 @@ class RunManifest:
             drops=snap.drops,
             trace_records=len(net.trace),
             trace_dropped=net.trace.dropped,
-            substrate_reuse=reuse_enabled(),
+            substrate_reuse=True,
             substrate_pool=pool_stats(),
             kernel=_default_kernel(),
             git=git_revision(),
@@ -171,8 +171,8 @@ class CampaignManifest:
     interrupted: bool = False
     wall_ms: float = 0.0
     tasks: list[dict[str, Any]] = field(default_factory=list)
-    #: State of the ``REPRO_SUBSTRATE_REUSE`` gate in the driver when
-    #: the campaign ran (workers inherit the environment).
+    #: Always ``True``, kept so stored manifests load (see
+    #: :class:`RunManifest`).
     substrate_reuse: bool | None = None
     #: Event kernel the campaign ran on (see :class:`RunManifest`).
     kernel: str | None = None
@@ -197,8 +197,6 @@ class CampaignManifest:
         **extra: Any,
     ) -> "CampaignManifest":
         """Summarise a :class:`~repro.exec.engine.CampaignOutcome`."""
-        from ..exec.substrate import reuse_enabled
-
         tasks = [
             {
                 "label": result.spec.label,
@@ -223,7 +221,7 @@ class CampaignManifest:
             interrupted=outcome.interrupted,
             wall_ms=round(outcome.wall_ms, 3),
             tasks=tasks,
-            substrate_reuse=reuse_enabled(),
+            substrate_reuse=True,
             kernel=_default_kernel(),
             perf=outcome.merged_perf(),
             git=git_revision(),

@@ -147,9 +147,69 @@ def test_cli_broadcast_show_plan(capsys):
     assert "└──" in out
 
 
-def test_cli_unknown_topology_errors():
-    with pytest.raises(ValueError, match="unknown topology"):
-        main(["broadcast", "--topology", "donut:9"])
+def test_cli_unknown_topology_errors(capsys):
+    assert main(["broadcast", "--topology", "donut:9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown topology" in err
+    assert "'donut:9'" in err
+
+
+#: One malformed spec per kind: wrong arity, a non-integer argument, an
+#: unknown name, and two of a generator's range checks.
+BAD_SPECS = ("grid:8", "fat_tree:2.5", "nope:3", "ring:2", "grid:0,3")
+
+
+@pytest.mark.parametrize("spec", BAD_SPECS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["broadcast"],
+        ["election"],
+        ["converge"],
+        ["multicast"],
+        ["observe"],
+        ["scenario", "run"],
+        ["campaign", "montecarlo", "--seeds", "2", "--no-cache"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_malformed_topology_is_one_error_line(argv, spec, capsys):
+    assert main([*argv, "--topology", spec]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ") and repr(spec) in lines[0]
+    # The campaign rejects the spec before any task runs.
+    assert "mc[" not in captured.out
+
+
+def test_cli_malformed_topology_exits_2_without_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "broadcast", "--topology", "grid:8"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: topology spec 'grid:8': bad arguments [8] for topology 'grid'"
+    ]
+
+
+@pytest.mark.parametrize("spec", [*BAD_SPECS, "random:0", "torus:"])
+def test_topology_from_spec_raises_one_error_type(spec):
+    from repro.network import TopologySpecError, topology_from_spec
+
+    with pytest.raises(TopologySpecError, match=f"topology spec {spec!r}"):
+        topology_from_spec(spec)
 
 
 def test_cli_election_baselines_skip_non_rings(capsys):
@@ -228,6 +288,15 @@ def _reference_construction(graph) -> dict:
         "graph_nodes": list(graph.nodes),
         "graph_edges": list(graph.edges),
     }
+
+
+@pytest.mark.parametrize("spec", sorted(SMALL_SPECS.values()))
+def test_topology_nodes_list_every_node(spec):
+    from repro.network import topology_from_spec
+
+    topology = topology_from_spec(spec)
+    assert list(topology.nodes) == topology.node_order()
+    assert len(topology.nodes) == from_spec(spec).n
 
 
 def test_from_edge_arrays_matches_from_edges():

@@ -2,8 +2,8 @@
 
 The same :class:`~repro.scenario.ScenarioSpec` must yield the *same
 bytes* — identical result rows — whether it runs on a fresh network, a
-``Network.reset()`` survivor, a pooled substrate with reuse on or off,
-or sharded across campaign workers at any ``--jobs``.  These are the
+``Network.reset()`` survivor, a pooled substrate or a fresh build, or
+sharded across campaign workers at any ``--jobs``.  These are the
 determinism contracts the ISSUE's acceptance criteria pin.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from repro.exec import substrate
+from repro.exec.substrate import worker_pool
 from repro.exec.engine import run_campaign
 from repro.network import Network, topologies
 from repro.scenario import (
@@ -41,12 +41,14 @@ def test_reset_replay_matches_fresh_build():
     assert _dumps(first) == _dumps(second)
 
 
-def test_scenario_metrics_identical_reuse_on_and_off(monkeypatch):
-    monkeypatch.delenv(substrate.REUSE_ENV_VAR, raising=False)
+def test_scenario_metrics_identical_reuse_on_and_off():
     payload = SPEC.to_dict()
+    worker_pool().clear()
     on = [scenario_metrics(seed, spec=payload) for seed in (None, 5, 9)]
-    monkeypatch.setenv(substrate.REUSE_ENV_VAR, "0")
-    off = [scenario_metrics(seed, spec=payload) for seed in (None, 5, 9)]
+    off = []
+    for seed in (None, 5, 9):
+        worker_pool().clear()  # nothing pooled: a fresh build
+        off.append(scenario_metrics(seed, spec=payload))
     assert _dumps(on) == _dumps(off)
     # Adversarial seeds genuinely vary the timing.
     assert len({row["final_time"] for row in on}) > 1

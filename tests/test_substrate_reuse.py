@@ -6,11 +6,12 @@ fresh build.  This suite locks the promise against the same golden
 documents as the hot-path equivalence suite — each golden scenario is
 driven repeatedly on one network through ``reset()`` and every run must
 serialise identically to the fresh-build run *and* to the committed
-golden — and covers the satellites: pool hit/miss behaviour and the
-``REPRO_SUBSTRATE_REUSE`` gate, pristine-state details, the
-topology-version memoisation of ``diameter()``/``active_graph()`` (no
-graph rebuild while link state is unchanged), the topology-generator
-cache, and reuse-on/off equality of the registered workloads.
+golden — and covers the satellites: pool hit/miss behaviour,
+pristine-state details, the topology-version memoisation of
+``diameter()``/``active_graph()`` (no graph rebuild while link state is
+unchanged), independent topology-generator results, and pooled runs of
+the registered workloads equal to fresh builds, in process and across
+campaign workers.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import json
 import networkx as nx
 import pytest
 
-from repro.exec import substrate, workloads
-from repro.exec.substrate import SubstratePool, reuse_enabled
+from repro.exec import TaskSpec, run_campaign, workloads
+from repro.exec.substrate import POOL_SIZE, SubstratePool, worker_pool
 from repro.network.builder import from_spec
 from repro.network import topologies
-from repro.sim import FixedDelays
+from repro.sim import FixedDelays, derive_seed
 
 from test_hotpath_equivalence import GOLDEN_PATH, SCENARIO_PARTS
 
@@ -151,8 +152,7 @@ def test_reset_keeps_view_caches_warm_when_no_link_failed() -> None:
 # ----------------------------------------------------------------------
 # SubstratePool
 # ----------------------------------------------------------------------
-def test_pool_builds_once_then_reuses(monkeypatch) -> None:
-    monkeypatch.delenv(substrate.REUSE_ENV_VAR, raising=False)
+def test_pool_builds_once_then_reuses() -> None:
     pool = SubstratePool()
     first = pool.acquire("ring:8")
     second = pool.acquire("ring:8")
@@ -160,8 +160,8 @@ def test_pool_builds_once_then_reuses(monkeypatch) -> None:
     assert (pool.builds, pool.reuses) == (1, 1)
     assert len(pool) == 1
 
-    # A different configuration is a different pool entry.
-    other = pool.acquire("ring:8", dmax=5)
+    # A different spec is a different pool entry.
+    other = pool.acquire("ring:9")
     assert other is not first
     assert (pool.builds, pool.reuses) == (2, 1)
     assert len(pool) == 2
@@ -184,61 +184,69 @@ def test_pool_acquire_hands_out_pristine_networks() -> None:
 
 
 def test_pool_eviction_is_bounded() -> None:
-    pool = SubstratePool(max_entries=2)
-    pool.acquire("ring:4")
-    pool.acquire("ring:5")
-    pool.acquire("ring:6")
-    assert len(pool) == 2
-    # ring:4 was evicted (FIFO), so acquiring it again is a build.
-    pool.acquire("ring:4")
-    assert pool.builds == 4
-
-
-def test_env_var_gates_reuse(monkeypatch) -> None:
-    monkeypatch.delenv(substrate.REUSE_ENV_VAR, raising=False)
-    assert reuse_enabled()
-    for value in ("0", "false", "OFF", "No"):
-        monkeypatch.setenv(substrate.REUSE_ENV_VAR, value)
-        assert not reuse_enabled()
-    monkeypatch.setenv(substrate.REUSE_ENV_VAR, "1")
-    assert reuse_enabled()
-
-    monkeypatch.setenv(substrate.REUSE_ENV_VAR, "0")
     pool = SubstratePool()
-    first = pool.acquire("ring:8")
-    second = pool.acquire("ring:8")
-    assert second is not first
-    assert (pool.builds, pool.reuses) == (2, 0)
-    assert len(pool) == 0
+    specs = [f"ring:{n}" for n in range(3, 4 + POOL_SIZE)]
+    for spec in specs:
+        pool.acquire(spec)
+    assert len(pool) == POOL_SIZE
+    # The first spec was evicted (FIFO), so acquiring it again is a build.
+    pool.acquire(specs[0])
+    assert pool.builds == POOL_SIZE + 2
 
 
 # ----------------------------------------------------------------------
-# Workloads: identical results with reuse on and off
+# Workloads: pooled runs equal fresh builds
 # ----------------------------------------------------------------------
-def test_roundtrip_workload_identical_reuse_on_and_off(monkeypatch) -> None:
-    monkeypatch.delenv(substrate.REUSE_ENV_VAR, raising=False)
+def _fresh(workload, seed: int, **params):
+    """``workload`` on a fresh build: an empty pool has nothing to reset."""
+    worker_pool().clear()
+    return workload(seed, **params)
+
+
+def test_roundtrip_workload_identical_reuse_on_and_off() -> None:
+    worker_pool().clear()
     rows_on = [workloads.anr_roundtrip_time(seed, topology="random:24,7")
                for seed in range(4)]
-    monkeypatch.setenv(substrate.REUSE_ENV_VAR, "0")
-    rows_off = [workloads.anr_roundtrip_time(seed, topology="random:24,7")
+    rows_off = [_fresh(workloads.anr_roundtrip_time, seed, topology="random:24,7")
                 for seed in range(4)]
     assert rows_on == rows_off
     # Distinct seeds genuinely vary (the delays differ).
     assert len({row["rtt"] for row in rows_on}) > 1
 
 
-def test_election_workload_fixed_topology_matches_modes(monkeypatch) -> None:
-    monkeypatch.delenv(substrate.REUSE_ENV_VAR, raising=False)
+def test_election_workload_fixed_topology_matches_modes() -> None:
+    worker_pool().clear()
     on = [workloads.election_calls_per_node(seed, topology="random:16,3")
           for seed in range(3)]
-    monkeypatch.setenv(substrate.REUSE_ENV_VAR, "0")
-    off = [workloads.election_calls_per_node(seed, topology="random:16,3")
+    off = [_fresh(workloads.election_calls_per_node, seed, topology="random:16,3")
            for seed in range(3)]
     assert on == off
 
 
-def test_sweep_forwards_params_to_pooled_workload(monkeypatch) -> None:
-    monkeypatch.delenv(substrate.REUSE_ENV_VAR, raising=False)
+def test_pooled_campaign_matches_fresh_builds() -> None:
+    # Two workers each build the substrate once and reset it for every
+    # later task; the rows must equal fresh builds of the same seeds.
+    specs = [
+        TaskSpec.make(
+            "repro.exec.workloads:election_calls_per_node",
+            seed=derive_seed(0, "montecarlo", i),
+            topology="random:32,5",
+        )
+        for i in range(8)
+    ]
+    pooled = run_campaign(specs, jobs=2, cache=None, perf=True)
+    counters = pooled.merged_perf()["counters"]
+    assert counters["substrate_builds"] <= 2
+    assert counters["substrate_resets"] >= len(specs) - 2
+    fresh = [
+        _fresh(workloads.election_calls_per_node, spec.seed, topology="random:32,5")
+        for spec in specs
+    ]
+    assert pooled.values() == fresh
+    assert len(set(fresh)) > 1
+
+
+def test_sweep_forwards_params_to_pooled_workload() -> None:
     from repro.analysis.montecarlo import resolve_seeds, sweep
 
     summary = sweep(workloads.election_calls_per_node, 3, topology="random:16,3")
@@ -250,36 +258,24 @@ def test_sweep_forwards_params_to_pooled_workload(monkeypatch) -> None:
 
 
 # ----------------------------------------------------------------------
-# Topology-generator memoisation
+# Topology generators
 # ----------------------------------------------------------------------
-def test_topology_cache_hits_and_returns_copies() -> None:
-    topologies.cache_clear()
+def test_generator_calls_return_independent_graphs() -> None:
     g1 = topologies.grid(4, 5)
-    info = topologies.cache_info()
-    assert (info["hits"], info["misses"]) == (0, 1)
     g2 = topologies.grid(4, 5)
-    info = topologies.cache_info()
-    assert (info["hits"], info["misses"]) == (1, 1)
     assert g1 is not g2
     assert nx.utils.graphs_equal(g1, g2)
-
-    # Mutating a returned graph must not poison the cache.
     g1.remove_node(0)
-    g3 = topologies.grid(4, 5)
-    assert g3.number_of_nodes() == 20
-    topologies.cache_clear()
-    assert topologies.cache_info()["size"] == 0
+    assert topologies.grid(4, 5).number_of_nodes() == 20
 
-
-def test_topology_cache_serves_distinct_params_separately() -> None:
-    topologies.cache_clear()
-    assert topologies.ring(5).number_of_nodes() == 5
-    assert topologies.ring(6).number_of_nodes() == 6
-    assert topologies.cache_info()["misses"] == 2
+    # Node attributes are not shared either.
+    p1 = topologies.random_geometric_connected(12, 0.5, seed=2)
+    p1.nodes[0]["pos"][0] = 99.0
+    p2 = topologies.random_geometric_connected(12, 0.5, seed=2)
+    assert p2.nodes[0]["pos"][0] != 99.0
 
 
 def test_topology_cache_preserves_node_attributes() -> None:
-    topologies.cache_clear()
     g1 = topologies.random_geometric_connected(12, 0.5, seed=2)
     g2 = topologies.random_geometric_connected(12, 0.5, seed=2)
     assert all("pos" in g2.nodes[n] for n in g2.nodes)

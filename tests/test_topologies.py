@@ -205,21 +205,15 @@ def test_dragonfly_shape():
         topologies.dragonfly(4, 4, -1)
 
 
-def test_fabric_generators_are_memoised_and_isolated():
-    topologies.cache_clear()
+def test_fabric_generators_return_independent_graphs():
     g1 = topologies.fat_tree(4)
-    info = topologies.cache_info()
-    assert info["misses"] == 1 and info["hits"] == 0
     g2 = topologies.fat_tree(4)
-    info = topologies.cache_info()
-    assert info["hits"] == 1
     assert g1 is not g2
     assert nx.utils.graphs_equal(g1, g2)
-    # Mutating a returned copy must not poison the cache.
+    # Mutating one result leaves the next call's untouched.
     g1.remove_node(0)
     g3 = topologies.fat_tree(4)
     assert g3.number_of_nodes() == g2.number_of_nodes()
-    topologies.cache_clear()
 
 
 # ----------------------------------------------------------------------
