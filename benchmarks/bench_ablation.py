@@ -37,7 +37,7 @@ def test_e11_oneway_vs_single_packet(benchmark, capsys):
     """Coverage under a mid-tree failure + header cost per scheme."""
     n = 63
     g = topologies.complete_binary_tree(5)
-    stale = {u: tuple(sorted(g.neighbors(u))) for u in g}
+    stale = {u: tuple(sorted(nbrs)) for u, nbrs in g.adjacency().items()}
     tree = bfs_tree(stale, 0)
     k_bits = None
     rows = []

@@ -31,9 +31,8 @@ from repro.network import bfs_tree, topologies
 
 
 def cbt_tree(depth):
-    g = topologies.complete_binary_tree(depth)
-    adjacency = {u: tuple(sorted(g.neighbors(u))) for u in g}
-    return bfs_tree(adjacency, 0)
+    adjacency = topologies.complete_binary_tree(depth).adjacency()
+    return bfs_tree({u: tuple(sorted(nbrs)) for u, nbrs in adjacency.items()}, 0)
 
 
 def test_e3_lower_bound_series(benchmark, capsys):

@@ -67,7 +67,7 @@ def test_e4_strategy_cost_per_round(benchmark, capsys):
         ("dense", topologies.random_connected(64, 0.3, seed=1)),
         ("complete", topologies.complete(64)),
     ]:
-        record = [name, g.number_of_nodes(), g.number_of_edges()]
+        record = [name, len(g.node_order()), len(g.edges)]
         for strategy in ("bpaths", "flood"):
             net = fresh(g)
             attach_topology_maintenance(net, strategy=strategy, scope="full")
@@ -96,7 +96,7 @@ def test_e4_reconvergence_after_failures(benchmark, capsys):
         net = fresh(topologies.grid(6, 6))
         attach_topology_maintenance(net, strategy="bpaths", scope="full")
         converge_by_rounds(net, max_rounds=20)
-        schedule = random_link_failures(net.graph, count=batch, seed=batch)
+        schedule = random_link_failures(net.topology(), count=batch, seed=batch)
         for action in schedule:
             net.fail_link(*action.target)
         net.run_to_quiescence()

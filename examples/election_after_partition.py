@@ -13,9 +13,8 @@ Run:  python examples/election_after_partition.py
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro import FixedDelays, LeaderElection, Network, format_table, topologies
+from repro.network import from_edges
 from repro.core import ChangRoberts, HirschbergSinclair
 
 
@@ -39,14 +38,15 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Partition: cut the grid down the middle.
     # ------------------------------------------------------------------
-    cut = [(u, v) for u, v in g.edges if (u % 8 <= 3) != (v % 8 <= 3)]
-    left_nodes = {v for v in g if v % 8 <= 3}
+    nodes = g.node_order()
+    left_nodes = {v for v in nodes if v % 8 <= 3}
 
     halves = []
-    for side, keep in [("left", left_nodes), ("right", set(g) - left_nodes)]:
-        sub = g.subgraph(keep).copy()
-        sub = nx.convert_node_labels_to_integers(sub, ordering="sorted")
-        net = Network(sub, delays=FixedDelays(0.0, 1.0))
+    for side, keep in [("left", left_nodes), ("right", set(nodes) - left_nodes)]:
+        # Each half on its own, renumbered 0..23 in ID order.
+        index = {node: i for i, node in enumerate(sorted(keep))}
+        edges = [(index[u], index[v]) for u, v in g.edges if u in keep and v in keep]
+        net = from_edges(edges, nodes=range(len(keep)), delays=FixedDelays(0.0, 1.0))
         leaders, cost = elect(net)
         halves.append([f"{side} half", net.n, sorted(leaders), cost, 6 * net.n])
 

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 
-import networkx as nx
-
 from repro import FixedDelays, Network, format_table, topologies
 from repro.core import BranchingPathsBroadcast, run_standalone_broadcast
 from repro.core.call_setup import CallManager
+from repro.network import bfs_tree
 
 
 def main() -> None:
@@ -45,7 +44,7 @@ def main() -> None:
         if len(calls) == 12:
             break
         src, dst = rng.sample(sorted(net.nodes), 2)
-        route = tuple(nx.shortest_path(g, src, dst))
+        route = bfs_tree(net.adjacency(), src).path_from_root(dst)
         net.start([src], payload=("setup", call_id, route))
         net.run_to_quiescence()
         if net.output(src, f"established:{call_id}") is not None:

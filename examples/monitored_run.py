@@ -32,7 +32,7 @@ def build_network(seed: int = 7) -> Network:
     """A 32-node random network with three links failed before start."""
     g = topologies.random_connected(32, 0.15, seed=seed)
     net = Network(g, delays=FixedDelays(0.0, 1.0))
-    for action in random_link_failures(net.graph, count=3, seed=seed):
+    for action in random_link_failures(net.topology(), count=3, seed=seed):
         net.fail_link(*action.target)
     return net
 

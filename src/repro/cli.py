@@ -466,9 +466,8 @@ def cmd_globalfn(args: argparse.Namespace) -> int:
 def cmd_lowerbound(args: argparse.Namespace) -> int:
     rows = []
     for depth in range(1, args.max_depth + 1):
-        g = topologies.complete_binary_tree(depth)
-        adjacency = {u: tuple(sorted(g.neighbors(u))) for u in g}
-        tree = bfs_tree(adjacency, 0)
+        adjacency = topologies.complete_binary_tree(depth).adjacency()
+        tree = bfs_tree({u: tuple(sorted(nbrs)) for u, nbrs in adjacency.items()}, 0)
         rows.append(
             [depth, len(tree), theorem3_lower_bound(depth),
              coverage_rounds(tree, greedy_schedule(tree)),
@@ -636,19 +635,20 @@ def cmd_observe(args: argparse.Namespace) -> int:
 def cmd_topology_info(args: argparse.Namespace) -> int:
     """Shape summary of a topology spec, without running anything."""
     from .metrics import format_table
-    from .network.builder import graph_from_spec
+    from .network.builder import topology_from_spec
     from .network.network import Network
-    from .network.topologies import pseudo_diameter
+    from .network.topologies import diameter, pseudo_diameter
 
     try:
-        graph = graph_from_spec(args.spec)
+        topology = topology_from_spec(args.spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    n = graph.number_of_nodes()
-    m = graph.number_of_edges()
-    degrees = [d for _, d in graph.degree]
+    adjacency = topology.adjacency()
+    n = len(adjacency)
+    degrees = [len(neighbors) for neighbors in adjacency.values()]
+    m = sum(degrees) // 2
     rows: list[list[object]] = [
         ["nodes", n],
         ["links", m],
@@ -656,24 +656,18 @@ def cmd_topology_info(args: argparse.Namespace) -> int:
         ["degree mean", f"{2 * m / n:.2f}" if n else "0"],
         ["degree max", max(degrees, default=0)],
     ]
-
-    try:
-        if args.exact_diameter:
-            import networkx as nx
-
-            rows.append(["diameter (exact)", nx.diameter(graph)])
-        else:
-            rows.append(["diameter (two-sweep bound)", pseudo_diameter(graph)])
-    except Exception:
-        rows.append(["diameter", "infinite (disconnected)"])
+    if args.exact_diameter:
+        rows.append(["diameter (exact)", diameter(adjacency)])
+    else:
+        rows.append(["diameter (two-sweep bound)", pseudo_diameter(adjacency)])
 
     if args.build_memory:
         from .obs.perf import PerfCounters
 
         perf = PerfCounters()
-        # The gauge is retained construction bytes (graph excluded).
+        # The gauge is retained construction bytes (topology excluded).
         perf.measure_build_bytes_per_node(
-            lambda: Network(graph, trace=False), nodes=n
+            lambda: Network(topology, trace=False), nodes=n
         )
         per_node = perf.build_bytes_per_node
         rows.append(["build bytes/node", f"{per_node:,.0f}"])

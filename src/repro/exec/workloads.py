@@ -74,7 +74,7 @@ def election_calls_per_node(
     else:
         from ..network import Network, topologies
 
-        g = topologies.random_connected_topology(n, edge_prob, seed=seed)
+        g = topologies.random_connected(n, edge_prob, seed=seed)
         net = Network(g, delays=delays)
     net.attach(lambda api: LeaderElection(api))
     net.start()

@@ -11,7 +11,6 @@ from .failures import (
 from .builder import (
     TopologySpecError,
     from_adjacency,
-    from_edge_arrays,
     from_edges,
     from_spec,
     graph_from_spec,
@@ -28,7 +27,6 @@ __all__ = [
     "FailureSchedule",
     "Network",
     "from_adjacency",
-    "from_edge_arrays",
     "from_edges",
     "from_spec",
     "graph_from_spec",

@@ -4,8 +4,7 @@ Accepts the graph descriptions that turn up in practice — edge lists,
 adjacency mappings, compact text specs — and hands each to ``Network``
 as a :class:`~repro.network.topologies.Topology` (plain node and edge
 sequences), so neither scripts nor the CLI build :class:`networkx.Graph`
-objects by hand, and neither the datacenter fabric specs nor the
-``random:`` specs import networkx.
+objects, and no spec imports networkx.
 """
 
 from __future__ import annotations
@@ -30,21 +29,6 @@ def from_edges(
     return Network(Topology(nodes, edges), **network_kwargs)
 
 
-def from_edge_arrays(
-    num_nodes: int,
-    edges: Iterable[tuple[int, int]],
-    **network_kwargs: Any,
-) -> Network:
-    """Bulk-build a network over nodes ``0..num_nodes-1`` from edge pairs.
-
-    The resulting network is identical (including traces) to
-    ``from_edges`` over the same pairs with ``nodes=range(num_nodes)``.
-    """
-    if num_nodes < 0:
-        raise ValueError("num_nodes must be >= 0")
-    return Network(Topology(range(num_nodes), edges), **network_kwargs)
-
-
 def from_adjacency(
     adjacency: Mapping[Any, Iterable[Any]], **network_kwargs: Any
 ) -> Network:
@@ -64,29 +48,27 @@ def from_adjacency(
 
 
 #: Named topology factories usable from specs and the CLI.  Each value
-#: maps the spec's integer arguments to a graph: an ``nx.Graph``, or a
-#: :class:`Topology` for the datacenter fabrics and ``random``, made
-#: without networkx.
+#: maps the spec's integer arguments to a :class:`Topology`.
 TOPOLOGY_FACTORIES = {
-    "line": lambda n: topologies.line(n),
-    "ring": lambda n: topologies.ring(n),
-    "star": lambda n: topologies.star(n),
-    "complete": lambda n: topologies.complete(n),
-    "grid": lambda rows, cols: topologies.grid(rows, cols),
-    "hypercube": lambda dim: topologies.hypercube(dim),
-    "tree": lambda depth: topologies.complete_binary_tree(depth),
-    "caterpillar": lambda spine, legs: topologies.caterpillar(spine, legs),
-    "broom": lambda handle, bristles: topologies.broom(handle, bristles),
-    "random": lambda n, seed=0: topologies.random_connected_topology(
+    "line": topologies.line,
+    "ring": topologies.ring,
+    "star": topologies.star,
+    "complete": topologies.complete,
+    "grid": topologies.grid,
+    "hypercube": topologies.hypercube,
+    "tree": topologies.complete_binary_tree,
+    "caterpillar": topologies.caterpillar,
+    "broom": topologies.broom,
+    "random": lambda n, seed=0: topologies.random_connected(
         n, min(0.5, 2.5 * __import__("math").log(max(n, 2)) / max(n, 1)), seed=seed
     ),
     "geometric": lambda n, seed=0: topologies.random_geometric_connected(
         n, 0.3, seed=seed
     ),
-    "clos": topologies.clos_topology,
-    "fat_tree": topologies.fat_tree_topology,
-    "torus": topologies.torus_topology,
-    "dragonfly": topologies.dragonfly_topology,
+    "clos": topologies.clos,
+    "fat_tree": topologies.fat_tree,
+    "torus": topologies.torus,
+    "dragonfly": topologies.dragonfly,
 }
 
 
@@ -118,14 +100,13 @@ def topology_from_spec(spec: str) -> Topology:
             f"topology spec {spec!r}: arguments must be integers"
         ) from None
     try:
-        graph = TOPOLOGY_FACTORIES[name](*args)
+        return TOPOLOGY_FACTORIES[name](*args)
     except TypeError as exc:
         raise TopologySpecError(
             f"topology spec {spec!r}: bad arguments {args} for topology {name!r}"
         ) from exc
     except ValueError as exc:
         raise TopologySpecError(f"topology spec {spec!r}: {exc}") from exc
-    return Topology(graph.nodes, graph.edges)
 
 
 def graph_from_spec(spec: str) -> nx.Graph:

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterator
 
-from .topologies import reachable
+from .topologies import Topology, edge_list, reachable
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
 
     from .network import Network
-    from .topologies import Topology
 
 
 class FailureKind(Enum):
@@ -119,17 +118,14 @@ def random_link_failures(
     # round's candidates are listed as ``nx.Graph.edges`` would list
     # them, and a link put back after a trial removal moves to the end
     # of both endpoints' dicts, as ``add_edge`` does.
-    working: dict[Any, dict[Any, None]] = {node: {} for node in graph.nodes}
-    for u, v in graph.edges:
-        working.setdefault(u, {})[v] = None
-        working.setdefault(v, {})[u] = None
+    working = Topology(graph.nodes, graph.edges).adjacency()
     schedule = FailureSchedule()
     if keep_connected and working:
         if len(reachable(working, next(iter(working)))) < len(working):
             return schedule  # already disconnected: no removal keeps it connected
     when = start
     for _ in range(count):
-        candidates = _edge_list(working)
+        candidates = edge_list(working)
         rng.shuffle(candidates)
         chosen = None
         for u, v in candidates:
@@ -146,16 +142,6 @@ def random_link_failures(
         schedule.fail_link(chosen[0], chosen[1], when)
         when += spacing
     return schedule
-
-
-def _edge_list(adjacency: dict[Any, dict[Any, None]]) -> list[tuple[Any, Any]]:
-    """Each edge once, from its earlier endpoint: ``nx.Graph.edges`` order."""
-    edges = []
-    done: set[Any] = set()
-    for node, neighbors in adjacency.items():
-        edges.extend((node, nbr) for nbr in neighbors if nbr not in done)
-        done.add(node)
-    return edges
 
 
 def flapping_link(

@@ -32,7 +32,7 @@ from ..sim.scheduler import Scheduler
 from ..sim.trace import Trace, TraceKind
 from .datalink import DataLinkMonitor
 from .protocol import ProtocolFactory
-from .topologies import Topology, reachable
+from .topologies import Topology, diameter, pseudo_diameter, reachable
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -127,13 +127,11 @@ class Network:
         self._protocol_factory: ProtocolFactory | None = None
 
         #: Bumped whenever a link changes state; the derived-view caches
-        #: (``active_graph`` / ``adjacency`` / ``components`` /
-        #: ``diameter``) key on it.
+        #: (``adjacency`` / ``components`` / ``diameter``) key on it.
         self._topology_version = 0
-        self._active_graph_cache: tuple[int, nx.Graph] | None = None
         self._adjacency_cache: tuple[int, dict[Any, tuple[Any, ...]]] | None = None
         self._components_cache: tuple[int, tuple[frozenset, ...]] | None = None
-        self._diameter_cache: tuple[int, int] | None = None
+        self._diameter_cache: tuple[tuple[int, bool], int] | None = None
 
         # Each pair oriented by node order — exactly what
         # ``nx.Graph.edges`` yields — with repeats merged into their
@@ -319,52 +317,33 @@ class Network:
     EXACT_DIAMETER_MAX_NODES = 2048
 
     def diameter(self, *, exact: bool | None = None) -> int:
-        """Hop diameter of the (current, active) topology.
+        """Hop diameter of the (current, active) topology, from :meth:`adjacency`.
 
-        Memoised on the topology version: repeated calls with unchanged
-        link state are one tuple compare, no graph rebuild and no BFS.
         ``exact=None`` (default) computes exactly up to
         :attr:`EXACT_DIAMETER_MAX_NODES` nodes and falls back to the
         two-sweep BFS pseudo-diameter beyond that (see
         :func:`repro.network.topologies.pseudo_diameter` for the
         accuracy contract); ``exact=True`` / ``exact=False`` force one
-        side.  The memo is shared — a forced call refreshes it.
+        side.  Memoised on the topology version and the method, so a
+        repeated call with unchanged link state runs no BFS, and a
+        forced lower bound is never returned as the exact answer.
+        Raises :class:`ValueError` when the active topology is
+        disconnected.
         """
-        cached = self._diameter_cache
-        version = self._topology_version
-        if cached is not None and cached[0] == version and exact is None:
-            return cached[1]
-        g = self.active_graph()
         if exact is None:
-            exact = g.number_of_nodes() <= self.EXACT_DIAMETER_MAX_NODES
-        if exact:
-            import networkx as nx
-
-            diameter = nx.diameter(g)
-        else:
-            from .topologies import pseudo_diameter
-
-            diameter = pseudo_diameter(g)
-        self._diameter_cache = (version, diameter)
-        return diameter
+            exact = self.n <= self.EXACT_DIAMETER_MAX_NODES
+        key = (self._topology_version, exact)
+        cached = self._diameter_cache
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        value = (diameter if exact else pseudo_diameter)(self.adjacency())
+        self._diameter_cache = (key, value)
+        return value
 
     def active_graph(self) -> nx.Graph:
-        """The topology restricted to active links.
-
-        Memoised on the topology version; callers share the cached
-        graph, so treat it as a read-only view (copy before mutating).
-        """
-        cached = self._active_graph_cache
-        version = self._topology_version
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self._node_order)
-        g.add_edges_from(key for key, link in self.links.items() if link.active)
-        self._active_graph_cache = (version, g)
-        return g
+        """The topology restricted to active links, as a new ``nx.Graph``."""
+        active = [key for key, link in self.links.items() if link.active]
+        return Topology(self._node_order, active).to_graph()
 
     # ------------------------------------------------------------------
     # Substrate reuse

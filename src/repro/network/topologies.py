@@ -1,8 +1,9 @@
 """Topology generators for experiments.
 
-All generators return simple connected :class:`networkx.Graph` objects
-with integer node IDs ``0 .. n-1``.  The selection covers the shapes the
-paper's analyses distinguish:
+Every generator returns a :class:`Topology`: plain node and edge
+sequences over integer node IDs ``0 .. n-1``, describing a simple
+connected graph.  The selection covers the shapes the paper's analyses
+distinguish:
 
 * **complete graphs** — the Section 5 setting;
 * **complete binary trees** — the Section 3.4 lower-bound instance;
@@ -10,32 +11,33 @@ paper's analyses distinguish:
   labelling (few long paths vs. many short ones);
 * **rings** — the classic leader-election battleground;
 * **grids, hypercubes, random graphs** — generic multi-path topologies
-  for topology-maintenance experiments with failures.
+  for topology-maintenance experiments with failures;
+* **datacenter fabrics** (:func:`clos`, :func:`fat_tree`, :func:`torus`,
+  :func:`dragonfly`) — the 10⁴-node scale of the benchmarks.
 
-Every call builds a new graph, so callers may mutate their result
-freely.
-
-The datacenter fabrics (:func:`clos`, :func:`fat_tree`, :func:`torus`,
-:func:`dragonfly`) and the random graphs (:func:`random_connected`) are
-defined once, as plain node and edge sequences (:class:`Topology`, from
-the ``*_topology`` functions); their graph functions build the
-``nx.Graph`` from those sequences.  Substrate construction reads the
-sequences directly, so building a fabric or ``random:`` network never
-imports networkx — this module imports it only inside the functions
-that need it.
+Outside the fabrics, each result lists its nodes and edges in the order
+the matching networkx generator's ``nx.Graph`` holds them (checked
+against networkx oracles in ``tests/test_topologies.py``); node IDs,
+golden traces and failure schedules depend on that order.  Every call
+builds new sequences.  The module needs no networkx:
+:meth:`Topology.to_graph` imports it only when a caller asks for an
+``nx.Graph``.  The diameter functions work on adjacency mappings
+(``net.adjacency()``, :meth:`Topology.adjacency`).
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
 
 
-class Topology(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Topology:
     """A graph as two plain sequences: ``nodes`` and ``edges`` (pairs).
 
     Read with ``nx.Graph`` insertion semantics — ``add_nodes_from(nodes)``
@@ -44,6 +46,11 @@ class Topology(NamedTuple):
     repeated pair, in either orientation, merges into the first.  This
     is the construction input of :class:`~repro.network.network.Network`,
     which accepts an ``nx.Graph`` through the same two attributes.
+
+    A ``Topology`` is not a container: ``len()``, iteration and ``in``
+    raise :class:`TypeError`, so code written for an ``nx.Graph`` fails
+    instead of answering for the two fields.  Ask :meth:`node_order`,
+    :meth:`adjacency` or :meth:`to_graph` instead.
     """
 
     nodes: Iterable[Any]
@@ -52,6 +59,19 @@ class Topology(NamedTuple):
     def node_order(self) -> list[Any]:
         """Every node once, in the order an ``nx.Graph`` would hold them."""
         return list(dict.fromkeys(chain(self.nodes, chain.from_iterable(self.edges))))
+
+    def adjacency(self) -> dict[Any, dict[Any, None]]:
+        """Each node's neighbours, as an ``nx.Graph`` would hold them.
+
+        Nodes in :meth:`node_order`; each node's neighbours (the keys of
+        an inner dict, used as an ordered set) in the order its edges
+        arrive.  A new mapping per call, private to the caller.
+        """
+        adjacency: dict[Any, dict[Any, None]] = {node: {} for node in self.nodes}
+        for u, v in self.edges:
+            adjacency.setdefault(u, {})[v] = None
+            adjacency.setdefault(v, {})[u] = None
+        return adjacency
 
     def to_graph(self) -> nx.Graph:
         """The ``nx.Graph`` these sequences describe (a new object)."""
@@ -75,69 +95,93 @@ def reachable(adjacency: Mapping[Any, Iterable[Any]], source: Any) -> set[Any]:
     return seen
 
 
-def _relabel(graph: nx.Graph) -> nx.Graph:
-    """Relabel nodes to 0..n-1 deterministically (sorted old labels)."""
-    import networkx as nx
+def edge_list(adjacency: Mapping[Any, Iterable[Any]]) -> list[tuple[Any, Any]]:
+    """Each edge once, from its earlier endpoint: ``nx.Graph.edges`` order."""
+    edges = []
+    done: set[Any] = set()
+    for node, neighbors in adjacency.items():
+        edges.extend((node, nbr) for nbr in neighbors if nbr not in done)
+        done.add(node)
+    return edges
 
-    mapping = {old: new for new, old in enumerate(sorted(graph.nodes, key=repr))}
-    return nx.relabel_nodes(graph, mapping)
+
+def _graph(
+    nodes: Iterable[Any], edges: Iterable[tuple[Any, Any]], *, relabel: bool = False
+) -> Topology:
+    """``nodes`` and ``edges`` as an ``nx.Graph`` built from them lists them.
+
+    Every node once in insertion order, every edge once in
+    ``nx.Graph.edges`` order.  With ``relabel`` each node becomes its
+    position in the ``repr`` order of the labels; both orders survive.
+    """
+    adjacency = Topology(nodes, edges).adjacency()
+    ordered = edge_list(adjacency)
+    if not relabel:
+        return Topology(list(adjacency), ordered)
+    rank = {node: i for i, node in enumerate(sorted(adjacency, key=repr))}
+    return Topology(
+        [rank[node] for node in adjacency], [(rank[u], rank[v]) for u, v in ordered]
+    )
 
 
-def line(n: int) -> nx.Graph:
+def line(n: int) -> Topology:
     """Path graph on ``n`` nodes."""
-    import networkx as nx
-
     if n < 1:
         raise ValueError("n must be positive")
-    return nx.path_graph(n)
+    return Topology(range(n), list(zip(range(n - 1), range(1, n))))
 
 
-def ring(n: int) -> nx.Graph:
+def ring(n: int) -> Topology:
     """Cycle on ``n >= 3`` nodes."""
-    import networkx as nx
-
     if n < 3:
         raise ValueError("a ring needs at least 3 nodes")
-    return nx.cycle_graph(n)
+    return _graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def star(n: int) -> nx.Graph:
+def star(n: int) -> Topology:
     """Star: node 0 is the hub, nodes 1..n-1 are leaves."""
-    import networkx as nx
-
     if n < 2:
         raise ValueError("a star needs at least 2 nodes")
-    return nx.star_graph(n - 1)
+    return Topology(range(n), [(0, leaf) for leaf in range(1, n)])
 
 
-def complete(n: int) -> nx.Graph:
+def complete(n: int) -> Topology:
     """Complete graph K_n — the Section 5 setting."""
-    import networkx as nx
-
     if n < 1:
         raise ValueError("n must be positive")
-    return nx.complete_graph(n)
+    return Topology(range(n), list(combinations(range(n), 2)))
 
 
-def grid(rows: int, cols: int) -> nx.Graph:
-    """2-D grid, relabelled to integers row-major."""
-    import networkx as nx
+def grid(rows: int, cols: int) -> Topology:
+    """2-D grid of ``rows × cols`` nodes.
 
+    Node IDs follow the ``repr`` order of the ``(row, col)`` labels,
+    which is row-major only while both dimensions are at most 10: in
+    ``grid(2, 11)`` node 2 is ``(0, 10)``, with neighbours 10
+    (``(0, 9)``) and 13 (``(1, 10)``).
+    """
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    return _relabel(nx.grid_2d_graph(rows, cols))
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    vertical = [((i + 1, j), (i, j)) for i in range(rows - 1) for j in range(cols)]
+    horizontal = [((i, j + 1), (i, j)) for i in range(rows) for j in range(cols - 1)]
+    return _graph(cells, vertical + horizontal, relabel=True)
 
 
-def hypercube(dim: int) -> nx.Graph:
-    """Binary hypercube of the given dimension (2**dim nodes)."""
-    import networkx as nx
+def hypercube(dim: int) -> Topology:
+    """Binary hypercube of the given dimension (2**dim nodes).
 
+    Node ``u`` is the corner whose coordinates are ``u``'s bits; its
+    neighbours are ``u ^ 2**j`` for every ``j < dim``.
+    """
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return _relabel(nx.hypercube_graph(dim))
+    n = 1 << dim
+    bits = [1 << j for j in reversed(range(dim))]
+    return Topology(range(n), [(u, u | bit) for u in range(n) for bit in bits if not u & bit])
 
 
-def complete_binary_tree(depth: int) -> nx.Graph:
+def complete_binary_tree(depth: int) -> Topology:
     """Complete binary tree of the given depth (root = node 0).
 
     ``depth`` counts edges on a root-to-leaf path; the tree has
@@ -145,79 +189,71 @@ def complete_binary_tree(depth: int) -> nx.Graph:
     ``2i+1`` and ``2i+2``).  This is the lower-bound instance of
     Section 3.4.
     """
-    import networkx as nx
-
     if depth < 0:
         raise ValueError("depth must be non-negative")
     n = 2 ** (depth + 1) - 1
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < n:
-                g.add_edge(i, child)
-    return g
+    return Topology(range(n), [((child - 1) // 2, child) for child in range(1, n)])
 
 
-def balanced_tree(branching: int, height: int) -> nx.Graph:
-    """Balanced ``branching``-ary tree of the given height (root = 0)."""
-    import networkx as nx
+def balanced_tree(branching: int, height: int) -> Topology:
+    """Balanced ``branching``-ary tree of the given height (root = 0).
 
+    Counted breadth-first, the children of node ``i`` are
+    ``branching·i + 1 .. branching·i + branching``; node IDs are then the
+    ``repr`` order of those counts, so past node 9 they are not
+    breadth-first: the root of ``balanced_tree(3, 2)`` has children 1, 5
+    and 6.
+    """
     if branching < 1 or height < 0:
         raise ValueError("branching must be >= 1 and height >= 0")
-    return _relabel(nx.balanced_tree(branching, height))
+    if branching == 1:
+        n = height + 1
+    else:
+        n = (branching ** (height + 1) - 1) // (branching - 1)
+    edges = [((child - 1) // branching, child) for child in range(1, n)]
+    return _graph(range(n), edges, relabel=True)
 
 
-def caterpillar(spine: int, legs_per_node: int) -> nx.Graph:
+def caterpillar(spine: int, legs_per_node: int) -> Topology:
     """A spine path with ``legs_per_node`` leaves hanging off each node.
 
     Caterpillars decompose into one long spine path plus single-edge
     paths, making them the friendly extreme for the branching-paths
     broadcast (label of the spine stays small).
     """
-    import networkx as nx
-
     if spine < 1 or legs_per_node < 0:
         raise ValueError("spine must be positive, legs non-negative")
-    g = nx.path_graph(spine)
-    next_id = spine
-    for s in range(spine):
-        for _ in range(legs_per_node):
-            g.add_edge(s, next_id)
-            next_id += 1
-    return g
+    edges = list(zip(range(spine - 1), range(1, spine)))
+    edges += [
+        (s, spine + s * legs_per_node + leg)
+        for s in range(spine)
+        for leg in range(legs_per_node)
+    ]
+    return _graph(range(spine), edges)
 
 
-def broom(handle: int, bristles: int) -> nx.Graph:
+def broom(handle: int, bristles: int) -> Topology:
     """A path of length ``handle`` ending in a star of ``bristles`` leaves.
 
     Node 0 is the tip of the handle; the last handle node is the hub.
     """
-    import networkx as nx
-
     if handle < 1 or bristles < 0:
         raise ValueError("handle must be positive, bristles non-negative")
-    g = nx.path_graph(handle)
     hub = handle - 1
-    next_id = handle
-    for _ in range(bristles):
-        g.add_edge(hub, next_id)
-        next_id += 1
-    return g
+    edges = list(zip(range(hub), range(1, handle)))
+    edges += [(hub, leaf) for leaf in range(handle, handle + bristles)]
+    return Topology(range(handle + bristles), edges)
 
 
-def random_connected_topology(
-    n: int, p: float, seed: int = 0, max_tries: int = 200
-) -> Topology:
-    """Erdős–Rényi G(n, p) as node and edge sequences, resampled until connected.
+def random_connected(n: int, p: float, seed: int = 0, max_tries: int = 200) -> Topology:
+    """Erdős–Rényi G(n, p), resampled until connected.
 
     Attempt ``a`` makes exactly the draws of
     ``nx.gnp_random_graph(n, p, seed=seed + a)``: one
     ``random.Random(seed + a).random() < p`` per node pair, pairs in
     :func:`itertools.combinations` order (none for ``p <= 0`` or
-    ``p >= 1``).  So the result is the graph :func:`random_connected`
-    returns, with its edges in ``nx.Graph.edges`` order, made without
-    networkx.
+    ``p >= 1``), so the result is that graph, with its edges in
+    ``nx.Graph.edges`` order.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -240,34 +276,49 @@ def random_connected_topology(
     raise ValueError(f"could not sample a connected G({n}, {p}) in {max_tries} tries")
 
 
-def random_connected(n: int, p: float, seed: int = 0, max_tries: int = 200) -> nx.Graph:
-    """Erdős–Rényi G(n, p), resampled until connected (see
-    :func:`random_connected_topology`)."""
-    return random_connected_topology(n, p, seed, max_tries).to_graph()
-
-
 def random_geometric_connected(
     n: int, radius: float, seed: int = 0, max_tries: int = 200
-) -> nx.Graph:
-    """Random geometric graph in the unit square, resampled until connected."""
-    import networkx as nx
+) -> Topology:
+    """Random geometric graph in the unit square, resampled until connected.
 
+    Attempt ``a`` makes the draws of
+    ``nx.random_geometric_graph(n, radius, seed=seed + a)``: node ``i``
+    sits at the ``i``-th pair of ``random.Random(seed + a).random()``
+    draws, and two nodes are linked when their Euclidean distance is at
+    most ``radius``.  Node IDs are then the ``repr`` order of those
+    indices (node 2 is index 10 once ``n > 10``).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
-        return nx.empty_graph(1)
+        return Topology([0], [])
+    limit = radius**2
     for attempt in range(max_tries):
-        g = nx.random_geometric_graph(n, radius, seed=seed + attempt)
-        if nx.is_connected(g):
-            return _relabel(g)
+        draw = random.Random(seed + attempt).random
+        points = [(draw(), draw()) for _ in range(n)]
+        edges = [
+            (u, v)
+            for (u, (ux, uy)), (v, (vx, vy)) in combinations(enumerate(points), 2)
+            if (ux - vx) ** 2 + (uy - vy) ** 2 <= limit
+        ]
+        topology = _graph(range(n), edges, relabel=True)
+        if len(reachable(topology.adjacency(), 0)) == n:
+            return topology
     raise ValueError(
         f"could not sample a connected geometric graph ({n}, {radius}) "
         f"in {max_tries} tries"
     )
 
 
-def clos_topology(leaves: int, spines: int, hosts_per_leaf: int = 0) -> Topology:
-    """The node and edge sequences of :func:`clos`."""
+def clos(leaves: int, spines: int, hosts_per_leaf: int = 0) -> Topology:
+    """Two-tier folded Clos (leaf–spine) fabric.
+
+    Spines are nodes ``0..spines-1``, leaves ``spines..spines+leaves-1``;
+    every leaf connects to every spine (the non-blocking middle stage),
+    and ``hosts_per_leaf`` single-link hosts hang off each leaf, numbered
+    after the switches.  With hosts the graph models the full datacenter
+    pod; without them it is the pure switching fabric.
+    """
     if leaves < 1 or spines < 1:
         raise ValueError("a Clos fabric needs at least one leaf and one spine")
     if hosts_per_leaf < 0:
@@ -281,20 +332,16 @@ def clos_topology(leaves: int, spines: int, hosts_per_leaf: int = 0) -> Topology
     return Topology(range(next_id), edges)
 
 
-def clos(leaves: int, spines: int, hosts_per_leaf: int = 0) -> nx.Graph:
-    """Two-tier folded Clos (leaf–spine) fabric.
+def fat_tree(k: int) -> Topology:
+    """Three-tier k-ary fat tree (k even): the canonical datacenter fabric.
 
-    Spines are nodes ``0..spines-1``, leaves ``spines..spines+leaves-1``;
-    every leaf connects to every spine (the non-blocking middle stage),
-    and ``hosts_per_leaf`` single-link hosts hang off each leaf, numbered
-    after the switches.  With hosts the graph models the full datacenter
-    pod; without them it is the pure switching fabric.
+    ``(k/2)²`` core switches, ``k`` pods of ``k/2`` aggregation plus
+    ``k/2`` edge switches, and ``k/2`` hosts per edge switch —
+    ``5k²/4 + k³/4`` nodes total (``k=32`` ≈ 10⁴ nodes).  Aggregation
+    switch ``j`` of every pod connects to cores ``j·k/2 .. j·k/2+k/2-1``,
+    so any host pair is at most 6 hops apart.  Node numbering: cores
+    first, then per pod aggregation, edge, hosts.
     """
-    return clos_topology(leaves, spines, hosts_per_leaf).to_graph()
-
-
-def fat_tree_topology(k: int) -> Topology:
-    """The node and edge sequences of :func:`fat_tree`."""
     if k < 2 or k % 2:
         raise ValueError("fat tree arity k must be even and >= 2")
     half = k // 2
@@ -322,21 +369,14 @@ def fat_tree_topology(k: int) -> Topology:
     return Topology(nodes, edges)
 
 
-def fat_tree(k: int) -> nx.Graph:
-    """Three-tier k-ary fat tree (k even): the canonical datacenter fabric.
+def torus(*dims: int) -> Topology:
+    """k-ary n-cube: a grid with wraparound links in every dimension.
 
-    ``(k/2)²`` core switches, ``k`` pods of ``k/2`` aggregation plus
-    ``k/2`` edge switches, and ``k/2`` hosts per edge switch —
-    ``5k²/4 + k³/4`` nodes total (``k=32`` ≈ 10⁴ nodes).  Aggregation
-    switch ``j`` of every pod connects to cores ``j·k/2 .. j·k/2+k/2-1``,
-    so any host pair is at most 6 hops apart.  Node numbering: cores
-    first, then per pod aggregation, edge, hosts.
+    ``torus(4, 4)`` is a 4×4 2-D torus; ``torus(8, 8, 8)`` a 512-node
+    3-D torus.  Every dimension must be at least 3 (a 2-wide dimension
+    would collapse its wrap link onto the grid link).  Nodes are
+    numbered row-major.
     """
-    return fat_tree_topology(k).to_graph()
-
-
-def torus_topology(*dims: int) -> Topology:
-    """The node and edge sequences of :func:`torus`."""
     if not dims:
         raise ValueError("a torus needs at least one dimension")
     if any(d < 3 for d in dims):
@@ -356,21 +396,17 @@ def torus_topology(*dims: int) -> Topology:
     return Topology(range(n), edges)
 
 
-def torus(*dims: int) -> nx.Graph:
-    """k-ary n-cube: a grid with wraparound links in every dimension.
+def dragonfly(groups: int, routers_per_group: int, hosts_per_router: int = 0) -> Topology:
+    """Dragonfly: fully meshed router groups, one global link per group pair.
 
-    ``torus(4, 4)`` is a 4×4 2-D torus; ``torus(8, 8, 8)`` a 512-node
-    3-D torus.  Every dimension must be at least 3 (a 2-wide dimension
-    would collapse its wrap link onto the grid link).  Nodes are
-    numbered row-major.
+    Each of the ``groups`` groups is a complete graph on
+    ``routers_per_group`` routers; for every group pair exactly one
+    global link connects them, its endpoints spread deterministically
+    across each group's routers round-robin.  ``hosts_per_router``
+    single-link hosts hang off every router, numbered after all
+    routers.  The group-level topology is complete, giving the
+    low-diameter, low-degree shape datacenter dragonflies target.
     """
-    return torus_topology(*dims).to_graph()
-
-
-def dragonfly_topology(
-    groups: int, routers_per_group: int, hosts_per_router: int = 0
-) -> Topology:
-    """The node and edge sequences of :func:`dragonfly`."""
     if groups < 1 or routers_per_group < 1:
         raise ValueError("dragonfly needs positive groups and routers per group")
     if hosts_per_router < 0:
@@ -399,89 +435,87 @@ def dragonfly_topology(
     return Topology(range(next_id), edges)
 
 
-def dragonfly(groups: int, routers_per_group: int, hosts_per_router: int = 0) -> nx.Graph:
-    """Dragonfly: fully meshed router groups, one global link per group pair.
-
-    Each of the ``groups`` groups is a complete graph on
-    ``routers_per_group`` routers; for every group pair exactly one
-    global link connects them, its endpoints spread deterministically
-    across each group's routers round-robin.  ``hosts_per_router``
-    single-link hosts hang off every router, numbered after all
-    routers.  The group-level topology is complete, giving the
-    low-diameter, low-degree shape datacenter dragonflies target.
-    """
-    return dragonfly_topology(groups, routers_per_group, hosts_per_router).to_graph()
-
-
-def barbell(clique: int, path: int) -> nx.Graph:
+def barbell(clique: int, path: int) -> Topology:
     """Two cliques of size ``clique`` joined by a path of ``path`` nodes."""
-    import networkx as nx
-
     if clique < 3:
         raise ValueError("clique size must be at least 3")
-    return nx.barbell_graph(clique, path)
+    if path < 0:
+        raise ValueError("path length must be non-negative")
+    right = clique + path
+    edges = list(combinations(range(clique), 2))
+    edges += zip(range(clique, right - 1), range(clique + 1, right))
+    edges += combinations(range(right, right + clique), 2)
+    edges.append((clique - 1, clique))
+    if path:
+        edges.append((right - 1, right))
+    return _graph(range(clique + max(path - 1, 0)), edges)
 
 
-def _bfs_eccentricity(graph: nx.Graph, source) -> tuple[int, list]:
+def _eccentricity(adjacency: Mapping[Any, Iterable[Any]], source: Any) -> tuple[int, list]:
     """One BFS sweep: ``(max depth, nodes at that depth)``.
 
-    Raises the same error :func:`networkx.diameter` raises when the
-    graph is disconnected, so callers can swap one for the other.
+    Raises :class:`ValueError` when some node of ``adjacency`` is not
+    reachable from ``source``: a disconnected graph has no diameter.
     """
-    adj = graph.adj
     visited = {source}
     frontier = [source]
     depth = 0
-    last = frontier
-    while frontier:
-        last = frontier
+    while True:
         next_frontier = []
         for node in frontier:
-            for neighbor in adj[node]:
+            for neighbor in adjacency[node]:
                 if neighbor not in visited:
                     visited.add(neighbor)
                     next_frontier.append(neighbor)
+        if not next_frontier:
+            break
         frontier = next_frontier
-        if frontier:
-            depth += 1
-    if len(visited) != graph.number_of_nodes():
-        import networkx as nx
-
-        raise nx.NetworkXError(
-            "Found infinite path length because the graph is not connected"
-        )
-    return depth, last
+        depth += 1
+    if len(visited) != len(adjacency):
+        raise ValueError("the graph is disconnected: its diameter is infinite")
+    return depth, frontier
 
 
-def pseudo_diameter(graph: nx.Graph) -> int:
+def diameter(adjacency: Mapping[Any, Iterable[Any]]) -> int:
+    """Exact hop diameter of a connected graph given as an adjacency mapping.
+
+    The largest BFS eccentricity: one sweep per node, O(n·m).  Raises
+    :class:`ValueError` on an empty or disconnected graph.
+    """
+    if not adjacency:
+        raise ValueError("diameter needs a non-empty graph")
+    return max(_eccentricity(adjacency, node)[0] for node in adjacency)
+
+
+def pseudo_diameter(adjacency: Mapping[Any, Iterable[Any]]) -> int:
     """Two-sweep BFS pseudo-diameter: a fast lower bound on the diameter.
 
-    BFS from a deterministic start node finds a farthest node; a second
-    BFS from there returns its eccentricity.  Two O(n + m) sweeps
-    instead of the O(n·m) all-pairs BFS behind :func:`networkx.diameter`
-    — the difference between milliseconds and minutes at 10⁴–10⁵ nodes.
-    The result is exact on trees and within a small additive error on
-    the mesh-like fabrics in this module (exact on all generators here,
-    verified by the test suite); in general it can under-report.  Raises
-    :class:`networkx.NetworkXError` on disconnected graphs, like
-    :func:`networkx.diameter`.
+    ``adjacency`` maps each node to its neighbours (``net.adjacency()``,
+    :meth:`Topology.adjacency`).  BFS from a deterministic start node
+    finds a farthest node; a second BFS from there returns its
+    eccentricity.  Two O(n + m) sweeps instead of the O(n·m) of
+    :func:`diameter` — the difference between milliseconds and minutes
+    at 10⁴–10⁵ nodes.  The result is exact on trees and within a small
+    additive error on the mesh-like fabrics in this module (exact on all
+    generators here, verified by the test suite); in general it can
+    under-report.  Raises :class:`ValueError` on an empty or
+    disconnected graph, like :func:`diameter`.
     """
-    if graph.number_of_nodes() == 0:
+    if not adjacency:
         raise ValueError("pseudo_diameter needs a non-empty graph")
     # Start from a minimum-degree node (ties broken by repr): peripheral
     # nodes — a fat-tree host, a Clos leaf port — realise the diameter,
     # while a well-connected core would anchor both sweeps in the middle
     # of the graph and under-report (e.g. 4 instead of 6 on fat_tree(8)).
-    degree = graph.degree
-    start = min(graph.nodes, key=lambda node: (degree[node], repr(node)))
-    first_depth, farthest = _bfs_eccentricity(graph, start)
+    start = min(adjacency, key=lambda node: (len(adjacency[node]), repr(node)))
+    first_depth, farthest = _eccentricity(adjacency, start)
     # Deterministic pick among the deepest BFS layer.
     second = min(farthest, key=repr)
-    depth, _ = _bfs_eccentricity(graph, second)
+    depth, _ = _eccentricity(adjacency, second)
     return max(first_depth, depth)
 
 
-def two_connected_example() -> nx.Graph:
+def two_connected_example() -> Topology:
     """The six-node graph of the Section 3 non-convergence example.
 
     A triangle ``u, v, w`` (nodes 0, 1, 2) with a pendant leaf on each
@@ -489,8 +523,4 @@ def two_connected_example() -> nx.Graph:
     pendant edges while each triangle node broadcasts with a DFS-style
     traversal produces the deadlock described in the paper.
     """
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_edges_from([(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])
-    return g
+    return _graph((), [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)])

@@ -655,7 +655,7 @@ def _bench_substrate_scale() -> tuple[dict[str, float], RunManifest]:
     from ..network.topologies import fat_tree
 
     k, rounds = 32, 5
-    graph = fat_tree(k)
+    graph = fat_tree(k).to_graph()
     n = float(graph.number_of_nodes())
     m = float(graph.number_of_edges())
 
@@ -663,13 +663,13 @@ def _bench_substrate_scale() -> tuple[dict[str, float], RunManifest]:
     best_new = best_legacy = float("inf")
     net = None
     for round_no in range(rounds):
-        source = fat_tree(k)
+        source = fat_tree(k).to_graph()
         gc.collect()
         t0 = time.perf_counter()
         legacy = _legacy_build(source)
         legacy_wall = time.perf_counter() - t0
 
-        source = fat_tree(k)
+        source = fat_tree(k).to_graph()
         gc.collect()
         t0 = time.perf_counter()
         net = Network(source, trace=False)
@@ -685,7 +685,7 @@ def _bench_substrate_scale() -> tuple[dict[str, float], RunManifest]:
         best_legacy = min(best_legacy, legacy_wall)
 
     def retained_bytes(build: Callable[[Any], Any]) -> float:
-        source = fat_tree(k)
+        source = fat_tree(k).to_graph()
         gc.collect()
         tracemalloc.start()
         built = build(source)

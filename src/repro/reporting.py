@@ -86,7 +86,7 @@ def _broadcast_rows() -> list[list[Any]]:
     for n in (15, 63, 255):
         p = min(0.5, 2.5 * math.log(n) / n)
         g = topologies.random_connected(n, p, seed=n)
-        record = [n, g.number_of_edges()]
+        record = [n, len(g.edges)]
         for scheme in ("bpaths", "flood", "direct"):
             net = Network(g, delays=FixedDelays(0.0, 1.0))
             adjacency = net.adjacency()
@@ -108,9 +108,8 @@ def _broadcast_rows() -> list[list[Any]]:
 def _lowerbound_rows() -> list[list[Any]]:
     rows = []
     for depth in range(1, 9):
-        g = topologies.complete_binary_tree(depth)
-        adjacency = {u: tuple(sorted(g.neighbors(u))) for u in g}
-        tree = bfs_tree(adjacency, 0)
+        adjacency = topologies.complete_binary_tree(depth).adjacency()
+        tree = bfs_tree({u: tuple(sorted(nbrs)) for u, nbrs in adjacency.items()}, 0)
         rows.append(
             [depth, len(tree), theorem3_lower_bound(depth),
              coverage_rounds(tree, greedy_schedule(tree)),

@@ -8,12 +8,12 @@ from typing import Any, Iterable, Mapping
 import networkx as nx
 import pytest
 
-from repro.network import Network, Protocol, topologies
+from repro.network import Network, Protocol, Topology, topologies
 from repro.network.spanning import Tree, tree_from_parent
 from repro.sim import FixedDelays
 
 
-def limiting_net(graph: nx.Graph, **kwargs: Any) -> Network:
+def limiting_net(graph: Topology | nx.Graph, **kwargs: Any) -> Network:
     """A network under the Sections 3–4 limiting model (C=0, P=1)."""
     kwargs.setdefault("delays", FixedDelays(0.0, 1.0))
     return Network(graph, **kwargs)
@@ -76,16 +76,18 @@ def tree_to_graph(tree: Tree) -> nx.Graph:
     return g
 
 
-def graph_adjacency(graph: nx.Graph) -> Mapping[Any, tuple[Any, ...]]:
-    """Deterministic adjacency mapping of a networkx graph."""
+def graph_adjacency(graph: Topology | nx.Graph) -> Mapping[Any, tuple[Any, ...]]:
+    """Deterministic adjacency mapping of a topology or networkx graph:
+    nodes and each node's neighbours in repr order, as ``net.adjacency()``."""
+    adjacency = Topology(graph.nodes, graph.edges).adjacency()
     return {
-        node: tuple(sorted(graph.neighbors(node), key=repr))
-        for node in sorted(graph.nodes, key=repr)
+        node: tuple(sorted(adjacency[node], key=repr))
+        for node in sorted(adjacency, key=repr)
     }
 
 
 @pytest.fixture
-def small_graphs() -> list[nx.Graph]:
+def small_graphs() -> list[Topology]:
     """A spread of small topologies used by several protocol tests."""
     return [
         topologies.line(2),

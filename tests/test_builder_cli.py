@@ -299,43 +299,25 @@ def test_topology_nodes_list_every_node(spec):
     assert len(topology.nodes) == from_spec(spec).n
 
 
-def test_from_edge_arrays_matches_from_edges():
-    from repro.network import (
-        Network,
-        Topology,
-        from_edge_arrays,
-        graph_from_spec,
-        topology_from_spec,
-    )
+def test_spec_builds_match_reference_construction():
+    from repro.network import Network, graph_from_spec, topology_from_spec
 
     assert set(SMALL_SPECS) == set(TOPOLOGY_FACTORIES)
     for spec in SMALL_SPECS.values():
         topology = topology_from_spec(spec)
-        edges = list(topology.edges)
         expected = _reference_construction(graph_from_spec(spec))
         for how, net in {
             "from_spec": from_spec(spec),
+            "Network(topology)": Network(topology),
             "Network(graph)": Network(graph_from_spec(spec)),
-            "from_edges": from_edges(edges, nodes=topology.nodes),
+            "from_edges": from_edges(topology.edges, nodes=topology.nodes),
         }.items():
             assert _construction(net) == expected, (spec, how)
-        n = len(topology.node_order())
-        by_id = _reference_construction(Topology(range(n), edges).to_graph())
-        assert _construction(from_edge_arrays(n, edges)) == by_id, spec
     # Fabric node order is insertion order, not ID order: a fat tree's
     # edge switches join before the second aggregation switch of a pod.
     assert list(from_spec("fat_tree:4").graph.nodes)[:12] == [
         0, 1, 2, 3, 4, 6, 7, 5, 8, 9, 10, 11
     ]
-
-
-def test_from_edge_arrays_isolated_and_invalid():
-    from repro.network import from_edge_arrays
-
-    net = from_edge_arrays(5, [(0, 1)])
-    assert net.n == 5 and net.m == 1
-    with pytest.raises(ValueError):
-        from_edge_arrays(-1, [])
 
 
 class _SameRepr:
@@ -346,7 +328,7 @@ class _SameRepr:
 def test_edge_sequences_merge_repeats_and_reject_self_loops():
     import networkx as nx
 
-    from repro.network import Network, Topology, from_edge_arrays
+    from repro.network import Network, Topology
 
     a, b, c = _SameRepr(), _SameRepr(), _SameRepr()
     cases = [
@@ -361,7 +343,7 @@ def test_edge_sequences_merge_repeats_and_reject_self_loops():
             assert net.m == len(graph.edges) < len(pairs)
             assert _construction(net) == _reference_construction(graph)
     for build in (
-        lambda: from_edge_arrays(2, [(0, 1), (1, 1)]),
+        lambda: Network(Topology(range(2), [(0, 1), (1, 1)])),
         lambda: from_edges([(0, 0)]),
         lambda: Network(nx.Graph([(0, 1), (1, 1)])),
     ):
@@ -431,6 +413,24 @@ CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
             ("networkx",),
             id="campaign",
         ),
+        # The paper's own shapes and the commands that only print.
+        *(
+            pytest.param(argv, ("networkx",), id=name)
+            for name, argv in {
+                "broadcast-compare": ["broadcast", "--topology", "grid:4,4", "--compare"],
+                "broadcast-show-plan": ["broadcast", "--topology", "grid:4,4", "--show-plan"],
+                "election-baselines": ["election", "--topology", "ring:16", "--baselines"],
+                "converge-grid": ["converge", "--topology", "grid:4,4", "--fail", "2"],
+                "observe-broadcast": ["observe", "--topology", "grid:3,3"],
+                "observe-election": ["observe", "--topology", "grid:3,3",
+                                     "--workload", "election"],
+                "observe-congestion": ["observe", "--topology", "grid:3,3", "--congestion"],
+                "topology-info": ["topology", "info", "fat_tree:4"],
+                "topology-info-exact": ["topology", "info", "torus:4,4", "--exact-diameter"],
+                "lowerbound": ["lowerbound"],
+                "report": ["report", "--out", "report"],
+            }.items()
+        ),
         # No command: the CLI's own import loads no optional subpackage.
         pytest.param(
             None,
@@ -440,11 +440,12 @@ CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
         ),
     ],
 )
-def test_command_import_budget(argv, blocked):
+def test_command_import_budget(argv, blocked, tmp_path):
     """A command imports nothing ``blocked``: each such module is set to
     ``None`` in ``sys.modules`` first, so any import of it fails the
     run, and none of it may be loaded afterwards.  Like the benchmark's
     child process, every command run also imports ``repro.exec.engine``.
+    Commands run in a scratch directory, where ``report`` writes.
     """
     import os
     import subprocess
@@ -472,7 +473,7 @@ def test_command_import_budget(argv, blocked):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
 

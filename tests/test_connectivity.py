@@ -1,7 +1,7 @@
 """Connectivity without networkx, checked against networkx oracles.
 
 ``Network.components``, ``is_converged``, ``random_link_failures`` and
-``random_connected_topology`` answer from plain Python data.  The
+``random_connected`` answer from plain Python data.  The
 ``nx_*`` functions below are the networkx implementations they
 replaced, kept as reference oracles: every test runs both on the same
 input and compares the answers.
@@ -417,7 +417,7 @@ def test_is_converged_matches_networkx_round_by_round(spec):
 
 
 # ----------------------------------------------------------------------
-# random_connected_topology and the random: spec
+# random_connected and the random: spec
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 7, 16])
 def test_random_spec_matches_gnp_random_graph(seed):
@@ -439,7 +439,7 @@ def test_random_spec_builds_the_same_network_as_gnp(n, seed):
 @pytest.mark.parametrize("p", [1, 1.0, 1.5])
 def test_random_connected_topology_with_p_at_least_one_is_complete(p):
     for n in (1, 2, 5, 9):
-        topology = topologies.random_connected_topology(n, p, seed=4)
+        topology = topologies.random_connected(n, p, seed=4)
         expected = nx_random_connected(n, p, seed=4)
         assert list(topology.nodes) == list(expected.nodes)
         assert list(topology.edges) == list(expected.edges)
@@ -447,15 +447,15 @@ def test_random_connected_topology_with_p_at_least_one_is_complete(p):
 
 @pytest.mark.parametrize("p", [0, 0.0, -0.5])
 def test_random_connected_topology_with_p_at_most_zero(p):
-    topology = topologies.random_connected_topology(1, p, seed=2)
+    topology = topologies.random_connected(1, p, seed=2)
     assert (list(topology.nodes), list(topology.edges)) == ([0], [])
     with pytest.raises(ValueError) as expected:
         nx_random_connected(3, p, seed=2, max_tries=5)
     with pytest.raises(ValueError) as got:
-        topologies.random_connected_topology(3, p, seed=2, max_tries=5)
+        topologies.random_connected(3, p, seed=2, max_tries=5)
     assert str(got.value) == str(expected.value)
     with pytest.raises(ValueError, match="n must be positive"):
-        topologies.random_connected_topology(0, 0.5)
+        topologies.random_connected(0, 0.5)
 
 
 def test_random_connected_matches_gnp():

@@ -34,6 +34,10 @@ def tour_return_calls(net):
     )
 
 
+def _shape(g):
+    return f"n{len(g.node_order())}m{len(g.edges)}"
+
+
 GRAPHS = [
     topologies.line(2),
     topologies.line(9),
@@ -48,13 +52,13 @@ GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.number_of_nodes()}m{g.number_of_edges()}")
+@pytest.mark.parametrize("g", GRAPHS, ids=_shape)
 def test_exactly_one_leader_all_starters(g):
     net = run_election(g, lambda api: LeaderElection(api))
     assert_one_leader_everyone_knows(net)
 
 
-@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: f"n{g.number_of_nodes()}m{g.number_of_edges()}")
+@pytest.mark.parametrize("g", GRAPHS, ids=_shape)
 def test_theorem5_tour_return_bound(g):
     net = run_election(g, lambda api: LeaderElection(api))
     assert tour_return_calls(net) <= 6 * net.n

@@ -57,7 +57,7 @@ def test_random_link_failures_keep_connected():
     g = topologies.grid(5, 5)
     schedule = random_link_failures(g, count=8, seed=3)
     assert len(schedule) == 8
-    working = nx.Graph(g)
+    working = g.to_graph()
     for action in schedule:
         working.remove_edge(*action.target)
         assert nx.is_connected(working)
@@ -87,8 +87,8 @@ def test_random_link_failures_unconstrained_can_disconnect():
     [
         lambda: topology_from_spec("ring:5"),
         lambda: topology_from_spec("grid:4,4"),
-        lambda: topologies.torus_topology(4, 4),
-        lambda: topologies.clos_topology(4, 2, 1),
+        lambda: topologies.torus(4, 4),
+        lambda: topologies.clos(4, 2, 1),
     ],
     ids=["ring:5", "grid:4,4", "torus_topology", "clos_topology"],
 )

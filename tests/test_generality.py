@@ -31,7 +31,7 @@ def string_labelled(g: nx.Graph) -> nx.Graph:
 
 @pytest.fixture
 def named_net():
-    g = string_labelled(topologies.random_connected(18, 0.25, seed=6))
+    g = string_labelled(topologies.random_connected(18, 0.25, seed=6).to_graph())
     return Network(g, delays=FixedDelays(0.0, 1.0))
 
 

@@ -4,33 +4,33 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import attach_recorders, limiting_net
 from repro.hardware import build_anr, path_broadcast_anr, reply_route
-from repro.network import topologies
+from repro.network import Topology, topologies
 
 SLOW = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 
-def random_simple_path(g: nx.Graph, rng: random.Random) -> list:
+def random_simple_path(g: Topology, rng: random.Random) -> list:
     """A random simple path of length >= 1 in the graph."""
-    start = rng.choice(sorted(g.nodes))
+    adjacency = g.adjacency()
+    start = rng.choice(sorted(adjacency))
     path = [start]
     seen = {start}
     while True:
-        options = [v for v in g.neighbors(path[-1]) if v not in seen]
+        options = [v for v in adjacency[path[-1]] if v not in seen]
         if not options or (len(path) > 1 and rng.random() < 0.3):
             break
         nxt = rng.choice(sorted(options))
         path.append(nxt)
         seen.add(nxt)
     if len(path) == 1:
-        neighbor = rng.choice(sorted(g.neighbors(start)))
+        neighbor = rng.choice(sorted(adjacency[start]))
         path.append(neighbor)
     return path
 

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from conftest import attach_recorders, limiting_net
-from repro.network import Network, topologies
+from repro.network import Network, from_edges, topologies
 from repro.sim import FixedDelays, ProtocolError
 
 
@@ -139,6 +139,25 @@ def test_active_graph_and_diameter():
     assert net.diameter() == 3
     net.fail_link(0, 5)
     assert net.diameter() == 5  # the ring became a line
+
+
+def test_diameter_memo_keeps_the_bound_apart_from_the_exact_answer():
+    # The two-sweep bound under-reports on this graph (3 < 4): once
+    # forced, it must not come back as the exact diameter.
+    net = from_edges([(0, 2), (0, 8), (1, 5), (1, 6), (1, 7), (1, 8), (2, 4),
+                      (2, 8), (3, 4), (3, 7), (3, 8), (5, 6), (5, 7)])
+    assert net.n == 9
+    assert net.diameter(exact=False) == 3
+    assert net.diameter() == 4
+    assert net.diameter(exact=False) == 3
+
+
+def test_diameter_of_a_disconnected_network_raises_value_error():
+    net = limiting_net(topologies.line(4))
+    net.fail_link(1, 2)
+    for exact in (True, False):
+        with pytest.raises(ValueError, match="disconnected"):
+            net.diameter(exact=exact)
 
 
 def test_adjacency_reflects_failures():

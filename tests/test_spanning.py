@@ -25,7 +25,7 @@ def test_bfs_tree_minimum_hop_depths():
     tree = bfs_tree(adjacency, 0)
     import networkx as nx
 
-    shortest = nx.single_source_shortest_path_length(g, 0)
+    shortest = nx.single_source_shortest_path_length(g.to_graph(), 0)
     for node in tree.parent:
         assert tree.depth_of(node) == shortest[node]
 

@@ -8,8 +8,8 @@ driven repeatedly on one network through ``reset()`` and every run must
 serialise identically to the fresh-build run *and* to the committed
 golden — and covers the satellites: pool hit/miss behaviour,
 pristine-state details, the topology-version memoisation of
-``diameter()``/``active_graph()`` (no graph rebuild while link state is
-unchanged), independent topology-generator results, and pooled runs of
+``diameter()``/``adjacency()`` (no BFS while link state is unchanged),
+independent topology-generator results, and pooled runs of
 the registered workloads equal to fresh builds, in process and across
 campaign workers.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 
-import networkx as nx
 import pytest
 
 from repro.exec import TaskSpec, run_campaign, workloads
@@ -98,55 +97,52 @@ def test_reset_returns_self_for_chaining() -> None:
 
 
 # ----------------------------------------------------------------------
-# Cached derived views (diameter / active_graph / adjacency)
+# Cached derived views (diameter / adjacency)
 # ----------------------------------------------------------------------
 def test_diameter_repeat_calls_do_no_graph_rebuild(monkeypatch) -> None:
     net = from_spec("grid:4,4")
-    calls = {"diameter": 0}
-    real_diameter = nx.diameter
+    sweeps = {"bfs": 0}
+    real_eccentricity = topologies._eccentricity
 
-    def counting_diameter(*args, **kwargs):
-        calls["diameter"] += 1
-        return real_diameter(*args, **kwargs)
+    def counting_eccentricity(*args, **kwargs):
+        sweeps["bfs"] += 1
+        return real_eccentricity(*args, **kwargs)
 
-    monkeypatch.setattr(nx, "diameter", counting_diameter)
+    monkeypatch.setattr(topologies, "_eccentricity", counting_eccentricity)
 
     first = net.diameter()
-    graph_first = net.active_graph()
+    assert sweeps["bfs"] == net.n  # exact: one BFS per node
     for _ in range(5):
         assert net.diameter() == first
-        # The cached graph object itself is handed back — no rebuild.
-        assert net.active_graph() is graph_first
         assert net.adjacency() is net.adjacency()
-    assert calls["diameter"] == 1
+    assert sweeps["bfs"] == net.n
 
     # A link-state change invalidates; the next call recomputes once.
     u, v = sorted(net.links, key=repr)[0]
     net.fail_link(u, v)
     changed = net.diameter()
-    assert calls["diameter"] == 2
-    assert net.active_graph() is not graph_first
+    assert sweeps["bfs"] == 2 * net.n
     net.restore_link(u, v)
     assert net.diameter() >= 1
-    assert calls["diameter"] == 3
+    assert sweeps["bfs"] == 3 * net.n
     assert changed >= first
 
 
 def test_reset_keeps_view_caches_warm_when_no_link_failed() -> None:
     net = from_spec("grid:3,3")
-    graph = net.active_graph()
+    adjacency = net.adjacency()
     version = net._topology_version
     net.reset()
     assert net._topology_version == version
-    assert net.active_graph() is graph
+    assert net.adjacency() is adjacency
 
     # ... but a network that saw a failure gets invalidated on reset.
     u, v = sorted(net.links, key=repr)[0]
     net.fail_link(u, v)
     net.reset()
     assert net._topology_version > version
-    assert net.active_graph() is not graph
-    assert net.active_graph().number_of_edges() == graph.number_of_edges()
+    assert net.adjacency() is not adjacency
+    assert net.adjacency() == adjacency
 
 
 # ----------------------------------------------------------------------
@@ -264,22 +260,9 @@ def test_generator_calls_return_independent_graphs() -> None:
     g1 = topologies.grid(4, 5)
     g2 = topologies.grid(4, 5)
     assert g1 is not g2
-    assert nx.utils.graphs_equal(g1, g2)
-    g1.remove_node(0)
-    assert topologies.grid(4, 5).number_of_nodes() == 20
-
-    # Node attributes are not shared either.
-    p1 = topologies.random_geometric_connected(12, 0.5, seed=2)
-    p1.nodes[0]["pos"][0] = 99.0
-    p2 = topologies.random_geometric_connected(12, 0.5, seed=2)
-    assert p2.nodes[0]["pos"][0] != 99.0
-
-
-def test_topology_cache_preserves_node_attributes() -> None:
-    g1 = topologies.random_geometric_connected(12, 0.5, seed=2)
-    g2 = topologies.random_geometric_connected(12, 0.5, seed=2)
-    assert all("pos" in g2.nodes[n] for n in g2.nodes)
-    assert nx.utils.graphs_equal(g1, g2)
+    assert g1 == g2
+    g1.edges.clear()
+    assert topologies.grid(4, 5) == g2
 
 
 def test_topology_cache_invalid_params_still_raise() -> None:
