@@ -24,15 +24,19 @@ which cancels machine-load drift.
 
 from __future__ import annotations
 
+import ast
+import difflib
 import heapq
+import inspect
+import textwrap
 import timeit
 from contextlib import contextmanager
 
+import pytest
 from conftest import emit
 
 from repro.hardware.ncu import NCU
 from repro.hardware.switch import SwitchingSubsystem
-from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceKind
@@ -175,127 +179,20 @@ def test_disabled_hooks_within_noise_of_seed_loop(capsys):
 
 
 # ----------------------------------------------------------------------
-# E16b — dormant perf counters on the forwarding hot path
+# E16b — the dormant NCU handler timer on the forwarding hot path
 # ----------------------------------------------------------------------
-# PR 6 added perf-counter hooks (``perf = x.perf; if perf is not None``)
-# to the hot functions: Scheduler._push (push count — the shared enqueue
-# fast path behind schedule/schedule_at), Scheduler.run (pop count +
-# wall timer + cancelled-drop count) and SwitchingSubsystem._forward
-# (hop count), plus a timed region in NCU._complete.  The replicas below
-# are those functions with exactly the perf lines removed — the same
-# methodology as SeedScheduler above, applied per-function so the gate
-# isolates precisely the code this PR added.  The classes are patched
-# *before* the network is built because SS port tables capture bound
-# ``_deliver`` methods (and the NCU its ``_complete_cb``) at build time.
+# Scheduler, trace and hop counts reach ``PerfCounters`` through the
+# cold fold in ``Network.run``, so the one perf hook left on this path
+# is the handler timer in ``NCU._complete``.  ``_complete_noperf`` is
+# that function with exactly the timer lines removed — the same
+# methodology as SeedScheduler above, applied per function so the gate
+# isolates precisely the hook.  The class is patched *before* the
+# network is built because the NCU captures its ``_complete_cb`` on
+# first use.
 
 FWD_LENGTH = 64
 FWD_PACKETS = 200
 FWD_REPEATS = 7
-
-
-def _push_noperf(self, time, action, priority, tag, args):
-    seq = self._seq
-    self._seq = seq + 1
-    event = Event.__new__(Event)
-    event.time = time
-    event.priority = priority
-    event.seq = seq
-    event.action = action
-    event.args = args
-    event.tag = tag
-    event.cancelled = False
-    event.on_cancel = self._note_cancelled_cb
-    heapq.heappush(self._queue, (time, priority, seq, event))
-    return event
-
-
-def _run_noperf(self, *, until=None, max_events=None, stop_when=None):
-    if self._running:
-        raise SimulationError("scheduler is already running (re-entrant run)")
-    self._running = True
-    fired = 0
-    observers = self._observers
-    queue = self._queue
-    pop = heapq.heappop
-    try:
-        while True:
-            while queue and queue[0][3].cancelled:
-                pop(queue)
-                self._cancelled_pending -= 1
-            if not queue:
-                break
-            entry = queue[0]
-            time = entry[0]
-            if until is not None and time > until:
-                self._now = max(self._now, until)
-                break
-            pop(queue)
-            event = entry[3]
-            event.on_cancel = None
-            self._now = time
-            event.action(*event.args)
-            self._events_processed += 1
-            if observers:
-                for observer in observers:
-                    observer(event)
-            fired += 1
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; "
-                    "a protocol is probably not terminating"
-                )
-            if stop_when is not None and stop_when():
-                break
-    finally:
-        self._running = False
-    return self._now
-
-
-def _forward_noperf(self, packet, port):
-    # The flow-control check stays in this replica: E16b isolates the
-    # perf lines only (E16c below isolates the fc check the same way).
-    net = self._node.net
-    me = self._node.node_id
-    link, other_id, receiving_normal, deliver = port
-    if not link.active:
-        net.metrics.count_drop("inactive_link")
-        trace = net.trace
-        if trace.enabled:
-            trace.record(
-                net.scheduler.now,
-                TraceKind.PACKET_DROPPED,
-                me,
-                packet=packet.seq,
-                reason="inactive_link",
-                link=link.key,
-            )
-        return
-
-    fc = link.fc
-    if fc is not None:
-        link.fc_forward(me, packet, port)
-        return
-
-    now = net.scheduler.now
-    delay = net.delays.hardware_delay(link.key, packet.seq)
-    arrival = link.fifo_arrival(me, now + delay)
-    packet.hops += 1
-    packet._reverse.append(receiving_normal)
-    net.metrics.count_hop(link.key)
-    probe = net.probe
-    if probe is not None:
-        probe.hop(link.key, now)
-    trace = net.trace
-    if trace.enabled:
-        trace.record(
-            now,
-            TraceKind.PACKET_HOP,
-            me,
-            packet=packet.seq,
-            link=link.key,
-            to=other_id,
-        )
-    net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
 
 
 def _complete_noperf(self, job):
@@ -319,103 +216,20 @@ def _complete_noperf(self, job):
                 self._node.node_id,
                 job=job.accounting_kind,
             )
-        probe = net.probe
-        if probe is not None:
-            probe.ncu_job_end(
-                self._node.node_id, job.accounting_kind, net.scheduler.now
-            )
         self._busy = False
+        self._service_event = None
         if self._queue:
             self._begin_next()
-
-
-_STRIPPED = (
-    (Scheduler, "_push", _push_noperf),
-    (Scheduler, "run", _run_noperf),
-    (SwitchingSubsystem, "_forward", _forward_noperf),
-    (NCU, "_complete", _complete_noperf),
-)
-
-
-@contextmanager
-def _perf_hooks_stripped():
-    saved = [(cls, name, cls.__dict__[name]) for cls, name, _fn in _STRIPPED]
-    for cls, name, fn in _STRIPPED:
-        setattr(cls, name, fn)
-    try:
-        yield
-    finally:
-        for cls, name, fn in saved:
-            setattr(cls, name, fn)
-
-
-def forwarding_workload() -> int:
-    """The hotpath_forwarding bench shape; returns events processed."""
-    from repro.hardware.anr import build_anr
-    from repro.network.builder import from_spec
-    from repro.network.protocol import Protocol
-    from repro.sim import FixedDelays
-
-    net = from_spec(f"line:{FWD_LENGTH}", delays=FixedDelays(0.1, 1.0))
-    net.attach(lambda api: Protocol(api))
-    header = build_anr(list(range(FWD_LENGTH)), net.id_lookup)
-    source = net.node(0)
-    for i in range(FWD_PACKETS):
-        net.scheduler.schedule_at(
-            0.01 * i, source.inject, args=(header, i), tag="inject"
-        )
-    net.run_to_quiescence(max_events=10_000_000)
-    return net.scheduler.events_processed
-
-
-def _measure_forwarding(stripped: bool) -> float:
-    if stripped:
-        with _perf_hooks_stripped():
-            return timeit.timeit(forwarding_workload, number=1)
-    return timeit.timeit(forwarding_workload, number=1)
-
-
-def test_dormant_perf_counters_within_noise_on_forwarding(capsys):
-    variants = {
-        "perf hooks stripped (replica)": True,
-        "perf hooks present, dormant": False,
-    }
-    events = forwarding_workload()  # also serves as warm-up
-    for stripped in variants.values():
-        _measure_forwarding(stripped)
-    best = {name: float("inf") for name in variants}
-    for _ in range(FWD_REPEATS):
-        for name, stripped in variants.items():
-            best[name] = min(best[name], _measure_forwarding(stripped))
-
-    base = best["perf hooks stripped (replica)"]
-    rows = [
-        [name, seconds * 1e9 / events, seconds / base]
-        for name, seconds in best.items()
-    ]
-    emit(
-        capsys,
-        "E16b: dormant perf-counter overhead on hotpath_forwarding "
-        f"({events} events, best of {FWD_REPEATS})",
-        ["variant", "ns_per_event", "vs_stripped"],
-        rows,
-    )
-    ratio = best["perf hooks present, dormant"] / base
-    assert ratio <= TOLERANCE, (
-        f"dormant perf counters cost {ratio:.3f}x the stripped hot path "
-        f"(budget {TOLERANCE}x); the ≤5% attribution guarantee is broken"
-    )
 
 
 # ----------------------------------------------------------------------
 # E16c — dormant flow control on the forwarding hot path
 # ----------------------------------------------------------------------
-# The congestion PR added credit-based flow control to ``Link``; the
-# free-hardware forwarding path pays one ``fc = link.fc`` attribute load
-# plus an ``is not None`` check per hop when no limits are configured
-# (the default).  ``_forward_nofc`` below is ``_forward`` with exactly
-# those lines removed — the perf lines stay, so the gate isolates
-# precisely the flow-control check.
+# Credit-based flow control on ``Link`` costs the free-hardware
+# forwarding path one ``fc = link.fc`` attribute load plus an
+# ``is not None`` check per hop when no limits are configured (the
+# default).  ``_forward_nofc`` is ``_forward`` with exactly those lines
+# removed, so the gate isolates precisely the flow-control check.
 
 
 def _forward_nofc(self, packet, port):
@@ -442,12 +256,6 @@ def _forward_nofc(self, packet, port):
     packet.hops += 1
     packet._reverse.append(receiving_normal)
     net.metrics.count_hop(link.key)
-    probe = net.probe
-    if probe is not None:
-        probe.hop(link.key, now)
-    perf = net.perf
-    if perf is not None:
-        perf.ss_hops += 1
     trace = net.trace
     if trace.enabled:
         trace.record(
@@ -458,54 +266,143 @@ def _forward_nofc(self, packet, port):
             link=link.key,
             to=other_id,
         )
-    net.scheduler.schedule_at(
-        arrival, deliver, priority=0, tag="hop", args=(packet, link)
-    )
+    net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
+
+
+#: Each replica: the class and method it replaces, and the live lines it
+#: strips, as ``ast.unparse`` renders them.
+REPLICAS = {
+    "E16b": (NCU, "_complete", _complete_noperf, (
+        "perf = net.perf",
+        "t0 = _perf_counter() if perf is not None else 0.0",
+        "if perf is not None:",
+        "dt = _perf_counter() - t0",
+        "perf.ncu_jobs += 1",
+        "perf.ncu_handler_s += dt",
+        "perf.handler_us.add(dt * 1000000.0)",
+    )),
+    "E16c": (SwitchingSubsystem, "_forward", _forward_nofc, (
+        "fc = link.fc",
+        "if fc is not None:",
+        "link.fc_forward(me, packet, port)",
+        "return",
+    )),
+}
+
+
+def _body_lines(fn) -> list[str]:
+    """``fn``'s body without signature, docstring or comments.
+
+    ``ast.unparse`` normalises layout, so only code differences remain
+    (a keyword argument where the live code passes it by position still
+    shows).  Lines are returned without their indentation.
+    """
+    body = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return [line.strip() for line in ast.unparse(ast.Module(body, [])).splitlines()]
+
+
+@pytest.mark.parametrize("experiment", sorted(REPLICAS))
+def test_replica_is_live_code_minus_the_stripped_lines(experiment):
+    """Timing-free: a replica that drifts from its live function skews its gate."""
+    cls, name, replica, stripped = REPLICAS[experiment]
+    live, copy = _body_lines(cls.__dict__[name]), _body_lines(replica)
+    removed = []
+    matcher = difflib.SequenceMatcher(a=live, b=copy, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        assert tag in ("equal", "delete"), (
+            f"{replica.__name__} differs from {cls.__name__}.{name}: "
+            f"{live[i1:i2]} -> {copy[j1:j2]}"
+        )
+        if tag == "delete":
+            removed += live[i1:i2]
+    # Compared as multisets: a stripped line equal to a kept neighbour
+    # (a second ``return``) may align with either copy.
+    assert sorted(removed) == sorted(stripped)
 
 
 @contextmanager
-def _fc_hooks_stripped():
-    saved = SwitchingSubsystem.__dict__["_forward"]
-    SwitchingSubsystem._forward = _forward_nofc
+def _replaced(experiment):
+    """Swap the experiment's live method for its replica in this block."""
+    cls, name, replica, _ = REPLICAS[experiment]
+    live = cls.__dict__[name]
+    setattr(cls, name, replica)
     try:
         yield
     finally:
-        SwitchingSubsystem._forward = saved
+        setattr(cls, name, live)
 
 
-def _measure_forwarding_nofc(stripped: bool) -> float:
-    if stripped:
-        with _fc_hooks_stripped():
+def forwarding_workload() -> int:
+    """The hotpath_forwarding bench shape; returns events processed."""
+    from repro.hardware.anr import build_anr
+    from repro.network.builder import from_spec
+    from repro.network.protocol import Protocol
+    from repro.sim import FixedDelays
+
+    net = from_spec(f"line:{FWD_LENGTH}", delays=FixedDelays(0.1, 1.0))
+    net.attach(lambda api: Protocol(api))
+    header = build_anr(list(range(FWD_LENGTH)), net.id_lookup)
+    source = net.node(0)
+    for i in range(FWD_PACKETS):
+        net.scheduler.schedule_at(
+            0.01 * i, source.inject, args=(header, i), tag="inject"
+        )
+    net.run_to_quiescence(max_events=10_000_000)
+    return net.scheduler.events_processed
+
+
+def _measure_forwarding(experiment: str | None) -> float:
+    """Seconds for one forwarding run, with the replica in if named."""
+    if experiment is not None:
+        with _replaced(experiment):
             return timeit.timeit(forwarding_workload, number=1)
     return timeit.timeit(forwarding_workload, number=1)
 
 
-def test_dormant_flow_control_within_noise_on_forwarding(capsys):
-    variants = {
-        "fc check stripped (replica)": True,
-        "fc check present, dormant": False,
-    }
+def _forwarding_ratio(capsys, experiment: str, title: str, labels) -> float:
+    """Best-of-``FWD_REPEATS`` live/replica ratio, variants interleaved."""
+    variants = {labels[0]: experiment, labels[1]: None}
     events = forwarding_workload()  # also serves as warm-up
-    for stripped in variants.values():
-        _measure_forwarding_nofc(stripped)
+    for variant in variants.values():
+        _measure_forwarding(variant)
     best = {name: float("inf") for name in variants}
     for _ in range(FWD_REPEATS):
-        for name, stripped in variants.items():
-            best[name] = min(best[name], _measure_forwarding_nofc(stripped))
+        for name, variant in variants.items():
+            best[name] = min(best[name], _measure_forwarding(variant))
 
-    base = best["fc check stripped (replica)"]
+    base = best[labels[0]]
     rows = [
         [name, seconds * 1e9 / events, seconds / base]
         for name, seconds in best.items()
     ]
     emit(
         capsys,
-        "E16c: dormant flow-control overhead on hotpath_forwarding "
+        f"{experiment}: {title} on hotpath_forwarding "
         f"({events} events, best of {FWD_REPEATS})",
         ["variant", "ns_per_event", "vs_stripped"],
         rows,
     )
-    ratio = best["fc check present, dormant"] / base
+    return best[labels[1]] / base
+
+
+def test_dormant_perf_counters_within_noise_on_forwarding(capsys):
+    ratio = _forwarding_ratio(
+        capsys, "E16b", "dormant NCU handler-timer overhead",
+        ("handler timer stripped (replica)", "handler timer present, dormant"),
+    )
+    assert ratio <= TOLERANCE, (
+        f"the dormant NCU handler timer costs {ratio:.3f}x the stripped hot "
+        f"path (budget {TOLERANCE}x); the ≤5% attribution guarantee is broken"
+    )
+
+
+def test_dormant_flow_control_within_noise_on_forwarding(capsys):
+    ratio = _forwarding_ratio(
+        capsys, "E16c", "dormant flow-control overhead",
+        ("fc check stripped (replica)", "fc check present, dormant"),
+    )
     assert ratio <= TOLERANCE, (
         f"the dormant flow-control check costs {ratio:.3f}x the stripped "
         f"hot path (budget {TOLERANCE}x); free hardware must stay free"
@@ -513,7 +410,6 @@ def test_dormant_flow_control_within_noise_on_forwarding(capsys):
 
 
 if __name__ == "__main__":  # pragma: no cover - manual runs
-    import pytest
     import sys
 
     sys.exit(pytest.main([__file__, "-x", "-q", "-s"]))

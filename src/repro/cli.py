@@ -113,6 +113,7 @@ def _obs_requested(args: argparse.Namespace) -> bool:
         or getattr(args, "stats", False)
         or getattr(args, "manifest_out", None)
         or getattr(args, "monitor", None)
+        or getattr(args, "flight_recorder", None)
     )
 
 
@@ -186,6 +187,19 @@ def _monitor_spec(value: str) -> str:
             f"{', '.join(MONITOR_NAMES)} or 'all'"
         )
     return value
+
+
+def _at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``."""
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {number}")
+        return number
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
 
 
 def _arm_flight_recorder(args: argparse.Namespace, net):
@@ -1244,7 +1258,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream bounded live statistics and print them")
         obs.add_argument("--manifest-out", metavar="PATH", default=None,
                          help="run-manifest path (default: next to a trace export)")
-        obs.add_argument("--trace-capacity", type=int, default=None, metavar="N",
+        obs.add_argument("--trace-capacity", type=_at_least(0), default=None,
+                         metavar="N",
                          help="cap retained trace records (excess is counted, "
                               "not stored)")
         obs.add_argument("--monitor", type=_monitor_spec, default=None,
@@ -1270,7 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="keep a bounded ring of the last scheduler "
                               "events; dump it as replayable JSONL on "
                               "monitor alert, uncaught exception or SIGUSR1")
-        obs.add_argument("--flight-capacity", type=int, default=512,
+        obs.add_argument("--flight-capacity", type=_at_least(1), default=512,
                          metavar="N",
                          help="flight-recorder ring size "
                               "(default %(default)s events)")

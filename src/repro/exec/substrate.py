@@ -80,9 +80,8 @@ class SubstratePool:
     def _note_build(self, dt: float) -> None:
         self.builds += 1
         self.build_seconds += dt
-        # Feed a globally activated perf registry (repro.obs.perf).
-        # Class-attribute read on purpose: pool activity belongs to
-        # process-wide attribution, not to any one network's install.
+        # Feed an activated perf registry (repro.obs.perf): build and
+        # reset counts exist nowhere else, so the pool hooks them itself.
         perf = Network.perf
         if perf is not None:
             perf.substrate_builds += 1

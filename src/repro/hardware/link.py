@@ -359,11 +359,9 @@ class Link:
         net.metrics.count_hop(self.key)
         probe = net.probe
         if probe is not None:
-            probe.hop(self.key, now)
             probe.link_queue(self.key, occupancy, now)
         perf = net.perf
         if perf is not None:
-            perf.ss_hops += 1
             perf.link_xmits += 1
             perf.link_occupancy.add(occupancy)
         trace = net.trace

@@ -448,11 +448,6 @@ class NCU:
                     self._node.node_id,
                     job=job.accounting_kind,
                 )
-            probe = net.probe
-            if probe is not None:
-                probe.ncu_job_end(
-                    self._node.node_id, job.accounting_kind, net.scheduler.now
-                )
             self._busy = False
             self._service_event = None
             if self._queue:

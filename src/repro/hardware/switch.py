@@ -30,6 +30,8 @@ the per-hop cycle and must be allocation-free in steady state:
   ``_deliver`` bound method plus ``args`` — no per-hop closure;
 * trace records are guarded on ``trace.enabled`` so a disabled trace
   costs one attribute load, not a kwargs dict;
+* the hop is counted once, by the metrics layer: perf counters and
+  live stats read that count instead of hooking the hop themselves;
 * capacity limits are opt-in: the free-hardware path pays one
   ``link.fc is not None`` check per hop, and flow-controlled links
   divert to :meth:`repro.hardware.link.Link.fc_forward`.
@@ -337,12 +339,6 @@ class SwitchingSubsystem:
         packet.hops += 1
         packet._reverse.append(receiving_normal)
         net.metrics.count_hop(link.key)
-        probe = net.probe
-        if probe is not None:
-            probe.hop(link.key, now)
-        perf = net.perf
-        if perf is not None:
-            perf.ss_hops += 1
         trace = net.trace
         if trace.enabled:
             trace.record(

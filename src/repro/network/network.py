@@ -4,6 +4,10 @@
 scheduler / delay model / metrics / trace, attaches protocols, injects
 START signals, and applies link failures with data-link notification.
 
+``run()`` and ``reset()`` are the fold point where an active perf
+registry reads the counts the scheduler, metrics and trace keep anyway,
+so the hot path carries no perf hook for them.
+
 A note on ``dmax``: the paper bounds the length of hardware paths and
 suggests the network diameter or the number of nodes as natural values.
 The default here is ``2 * n + 2`` because the leader election's return
@@ -18,7 +22,8 @@ import itertools
 from array import array
 from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, sub
+from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..hardware.ids import LinkIdSpace
@@ -42,11 +47,10 @@ class Network:
     """A simulated fast network with SS/NCU nodes."""
 
     #: Perf-counter registry (see :mod:`repro.obs.perf`).  A class
-    #: attribute so process-global activation reaches every network —
-    #: including those built inside campaign task functions — and
-    #: survives :meth:`reset`; a per-network install shadows it with an
-    #: instance attribute.  ``None`` means dormant: the SS/NCU hot
-    #: paths then pay one attribute load + identity check per hook.
+    #: attribute set by ``PerfCounters.activate()``, so it reaches every
+    #: network — including those built inside campaign task functions.
+    #: ``None`` means dormant: the NCU and flow-control hooks then pay
+    #: one attribute load + identity check each.
     perf: Any = None
 
     def __init__(
@@ -125,6 +129,8 @@ class Network:
         #: Remembered by :meth:`attach` so crashed nodes can be
         #: restarted with fresh protocol instances.
         self._protocol_factory: ProtocolFactory | None = None
+        #: Counts read at the previous fold (see :meth:`_fold`).
+        self._fold_marks = (0, 0, 0, 0, 0)
 
         #: Bumped whenever a link changes state; the derived-view caches
         #: (``adjacency`` / ``components`` / ``diameter``) key on it.
@@ -360,9 +366,8 @@ class Network:
         protocol/handler on any node, empty NCU queues, no installed
         multicast groups, all links active with FIFO watermarks at 0,
         restarted packet/group sequences, a cleared data-link monitor
-        and no observability probe.  A per-network
-        :meth:`PerfCounters.install <repro.obs.perf.PerfCounters.install>`
-        stays: the fresh scheduler and trace feed the same registry.
+        and no observability probe.  The old run's counts are folded
+        into an active perf registry first (see :meth:`run`).
 
         The contract is **bit-identity**: a workload run on a reset
         network produces byte-for-byte the same metrics, drop reasons,
@@ -375,15 +380,11 @@ class Network:
 
         Returns ``self`` so callers can chain ``net.reset().attach(...)``.
         """
+        self._fold()
         self.scheduler = Scheduler()
         self.metrics = MetricsCollector()
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)
-        perf = self.__dict__.get("perf")
-        if perf is not None:
-            # Carry a per-network perf install over to the new scheduler
-            # and trace (global activations live on the classes).
-            self.scheduler.perf = perf
-            self.trace.perf = perf
+        self._fold_marks = (0, 0, 0, 0, 0)
         self.outputs = {}
         self.probe = None
         self._packet_seq = itertools.count(1)
@@ -441,12 +442,37 @@ class Network:
             )
 
     def run(self, **kwargs: Any) -> float:
-        """Run the scheduler (see :meth:`repro.sim.Scheduler.run`)."""
-        return self.scheduler.run(**kwargs)
+        """Run the scheduler (see :meth:`repro.sim.Scheduler.run`).
+
+        Every exit, normal or not, folds into an active perf registry
+        (see :meth:`_fold`), which also gets the wall time as ``sched_run_s``.
+        """
+        perf = self.perf
+        t0 = _perf_counter() if perf is not None else 0.0
+        try:
+            return self.scheduler.run(**kwargs)
+        finally:
+            if perf is not None:
+                perf.sched_run_s += _perf_counter() - t0
+            self._fold()
 
     def run_to_quiescence(self, max_events: int = 5_000_000) -> float:
         """Run until no events remain; returns the final time."""
-        return self.scheduler.run(max_events=max_events)
+        return self.run(max_events=max_events)
+
+    def _fold(self) -> None:
+        """Hand an active perf registry the counts since the previous fold.
+
+        The marks advance with no registry active too, so dormant work is
+        never attributed later.  Work driven through ``scheduler.run()`` or
+        ``step()`` directly waits for the next :meth:`run` or :meth:`reset`.
+        """
+        sched = self.scheduler
+        marks = (sched.scheduled, sched.events_processed, sched.cancelled_dropped,
+                 self.metrics.hops, len(self.trace))
+        if self.perf is not None:
+            self.perf.fold(*map(sub, marks, self._fold_marks))
+        self._fold_marks = marks
 
     # ------------------------------------------------------------------
     # Outputs

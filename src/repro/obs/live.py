@@ -4,7 +4,7 @@
 substrate exposes —
 
 * the scheduler's observer hook (fired after every simulation event),
-* the network's probe (NCU job start/end, link hops) —
+* the network's probe (NCU job start, flow-controlled link queues) —
 
 and folds everything into **bounded** state: fixed-bin histograms plus
 per-node / per-link counters whose cardinality is capped by the network
@@ -16,7 +16,7 @@ Collected measures:
 * event-queue depth (live events only — cancelled timers excluded),
 * wall-clock microseconds per simulated event (simulator throughput),
 * NCU service time per job and cumulative busy time per node,
-* hop counts per link,
+* hop counts per link (read from the network's metrics, not re-counted),
 * queue occupancy and credit-stall times on flow-controlled links.
 
 When nothing is installed the hooks cost the substrate one attribute
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Hashable, Mapping, Sequence
 from ..metrics.report import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..metrics.accounting import MetricsCollector
     from ..network.network import Network
     from ..sim.events import Event
 
@@ -197,11 +198,14 @@ class LiveStats:
         self.events_seen = 0
         self.ncu_busy_by_node: dict[Any, float] = {}
         self.jobs_by_kind: Counter = Counter()
-        self.hops_by_link: Counter = Counter()
         self.stalls_by_link: Counter = Counter()
         self._scheduler = None
         self._net: "Network | None" = None
         self._last_wall: float | None = None
+        #: ``hops_by_link`` = frozen hops + (metrics now - at install).
+        self._metrics: "MetricsCollector | None" = None
+        self._hops_at_install: Counter = Counter()
+        self._hops: Counter = Counter()
 
     # ------------------------------------------------------------------
     # Installation
@@ -210,6 +214,9 @@ class LiveStats:
         """Attach to a network's scheduler and probe; returns self."""
         if net.probe is not None and net.probe is not self:
             raise RuntimeError("another probe is already installed")
+        if self._metrics is None:
+            self._metrics = net.metrics
+            self._hops_at_install = Counter(net.metrics.snapshot().hops_per_link)
         self._net = net
         self._scheduler = net.scheduler
         net.probe = self
@@ -220,6 +227,8 @@ class LiveStats:
         """Detach (idempotent); collected statistics remain readable."""
         if self._net is None:
             return
+        self._hops = self.hops_by_link
+        self._metrics = None
         self._net.scheduler.remove_observer(self.on_event)
         if self._net.probe is self:
             self._net.probe = None
@@ -248,13 +257,6 @@ class LiveStats:
         self.ncu_busy_by_node[node] = self.ncu_busy_by_node.get(node, 0.0) + service
         self.jobs_by_kind[kind] += 1
 
-    def ncu_job_end(self, node: Any, kind: str, now: float) -> None:
-        """One NCU job finished its handler (symmetry hook)."""
-
-    def hop(self, link_key: Hashable, now: float) -> None:
-        """One packet traversed one link."""
-        self.hops_by_link[link_key] += 1
-
     def link_queue(self, link_key: Hashable, depth: int, now: float) -> None:
         """A flow-controlled link's occupancy changed (stall or xmit)."""
         self.queue_occupancy.add(depth)
@@ -267,6 +269,18 @@ class LiveStats:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
+    @property
+    def hops_by_link(self) -> Counter:
+        """Link traversals per link while installed.
+
+        Read from the network's metrics, which count every hop; frozen
+        at :meth:`uninstall`.
+        """
+        if self._metrics is None:
+            return Counter(self._hops)
+        now = Counter(self._metrics.snapshot().hops_per_link)
+        return self._hops + (now - self._hops_at_install)
+
     @property
     def total_jobs(self) -> int:
         """NCU jobs observed (equals system calls while installed)."""
@@ -288,9 +302,10 @@ class LiveStats:
     @property
     def hottest_link(self) -> tuple[Hashable, int] | None:
         """(link key, hops) of the most-traversed link, if any."""
-        if not self.hops_by_link:
+        hops_by_link = self.hops_by_link
+        if not hops_by_link:
             return None
-        link, hops = self.hops_by_link.most_common(1)[0]
+        link, hops = hops_by_link.most_common(1)[0]
         return link, hops
 
     def render(self, *, title: str = "live run statistics") -> str:

@@ -4,14 +4,16 @@ Two complementary tools, both dormant-by-default:
 
 * :class:`PerfCounters` — a registry of monotonic per-subsystem counters
   and wall-clock timers (scheduler push/pop, SS hops, NCU job service,
-  trace emission, substrate build/reset) that the hot path feeds behind
-  the same ``is not None`` guard idiom the trace and probe hooks use.
-  When nothing is installed every hook site costs one attribute load
-  plus one identity check — ``benchmarks/bench_obs_overhead.py`` bounds
-  the total at ≤5% of the stripped loop.  Counters of parallel campaign
-  workers merge losslessly (:meth:`PerfCounters.merge`), including the
-  NCU handler wall-time histogram, whose bin bounds are fixed
-  process-wide for exactly that reason.
+  trace emission, substrate build/reset).  Most are a read-out of
+  counts the scheduler, metrics and trace keep anyway, folded in by
+  ``Network.run()`` and ``reset()``; hooks remain only where the data
+  exists nowhere else (the NCU handler timer, the opt-in flow-control
+  path, the substrate pool).  Dormant, a hook costs one attribute load
+  plus one identity check (``benchmarks/bench_obs_overhead.py`` gates
+  the NCU timer at ≤5%).  Counters of parallel campaign workers merge
+  losslessly (:meth:`PerfCounters.merge`), including the NCU handler
+  wall-time histogram, whose bin bounds are fixed process-wide for
+  exactly that reason.
 
 * :class:`SamplingProfiler` — a thread-based stack sampler (configurable
   Hz) that emits collapsed-stack text and speedscope JSON flamegraphs.
@@ -20,17 +22,13 @@ Two complementary tools, both dormant-by-default:
   stays honest; unlike counters it sees *all* Python frames, not just
   the pre-chosen subsystems.
 
-Activation comes in two scopes:
-
-* ``counters.install(net)`` instruments one network (instance
-  attributes on the network, its scheduler and its trace);
-* ``counters.activate()`` patches the *class* attributes, so every
-  network built afterwards in this process feeds the same registry —
-  how campaign workers attribute whole tasks without threading a handle
-  into task functions.  ``PerfCounters.deactivate()`` undoes it.
+Activation has one scope: ``counters.activate()`` (or ``with
+counters:``) sets the ``Network.perf`` class attribute, so every network
+in this process feeds the registry — how campaign workers attribute
+whole tasks.  ``PerfCounters.deactivate()`` undoes it.
 
 The simulator still never imports this package: the hot path only
-pattern-matches on ``perf`` attributes that default to ``None``.
+pattern-matches on a ``perf`` attribute that defaults to ``None``.
 """
 
 from __future__ import annotations
@@ -40,16 +38,11 @@ import os
 import sys
 import threading
 import tracemalloc
-from collections import deque
 from pathlib import Path
-from time import perf_counter as _perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from ..metrics.report import format_table
 from .live import Histogram
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..network.network import Network
 
 #: Fixed bin bounds (microseconds) for the NCU handler wall-time
 #: histogram.  Deliberately not configurable per instance: histograms
@@ -63,12 +56,14 @@ OCCUPANCY_BOUNDS: tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
 )
 
-#: Monotonic event counters, one per instrumented subsystem hook.
+#: Monotonic event counters.  The first five are folded from the
+#: scheduler, metrics and trace (:meth:`PerfCounters.fold`); the rest
+#: are fed by hooks.
 COUNTER_FIELDS = (
     "sched_push",
     "sched_pop",
     # Cancelled entries swept out of the queue without firing.  Closes
-    # the queue ledger: at any instant,
+    # the queue ledger: after a network's fold,
     # ``sched_push == sched_pop + sched_cancelled_drops + pending``.
     "sched_cancelled_drops",
     "ss_hops",
@@ -92,13 +87,13 @@ TIMER_FIELDS = (
 class PerfCounters:
     """Per-subsystem monotonic counters, timers and a service histogram.
 
-    All counter/timer fields are plain attributes so the hot path pays
-    one in-place add per hook, nothing more.  ``handler_us`` is the NCU
-    handler wall-time histogram (microseconds, fixed bounds).
+    All counter/timer fields are plain attributes so a hook pays one
+    in-place add, nothing more.  ``handler_us`` is the NCU handler
+    wall-time histogram (microseconds, fixed bounds).
     """
 
     __slots__ = COUNTER_FIELDS + TIMER_FIELDS + (
-        "handler_us", "link_occupancy", "build_bytes_per_node", "_rate_samples",
+        "handler_us", "link_occupancy", "build_bytes_per_node",
     )
 
     def __init__(self) -> None:
@@ -116,59 +111,22 @@ class PerfCounters:
         #: (largest, across merges) :meth:`measure_build_bytes_per_node`
         #: call.  0.0 until measured.
         self.build_bytes_per_node = 0.0
-        #: (wall seconds, sched_pop) samples for the rolling rate meter.
-        self._rate_samples: deque[tuple[float, int]] = deque(maxlen=256)
 
     # ------------------------------------------------------------------
     # Activation
     # ------------------------------------------------------------------
-    def install(self, net: "Network") -> "PerfCounters":
-        """Instrument one network (and its scheduler/trace); returns self.
-
-        Instance-scoped: other networks in the process are untouched.
-        The installation survives :meth:`Network.reset`, which points
-        the fresh scheduler and trace at this registry; use
-        :meth:`activate` for process-wide collection.
-        """
-        net.perf = self
-        net.scheduler.perf = self
-        net.trace.perf = self
-        self.mark()
-        return self
-
-    def uninstall(self, net: "Network") -> None:
-        """Undo :meth:`install` (idempotent; keeps collected data)."""
-        for obj in (net, net.scheduler, net.trace):
-            if obj.__dict__.get("perf") is self:
-                del obj.__dict__["perf"]
-
     def activate(self) -> "PerfCounters":
-        """Collect from every network in this process; returns self.
-
-        Sets the ``perf`` *class* attributes on the substrate types, so
-        networks built before or after this call all feed this registry
-        (per-network :meth:`install`\\ ations shadow it).  Campaign
-        workers use this to attribute whole tasks.
-        """
+        """Collect from every network in this process; returns self."""
         from ..network.network import Network
-        from ..sim.scheduler import Scheduler
-        from ..sim.trace import Trace
 
-        Scheduler.perf = self
-        Trace.perf = self
         Network.perf = self
-        self.mark()
         return self
 
     @staticmethod
     def deactivate() -> None:
         """Undo :meth:`activate` for whatever registry is active."""
         from ..network.network import Network
-        from ..sim.scheduler import Scheduler
-        from ..sim.trace import Trace
 
-        Scheduler.perf = None
-        Trace.perf = None
         Network.perf = None
 
     def __enter__(self) -> "PerfCounters":
@@ -178,28 +136,15 @@ class PerfCounters:
         self.deactivate()
         return False
 
-    # ------------------------------------------------------------------
-    # Rolling throughput meter
-    # ------------------------------------------------------------------
-    def mark(self) -> None:
-        """Record a (wall-clock, events) sample for the rolling meter."""
-        self._rate_samples.append((_perf_counter(), self.sched_pop))
-
-    def events_per_sec(self, window: float = 5.0) -> float:
-        """Rolling scheduler throughput over the last ``window`` seconds.
-
-        Each read also records a sample, so a poll loop gets a fresh
-        rate per call; between polls the meter costs nothing.
-        """
-        self.mark()
-        now, events = self._rate_samples[-1]
-        cutoff = now - window
-        while len(self._rate_samples) > 1 and self._rate_samples[0][0] < cutoff:
-            self._rate_samples.popleft()
-        t0, e0 = self._rate_samples[0]
-        if now <= t0:
-            return 0.0
-        return (events - e0) / (now - t0)
+    def fold(
+        self, pushed: int, fired: int, dropped: int, hops: int, records: int
+    ) -> None:
+        """Add one network's counts since its previous fold (``Network.run``)."""
+        self.sched_push += pushed
+        self.sched_pop += fired
+        self.sched_cancelled_drops += dropped
+        self.ss_hops += hops
+        self.trace_records += records
 
     # ------------------------------------------------------------------
     # Allocation snapshots (optional, tracemalloc-based)

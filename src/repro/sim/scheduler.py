@@ -27,7 +27,6 @@ callers avoid per-event closures by passing a long-lived callable plus
 from __future__ import annotations
 
 import heapq
-from time import perf_counter as _perf_counter
 from typing import Any, Callable, Iterator
 
 from .errors import SimulationError
@@ -43,13 +42,6 @@ HeapEntry = tuple[float, int, int, Event]
 class Scheduler:
     """Priority-queue driven simulation loop."""
 
-    #: Perf-counter registry (class attribute so a process-global
-    #: activation reaches every scheduler; instance installs shadow
-    #: it).  The simulator never imports the observability layer — it
-    #: only feeds whatever registry was injected here, behind the same
-    #: ``is not None`` guard the observer hook uses.
-    perf: Any = None
-
     def __init__(self) -> None:
         self._queue: list[HeapEntry] = []
         self._now: float = 0.0
@@ -60,6 +52,8 @@ class Scheduler:
         #: the events' ``on_cancel`` callback so :attr:`pending_live`
         #: is O(1) instead of a heap scan.
         self._cancelled_pending = 0
+        #: Cancels that took effect on a queued event, ever.
+        self._cancels = 0
         #: The bound callback handed to every event, created once —
         #: binding it per schedule() call would dominate the hook cost.
         self._note_cancelled_cb = self._note_cancelled
@@ -96,6 +90,20 @@ class Scheduler:
         loop happens to sweep out cancelled entries.
         """
         return len(self._queue) - self._cancelled_pending
+
+    @property
+    def scheduled(self) -> int:
+        """Number of events ever pushed onto the queue."""
+        return self._seq
+
+    @property
+    def cancelled_dropped(self) -> int:
+        """Number of cancelled events swept out of the queue unfired.
+
+        Closes the ledger: ``scheduled == events_processed +
+        cancelled_dropped + pending`` between operations.
+        """
+        return self._cancels - self._cancelled_pending
 
     # ------------------------------------------------------------------
     # Observability
@@ -158,9 +166,6 @@ class Scheduler:
         event.cancelled = False
         event.on_cancel = self._note_cancelled_cb
         heapq.heappush(self._queue, (time, priority, seq, event))
-        perf = self.perf
-        if perf is not None:
-            perf.sched_push += 1
         return event
 
     def schedule(
@@ -236,15 +241,11 @@ class Scheduler:
         observers = self._observers
         queue = self._queue
         pop = heapq.heappop
-        perf = self.perf
-        t_run = _perf_counter() if perf is not None else 0.0
         try:
             while True:
                 while queue and queue[0][3].cancelled:
                     pop(queue)
                     self._cancelled_pending -= 1
-                    if perf is not None:
-                        perf.sched_cancelled_drops += 1
                 if not queue:
                     break
                 entry = queue[0]
@@ -260,8 +261,6 @@ class Scheduler:
                 self._now = time
                 event.action(*event.args)
                 self._events_processed += 1
-                if perf is not None:
-                    perf.sched_pop += 1
                 if observers:
                     for observer in observers:
                         observer(event)
@@ -275,8 +274,6 @@ class Scheduler:
                     break
         finally:
             self._running = False
-            if perf is not None:
-                perf.sched_run_s += _perf_counter() - t_run
         return self._now
 
     def step(self) -> bool:
@@ -290,9 +287,6 @@ class Scheduler:
         self._now = entry[0]
         event.action(*event.args)
         self._events_processed += 1
-        perf = self.perf
-        if perf is not None:
-            perf.sched_pop += 1
         if self._observers:
             for observer in self._observers:
                 observer(event)
@@ -308,11 +302,9 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
+        self._cancels += 1
 
     def _drop_cancelled(self) -> None:
-        perf = self.perf
         while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
             self._cancelled_pending -= 1
-            if perf is not None:
-                perf.sched_cancelled_drops += 1

@@ -56,13 +56,9 @@ class TraceRecord:
 class Trace:
     """Append-only record store with simple filtering helpers."""
 
-    #: Perf-counter registry (class attribute so a process-global
-    #: activation reaches every trace; instance installs shadow it).
-    #: The simulator never imports the observability layer — it only
-    #: feeds whatever registry was injected here.
-    perf: Any = None
-
     def __init__(self, enabled: bool = True, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 0:
+            raise ValueError(f"trace capacity must be >= 0, got {capacity!r}")
         self.enabled = enabled
         self.capacity = capacity
         self.records: list[TraceRecord] = []
@@ -81,9 +77,6 @@ class Trace:
         if self.capacity is not None and len(self.records) >= self.capacity:
             self._dropped += 1
             return
-        perf = self.perf
-        if perf is not None:
-            perf.trace_records += 1
         self.records.append(TraceRecord(time=time, kind=kind, node=node, detail=detail))
 
     # ------------------------------------------------------------------

@@ -51,6 +51,22 @@ def test_run_benchmark_records_kernel():
     assert doc["manifest"]["kernel"] == "heap"
 
 
+def test_kernel_scale_rejects_diverging_repeats(monkeypatch):
+    # The repeat cross-check must survive ``python -O``: a RuntimeError,
+    # not an assert.  Fake timings whose event counts drift per repeat.
+    from repro.obs import bench
+
+    repeats = iter(range(3))
+
+    def diverging(net, drive):
+        return {"system_calls": 0.0, "hops": 0.0, "sim_time": 0.0,
+                "events": float(next(repeats)), "wall_ms": 1.0}
+
+    monkeypatch.setattr(bench, "_timed", diverging)
+    with pytest.raises(RuntimeError, match="kernel_scale repeats diverged"):
+        bench._bench_kernel_scale()
+
+
 def test_document_roundtrip(tmp_path):
     doc = run_benchmark("scheduler_churn")
     path = write_bench_document(doc, tmp_path)

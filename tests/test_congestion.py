@@ -386,8 +386,8 @@ def test_ncu_queue_peak_watermark():
 # ----------------------------------------------------------------------
 def test_perf_counts_link_xmits_and_stalls():
     net = _line(3, rate=1.0, buffer=1)
-    perf = PerfCounters().install(net)
-    _drive(net, 3, packets=8, gap=0.0)
+    with PerfCounters() as perf:
+        _drive(net, 3, packets=8, gap=0.0)
     state = _state(net, (0, 1), 0)
     assert perf.link_stalls >= state.stalls > 0
     assert perf.link_xmits >= state.xmits

@@ -19,6 +19,8 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import FloodingBroadcast, run_standalone_broadcast
 from repro.exec.engine import run_campaign
@@ -33,7 +35,7 @@ from repro.obs import (
     merge_perf_dicts,
 )
 from repro.obs.bench import run_benchmark
-from repro.sim import FixedDelays
+from repro.sim import FixedDelays, Scheduler, SimulationError
 
 from test_hotpath_equivalence import GOLDEN_PATH, SCENARIOS
 
@@ -106,10 +108,11 @@ def test_histogram_from_dict_bad_counts_raises():
 # ----------------------------------------------------------------------
 def test_counters_match_metrics_layer():
     net = _flood_net()
-    counters = PerfCounters().install(net)
-    _run_flood(net)
+    with PerfCounters() as counters:
+        _run_flood(net)
     snap = net.metrics.snapshot()
     assert counters.sched_pop == net.scheduler.events_processed
+    assert counters.sched_push == net.scheduler.scheduled
     assert counters.ss_hops == snap.hops
     assert counters.ncu_jobs == snap.system_calls
     assert counters.sched_push >= counters.sched_pop
@@ -120,35 +123,20 @@ def test_counters_match_metrics_layer():
 
 def test_counters_count_trace_emission():
     net = from_spec("ring:8", delays=FixedDelays(0.5, 1.0), trace=True)
-    counters = PerfCounters().install(net)
-    _run_flood(net)
+    with PerfCounters() as counters:
+        _run_flood(net)
     assert counters.trace_records == len(net.trace) > 0
 
 
-def test_install_and_uninstall_are_instance_scoped():
-    net = _flood_net("ring:8")
-    other = _flood_net("ring:8")
-    counters = PerfCounters().install(net)
-    _run_flood(other)  # not instrumented
-    assert counters.sched_pop == 0
-    _run_flood(net)
-    assert counters.sched_pop > 0
-    counters.uninstall(net)
-    before = counters.sched_pop
-    _run_flood(from_spec("ring:8", delays=FixedDelays(0.5, 1.0)))
-    assert counters.sched_pop == before
-    # Class attributes were never touched.
-    assert type(net.scheduler).perf is None
-
-
 def test_install_survives_reset():
+    """Activation spans resets: each reset folds the old run first."""
     net = _flood_net()
-    counters = PerfCounters().install(net)
     runs = []
-    for _ in range(2):
-        _run_flood(net)
-        runs.append((net.metrics.snapshot(), net.scheduler.events_processed))
-        net.reset(delays=FixedDelays(0.5, 1.0))
+    with PerfCounters() as counters:
+        for _ in range(2):
+            _run_flood(net)
+            runs.append((net.metrics.snapshot(), net.scheduler.events_processed))
+            net.reset(delays=FixedDelays(0.5, 1.0))
     (first, first_events), (second, second_events) = runs
     assert first.system_calls > 0 and second == first
     assert counters.ss_hops == first.hops + second.hops
@@ -157,6 +145,32 @@ def test_install_survives_reset():
     assert counters.sched_push == (
         counters.sched_pop + counters.sched_cancelled_drops + net.scheduler.pending
     )
+
+
+def test_fold_points_and_dormant_work():
+    net = _flood_net("ring:8")
+    _run_flood(net)  # dormant: the fold only advances the marks
+    with PerfCounters() as counters:
+        net.scheduler.schedule(1.0, lambda: None)
+        net.scheduler.run()
+        assert counters.sched_pop == 0  # direct drive: not folded yet
+        net.scheduler.schedule(1.0, lambda: None)
+        net.run()
+        assert counters.sched_push == counters.sched_pop == 2
+        net.scheduler.schedule(1.0, lambda: None)
+        assert net.scheduler.step()
+        net.reset()  # folds the old run before renewing it
+        for i in range(5):
+            net.scheduler.schedule(float(i), lambda: None)
+        net.scheduler.schedule(0.5, lambda: None).cancel()
+        with pytest.raises(SimulationError):
+            net.run(max_events=2)  # an aborted run folds too
+    assert (counters.sched_push, counters.sched_pop) == (9, 5)
+    assert counters.sched_cancelled_drops == 1
+    assert counters.sched_push == (
+        counters.sched_pop + counters.sched_cancelled_drops + net.scheduler.pending
+    )
+    assert counters.ss_hops == counters.ncu_jobs == 0
 
 
 def test_global_activation_captures_networks_built_later():
@@ -171,17 +185,6 @@ def test_global_activation_captures_networks_built_later():
     # Deactivated: later runs are invisible.
     _run_flood(_flood_net("ring:8"))
     assert counters.sched_pop == total
-
-
-def test_events_per_sec_meter_rolls():
-    net = _flood_net()
-    counters = PerfCounters().install(net)
-    _run_flood(net)
-    rate = counters.events_per_sec()
-    assert rate > 0.0
-    # A tiny window after going idle decays toward zero.
-    time.sleep(0.01)
-    assert counters.events_per_sec(window=0.005) == 0.0
 
 
 def test_alloc_snapshot_requires_tracking():
@@ -200,8 +203,8 @@ def test_alloc_snapshot_requires_tracking():
 
 def test_perf_dict_round_trip_and_merge():
     net = _flood_net()
-    counters = PerfCounters().install(net)
-    _run_flood(net)
+    with PerfCounters() as counters:
+        _run_flood(net)
     data = json.loads(json.dumps(counters.to_dict()))
     back = PerfCounters.from_dict(data)
     assert back.to_dict() == counters.to_dict()
@@ -213,48 +216,69 @@ def test_perf_dict_round_trip_and_merge():
     assert merge_perf_dicts([data])["counters"] == data["counters"]
 
 
-def test_scheduler_ledger_balances():
-    """``sched_push == sched_pop + sched_cancelled_drops + pending``.
+_DELAYS = st.sampled_from((0.0, 0.5, 1.0, 1.0, 3.0, 50.0))
+_INDEX = st.integers(min_value=0, max_value=63)
+_LEDGER_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _DELAYS, st.integers(0, 2)),
+    st.tuples(st.just("cancel"), _INDEX),
+    st.tuples(st.just("run"), _DELAYS),
+    st.tuples(st.just("step")),
+    # Events that, when fired, cancel an earlier handle or schedule a child.
+    st.tuples(st.just("cancel_later"), _DELAYS, _INDEX),
+    st.tuples(st.just("spawn"), _DELAYS, _DELAYS),
+)
 
-    The push/pop/drop ledger must account for every event, mid-run and
-    at quiescence — it is how a perf breakdown proves no event was lost
-    or double-counted by the cancelled-entry sweeps.
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LEDGER_OPS, max_size=60))
+def test_scheduler_ledger_balances(ops):
+    """``scheduled == events_processed + cancelled_dropped + pending``.
+
+    The scheduler's ledger, which the perf registry folds, must account
+    for every event after any operation and at every fired event — it
+    is how a perf breakdown proves no event was lost or double-counted
+    by the cancelled-entry sweeps.
     """
-    from repro.sim import Scheduler
-
     sched = Scheduler()
-    counters = PerfCounters()
-    sched.perf = counters
+    handles = []
 
-    def cancel_peer(victim):
-        victim.cancel()
-
-    handles = [sched.schedule(float(i % 4), lambda: None) for i in range(40)]
-    for handle in handles[::5]:
-        handle.cancel()
-    # Mid-run cancellations: events at t=1 cancel not-yet-fired peers.
-    sched.schedule(1.0, cancel_peer, 2, "axe", (handles[2],))
-    sched.schedule(1.0, cancel_peer, 2, "axe", (handles[3],))
-
-    def balanced():
-        return counters.sched_push == (
-            counters.sched_pop + counters.sched_cancelled_drops + sched.pending
+    def check(_event=None):
+        assert sched.scheduled == (
+            sched.events_processed + sched.cancelled_dropped + sched.pending
         )
+        live = sum(1 for entry in sched._queue if not entry[3].cancelled)
+        assert sched.pending_live == live
 
-    assert balanced()  # nothing fired yet: push == pending + early drops
-    sched.run(until=1.0)
-    assert balanced()
+    def cancel(index):
+        if handles:
+            handles[index % len(handles)].cancel()
+
+    def spawn(delay):
+        handles.append(sched.schedule(delay, lambda: None))
+
+    sched.add_observer(check)
+    for kind, *params in ops:
+        if kind == "schedule":
+            handles.append(sched.schedule(params[0], lambda: None, params[1]))
+        elif kind == "cancel":
+            cancel(params[0])
+        elif kind == "run":
+            sched.run(until=sched.now + params[0])
+        elif kind == "step":
+            sched.step()
+        else:
+            action = cancel if kind == "cancel_later" else spawn
+            handles.append(sched.schedule(params[0], action, 1, "", (params[1],)))
+        check()
     sched.run()
+    check()
     assert sched.pending == 0
-    assert balanced()
-    assert counters.sched_push == 42
-    assert counters.sched_pop == sched.events_processed
 
 
 def test_render_is_presentable():
     net = _flood_net("ring:8")
-    counters = PerfCounters().install(net)
-    _run_flood(net)
+    with PerfCounters() as counters:
+        _run_flood(net)
     text = counters.render()
     assert "ss_hops" in text and "ncu handler wall (us)" in text
 

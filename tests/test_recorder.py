@@ -203,6 +203,33 @@ def test_cli_flag_arms_recorder_without_dumping(tmp_path, capsys):
     assert not path.exists()  # healthy run: no trigger, no dump
 
 
+@pytest.mark.parametrize("command", ["broadcast", "election"])
+def test_flight_recorder_alone_arms_it(tmp_path, capsys, command):
+    # No other observability flag: the recorder must still be armed.
+    path = tmp_path / "fr.jsonl"
+    code = main([command, "--topology", "ring:8", "--flight-recorder", str(path)])
+    assert code == 0
+    assert "flight recorder armed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["broadcast", "election", "converge"])
+@pytest.mark.parametrize("flag, value", [
+    ("--trace-capacity", "-1"),
+    ("--flight-capacity", "0"),
+])
+def test_capacity_flags_reject_out_of_range_values(
+    tmp_path, capsys, command, flag, value
+):
+    argv = [command, "--topology", "ring:8", "--trace-out",
+            str(tmp_path / "t.jsonl"), "--flight-recorder",
+            str(tmp_path / "fr.jsonl"), flag, value]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_sched_event_records_survive_jsonl_round_trip(tmp_path):
     """The new TraceKind round-trips like every other kind."""
     path = tmp_path / "pm.jsonl"

@@ -19,8 +19,6 @@ from repro.hardware.packet import Packet
 from repro.hardware.switch import SwitchingSubsystem
 from repro.network import Network, from_spec
 from repro.sim.events import Event
-from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
 
 #: Every class whose instances scale with the network or event count.
 #: Each must declare ``__slots__`` in its own body and its instances
@@ -68,11 +66,11 @@ def test_port_entries_are_plain_tuples():
             assert type(entry) is tuple and len(entry) == 4
 
 
-@pytest.mark.parametrize("cls", [Network, Scheduler, Trace], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", [Network], ids=lambda c: c.__name__)
 def test_perf_shadow_classes_keep_dict(cls):
-    # Network/Scheduler/Trace intentionally stay un-slotted: the perf
-    # layer shadows class attributes (e.g. ``perf``) on instances, and
-    # there are only a handful of each per simulation.
+    # Network intentionally stays un-slotted: its ``graph`` is a
+    # ``cached_property``, which stores into the instance ``__dict__``,
+    # and there are only a handful of networks per simulation.
     assert "__slots__" not in cls.__dict__
     has_dict = any("__dict__" in base.__dict__ for base in cls.__mro__[:-1])
     assert has_dict, f"{cls.__name__} unexpectedly lost its instance __dict__"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.sim import Trace, TraceKind
 
 
@@ -37,6 +39,12 @@ def test_capacity_limit_counts_dropped():
         trace.record(float(i), TraceKind.PACKET_HOP)
     assert len(trace) == 2
     assert trace.dropped == 3
+
+
+def test_negative_capacity_is_rejected():
+    with pytest.raises(ValueError, match="capacity"):
+        Trace(capacity=-1)
+    assert Trace(capacity=0).capacity == 0  # keeps nothing, counts drops
 
 
 def test_clear_resets():
