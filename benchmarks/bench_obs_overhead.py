@@ -36,7 +36,7 @@ import pytest
 from conftest import emit
 
 from repro.hardware.ncu import NCU
-from repro.hardware.switch import SwitchingSubsystem
+from repro.hardware.switch import SwitchingSubsystem, _deliver
 from repro.sim.events import Event
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import TraceKind
@@ -198,11 +198,8 @@ FWD_REPEATS = 7
 def _complete_noperf(self, job):
     net = self._node.net
     assert self.handler is not None
-    ports = self._ports_scratch
-    if ports is None:
-        ports = self._ports_scratch = set()
-    else:
-        ports.clear()
+    ports = net.call_ports
+    ports.clear()
     self.ports_used_this_call = ports
     try:
         self.handler(self._node.api, job)
@@ -232,10 +229,10 @@ def _complete_noperf(self, job):
 # removed, so the gate isolates precisely the flow-control check.
 
 
-def _forward_nofc(self, packet, port):
-    net = self._node.net
-    me = self._node.node_id
-    link, other_id, receiving_normal, deliver = port
+def _forward_nofc(self, packet, link):
+    node = self._node
+    net = node.net
+    me = node.node_id
     if not link.active:
         net.metrics.count_drop("inactive_link")
         trace = net.trace
@@ -253,6 +250,10 @@ def _forward_nofc(self, packet, port):
     now = net.scheduler.now
     delay = net.delays.hardware_delay(link.key, packet.seq)
     arrival = link.fifo_arrival(me, now + delay)
+    if link.node_u is node:
+        far, receiving_normal = link.node_v, link._normal_v
+    else:
+        far, receiving_normal = link.node_u, link._normal_u
     packet.hops += 1
     packet._reverse.append(receiving_normal)
     net.metrics.count_hop(link.key)
@@ -264,9 +265,9 @@ def _forward_nofc(self, packet, port):
             me,
             packet=packet.seq,
             link=link.key,
-            to=other_id,
+            to=far.node_id,
         )
-    net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
+    net.scheduler.schedule_at(arrival, _deliver, 0, "hop", (far.ss, packet, link))
 
 
 #: Each replica: the class and method it replaces, and the live lines it
@@ -284,7 +285,7 @@ REPLICAS = {
     "E16c": (SwitchingSubsystem, "_forward", _forward_nofc, (
         "fc = link.fc",
         "if fc is not None:",
-        "link.fc_forward(me, packet, port)",
+        "link.fc_forward(me, packet)",
         "return",
     )),
 }

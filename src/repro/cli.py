@@ -421,7 +421,7 @@ def cmd_election(args: argparse.Namespace) -> int:
 
 
 def _is_ring(net) -> bool:
-    return all(len(node.links) == 2 for node in net.nodes.values())
+    return all(node.api.degree == 2 for node in net.nodes.values())
 
 
 def cmd_converge(args: argparse.Namespace) -> int:

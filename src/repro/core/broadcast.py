@@ -26,6 +26,7 @@ and completion time uniformly (see :func:`run_standalone_broadcast`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from ..hardware.anr import IdLookup, build_anr, path_broadcast_anr
@@ -68,8 +69,20 @@ class BroadcastPlan:
         return max((d.chain_depth for d in self.directives), default=0)
 
     def starting_at(self, node: Any) -> tuple[PathDirective, ...]:
-        """Directives the given node must launch upon being informed."""
-        return tuple(d for d in self.directives if d.start == node)
+        """Directives the given node must launch upon being informed.
+
+        In plan order, from an index built on the first call, so an
+        informed node pays O(1) instead of a scan of the whole plan.
+        """
+        return self._by_start.get(node, ())
+
+    @cached_property
+    def _by_start(self) -> dict[Any, tuple[PathDirective, ...]]:
+        """Start node -> its directives in plan order (built once per plan)."""
+        index: dict[Any, list[PathDirective]] = {}
+        for directive in self.directives:
+            index.setdefault(directive.start, []).append(directive)
+        return {node: tuple(directives) for node, directives in index.items()}
 
     @property
     def covered(self) -> frozenset:

@@ -318,9 +318,9 @@ def is_converged(net: Network) -> bool:
         # Each active link inside the component, under both orientations.
         links = {}
         for node_id in component:
-            for neighbor, link in nodes[node_id].links.items():
+            for link in nodes[node_id].ss.ports[1:]:
                 if link.active:
-                    links[node_id, neighbor] = link.key
+                    links[node_id, link.other(node_id).node_id] = link.key
         for node_id in component:
             seen = set()
             for u, v in nodes[node_id].protocol.view_edges():

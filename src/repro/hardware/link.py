@@ -60,7 +60,7 @@ class LinkFlowState:
         """Zero all dynamic state (configuration survives)."""
         self.busy_until = 0.0
         self.in_flight = 0
-        self.pending: deque[tuple[Any, Any, float]] = deque()
+        self.pending: deque[tuple[Any, float]] = deque()
         self.arrivals = 0
         self.xmits = 0
         self.stalls = 0
@@ -291,12 +291,12 @@ class Link:
             v_id: LinkFlowState(v_id, rate, buffer),
         }
 
-    def fc_forward(self, sender_id: Any, packet: Any, port: tuple) -> None:
+    def fc_forward(self, sender_id: Any, packet: Any) -> None:
         """Capacity-aware forward: stall on exhausted credits, else send.
 
         Called by the switching subsystem in place of the free-hardware
-        schedule when :attr:`fc` is set.  ``port`` is the subsystem's
-        port tuple ``(link, far_id, receiving_normal, deliver)``.
+        schedule when :attr:`fc` is set.  The far side is the endpoint
+        that is not ``sender_id``.
         """
         state = self.fc[sender_id]
         state.arrivals += 1
@@ -306,7 +306,7 @@ class Link:
         if buffer is not None and state.in_flight >= buffer:
             # No credit: queue at the sender until the far side drains.
             state.stalls += 1
-            state.pending.append((packet, port, now))
+            state.pending.append((packet, now))
             occupancy = len(state.pending) + state.in_flight
             if occupancy > state.max_occupancy:
                 state.max_occupancy = occupancy
@@ -323,9 +323,9 @@ class Link:
                              packet=packet.seq, link=self.key,
                              occupancy=occupancy, stalled=len(state.pending))
             return
-        self._fc_transmit(state, packet, port, now)
+        self._fc_transmit(state, packet, now)
 
-    def _fc_transmit(self, state: LinkFlowState, packet: Any, port: tuple,
+    def _fc_transmit(self, state: LinkFlowState, packet: Any,
                      requested_at: float) -> None:
         """Consume a credit and put ``packet`` on the wire."""
         net = self.node_u.net
@@ -354,8 +354,12 @@ class Link:
         traverse = arrival - requested_at
         if traverse > state.max_delay:
             state.max_delay = traverse
+        if sender_id == self._u_id:
+            far, receiving_normal = self.node_v, self._normal_v
+        else:
+            far, receiving_normal = self.node_u, self._normal_u
         packet.hops += 1
-        packet._reverse.append(port[2])
+        packet._reverse.append(receiving_normal)
         net.metrics.count_hop(self.key)
         probe = net.probe
         if probe is not None:
@@ -367,16 +371,16 @@ class Link:
         trace = net.trace
         if trace.enabled:
             trace.record(now, TraceKind.PACKET_HOP, sender_id,
-                         packet=packet.seq, link=self.key, to=port[1])
+                         packet=packet.seq, link=self.key, to=far.node_id)
         net.scheduler.schedule_at(arrival, self._fc_arrive, priority=0,
-                                  tag="hop", args=(packet, port, state))
+                                  tag="hop", args=(packet, far, state))
 
-    def _fc_arrive(self, packet: Any, port: tuple, state: LinkFlowState) -> None:
+    def _fc_arrive(self, packet: Any, far: Any, state: LinkFlowState) -> None:
         """Far-side drain: deliver, return the credit, wake one waiter."""
         state.in_flight -= 1
-        port[3](packet, self)
+        far.ss._deliver(packet, self)
         if state.pending:
-            waiter, waiter_port, requested_at = state.pending.popleft()
+            waiter, requested_at = state.pending.popleft()
             net = self.node_u.net
             now = net.scheduler.now
             waited = now - requested_at
@@ -384,4 +388,4 @@ class Link:
             probe = net.probe
             if probe is not None:
                 probe.link_stall(self.key, waited, now)
-            self._fc_transmit(state, waiter, waiter_port, requested_at)
+            self._fc_transmit(state, waiter, requested_at)

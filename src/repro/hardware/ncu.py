@@ -134,7 +134,7 @@ class NodeApi:
     @property
     def degree(self) -> int:
         """Number of adjacent links (active or not)."""
-        return len(self._node.links)
+        return len(self._node.ss.ports) - 1
 
     # -- actions ----------------------------------------------------------
     def send(self, header: tuple[int, ...], payload: Any) -> Packet:
@@ -230,7 +230,6 @@ class NCU:
         "incarnation",
         "_service_event",
         "ports_used_this_call",
-        "_ports_scratch",
         "queue_peak",
     )
 
@@ -264,19 +263,13 @@ class NCU:
         #: so :meth:`crash` can cancel it (state loss includes the job
         #: on the processor).
         self._service_event: Event | None = None
-        #: While a handler runs, the set of first-header IDs (output
-        #: ports) already used by sends in this invocation; ``None``
-        #: outside handler context.  Enforces the model's multicast
-        #: primitive: one system call may transmit over several
-        #: *distinct* outgoing links at no extra cost, but pushing two
-        #: packets through the same port needs two involvements.
+        #: While a handler runs, the ports (and groups) already used by
+        #: sends in this invocation; ``None`` outside handler context.
+        #: Enforces the model's multicast primitive: one system call may
+        #: transmit over several *distinct* outgoing links at no extra
+        #: cost, but pushing two packets through the same port needs two
+        #: involvements.  The set itself is the network's ``call_ports``.
         self.ports_used_this_call: set[int] | None = None
-        #: Reused backing set for :attr:`ports_used_this_call`.  One
-        #: handler invocation per event at steady state means one set
-        #: allocation per event without it; handlers only ever see the
-        #: set through ``ports_used_this_call`` and never retain it.
-        #: ``None`` until the first handler invocation (build thrift).
-        self._ports_scratch: set[int] | None = None
         #: High watermark of the software queue depth (jobs waiting plus
         #: the one in service), read by the congestion observability
         #: layer.  One compare per enqueue; never read on the hot path.
@@ -423,11 +416,8 @@ class NCU:
     def _complete(self, job: Job) -> None:
         net = self._node.net
         assert self.handler is not None
-        ports = self._ports_scratch
-        if ports is None:
-            ports = self._ports_scratch = set()
-        else:
-            ports.clear()
+        ports = net.call_ports
+        ports.clear()
         self.ports_used_this_call = ports
         perf = net.perf
         t0 = _perf_counter() if perf is not None else 0.0

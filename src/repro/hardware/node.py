@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..sim.errors import PathTooLongError, ProtocolError, RoutingError
 from ..sim.trace import TraceKind
@@ -25,7 +26,7 @@ class Node:
     path-length restriction of Section 2 is enforced.
     """
 
-    __slots__ = ("node_id", "net", "ss", "ncu", "api", "links", "protocol")
+    __slots__ = ("node_id", "net", "ss", "ncu", "api", "protocol")
 
     def __init__(self, node_id: Any, net: "Network", id_space: LinkIdSpace) -> None:
         self.node_id = node_id
@@ -33,34 +34,24 @@ class Node:
         self.ss = SwitchingSubsystem(self, id_space)
         self.ncu = NCU(self)
         self.api = NodeApi(self)
-        #: Adjacent links keyed by neighbour ID.
-        self.links: dict[Any, Link] = {}
         #: The protocol instance attached to this node (if any).
         self.protocol: Any = None
 
-    def add_link(self, link: Link, *, build_ports: bool = True) -> None:
-        """Register an incident link (build time only).
+    @property
+    def links(self) -> Mapping[Any, Link]:
+        """Adjacent links keyed by neighbour ID, in local-ID order.
 
-        ``build_ports=False`` defers the SS port-table entry; the
-        builder then calls :meth:`SwitchingSubsystem.build_ports` once
-        per node after all links exist (one bulk pass instead of
-        per-link incremental inserts).
+        A read-only mapping derived from the SS port table on each
+        read: the node stores no neighbour dict of its own.
         """
-        other = link.other(self.node_id)
-        if other.node_id in self.links:
-            raise ValueError(
-                f"parallel link {self.node_id}-{other.node_id}: the model "
-                "assumes a simple graph"
-            )
-        self.links[other.node_id] = link
-        if build_ports:
-            self.ss.attach_link(link)
+        me = self.node_id
+        return MappingProxyType({link.other(me).node_id: link for link in self.ss.ports[1:]})
 
     def reset(self) -> None:
         """Restore the pristine pre-``attach()`` state.
 
         Detaches the protocol and resets the NCU and SS run-time state;
-        the link registry and port tables are build products and stay.
+        the port table is a build product and stays.
         Part of the substrate-reuse contract (see
         :meth:`repro.network.network.Network.reset`).
         """
@@ -74,7 +65,7 @@ class Node:
         The NCU goes down (queue, in-service job and protocol state are
         lost) and the SS forgets installed multicast groups — hardware
         state provisioned by software does not survive the software that
-        provisioned it.  The port tables are build products and stay.
+        provisioned it.  The port table is a build product and stays.
         """
         self.protocol = None
         self.ncu.crash()
@@ -92,18 +83,19 @@ class Node:
 
     def link_to(self, neighbor_id: Any) -> Link:
         """The link toward a neighbour (KeyError if not adjacent)."""
-        return self.links[neighbor_id]
+        return self.net.link(self.node_id, neighbor_id)
 
     def local_topology(self) -> tuple[LinkInfo, ...]:
         """This node's local topology: one snapshot per adjacent link.
 
-        Sorted by neighbour ID for determinism.  This is the unit of
-        information a topology-maintenance broadcast disseminates.
+        Sorted by the repr of the neighbour ID, ties in local-ID order,
+        for determinism.  This is the unit of information a
+        topology-maintenance broadcast disseminates.
         """
-        return tuple(
-            self.links[neighbor].info_at(self.node_id)
-            for neighbor in sorted(self.links, key=repr)
-        )
+        me = self.node_id
+        infos = [link.info_at(me) for link in self.ss.ports[1:]]
+        infos.sort(key=_neighbor_repr)
+        return tuple(infos)
 
     def inject(self, header: tuple[int, ...], payload: Any) -> Packet:
         """Create a packet and push it into the local SS.
@@ -121,12 +113,17 @@ class Node:
             raise RoutingError("cannot inject a packet with an empty ANR header")
         ports = self.ncu.ports_used_this_call
         if ports is not None:
-            port = self.ss.id_space.to_normal(header[0]) if header[0] else 0
+            # A normal or copy ID keys its port index, any other ID
+            # (the group range, say) keys itself.
+            port = header[0]
+            flag = self.ss._copy_flag
+            if flag <= port < flag << 1:
+                port -= flag
             if port in ports:
                 raise ProtocolError(
-                    f"node {self.node_id} sent two packets through port "
-                    f"{port} in one system call; the multicast primitive "
-                    "covers distinct outgoing links only"
+                    f"node {self.node_id} sent two packets through port or "
+                    f"group {port} in one system call; the multicast "
+                    "primitive covers distinct outgoing links only"
                 )
             ports.add(port)
         packet = Packet(
@@ -150,4 +147,8 @@ class Node:
         return packet
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Node({self.node_id!r}, degree={len(self.links)})"
+        return f"Node({self.node_id!r}, degree={len(self.ss.ports) - 1})"
+
+
+def _neighbor_repr(info: LinkInfo) -> str:
+    return repr(info.v)

@@ -21,13 +21,15 @@ the per-hop cycle and must be allocation-free in steady state:
 
 * the header is consumed by advancing ``packet.header_pos``, never by
   slicing (O(1) per hop instead of O(remaining header));
-* the ID-set match is one dict lookup into a **port table** built at
-  attach time, whose entries pre-resolve everything a hop needs (link,
-  far node ID, the receiving side's normal ID, the far SS's bound
-  ``_deliver``), so no ``other()`` / ``ids_at()`` / ``repr`` work is
-  redone per packet;
-* the in-flight leg is scheduled as the far side's long-lived
-  ``_deliver`` bound method plus ``args`` — no per-hop closure;
+* the ID-set match is one bounds-checked index into the **port
+  table** :attr:`SwitchingSubsystem.ports`: the node's links in
+  local-ID order, so entry ``i`` is the link with normal ID ``i`` and
+  copy ID ``flag | i`` (entry 0, the NCU ID, holds no link).  Each
+  link end is stored once, as a reference to the shared ``Link``;
+* the hop reads the far node and the receiving side's normal ID off
+  the link's endpoints (as ``Link.fifo_arrival`` does), and schedules
+  the far SS's ``_deliver`` as a plain function plus ``args`` — no
+  per-hop closure, no per-port tuple;
 * trace records are guarded on ``trace.enabled`` so a disabled trace
   costs one attribute load, not a kwargs dict;
 * the hop is counted once, by the metrics layer: perf counters and
@@ -49,10 +51,6 @@ from .packet import Packet
 if TYPE_CHECKING:  # pragma: no cover
     from .node import Node
 
-#: One outbound port, pre-resolved at attach time:
-#: ``(link, far node id, normal ID at the far side, far SS._deliver)``.
-Port = tuple[Link, object, int, "object"]
-
 
 #: Shared empty multicast-group table.  Almost no node ever installs a
 #: group, so a per-SS empty dict is pure waste at 10⁴–10⁵ nodes; the
@@ -65,98 +63,28 @@ _NO_GROUPS: dict[int, tuple[tuple[Link, ...], bool]] = {}
 class SwitchingSubsystem:
     """Per-node hardware switch with the paper's ID-set semantics."""
 
-    __slots__ = (
-        "_node",
-        "_id_space",
-        "_port_by_id",
-        "_port_by_link",
-        "_copy_flag",
-        "_groups",
-        "_deliver_cb",
-    )
+    __slots__ = ("_node", "_id_space", "ports", "_copy_flag", "_groups")
 
     def __init__(self, node: "Node", id_space: LinkIdSpace) -> None:
         self._node = node
         self._id_space = id_space
-        #: Both the normal and the copy ID of a link map to its port.
-        self._port_by_id: dict[int, Port] = {}
-        #: Link object -> port, for multicast groups (links hash by id).
-        #: Lazily derived from ``_port_by_id`` on first group use — the
-        #: overwhelming majority of SSs never install a group, and a
-        #: per-SS dict is hundreds of bytes per node at fabric scale.
-        self._port_by_link: dict[Link, Port] | None = None
-        #: The copy-ID bit, cached as a plain int: ``id & _copy_flag``
-        #: on a known port ID decides NCU delivery, replacing the old
-        #: per-SS set of copy IDs (one more per-node container gone).
+        #: The port table: the node's links in local-ID order.  Entry
+        #: ``i`` is the link with normal ID ``i`` and copy ID
+        #: ``flag | i``; entry 0 is the NCU ID, which names no link.
+        #: A build product, set once by the network builder.
+        self.ports: tuple[Link | None, ...] = (None,)
+        #: The copy-ID bit, cached as a plain int: it maps a copy ID to
+        #: its port index and decides NCU delivery.
         self._copy_flag = id_space.flag
         #: Installed multicast groups: id -> (member links, copy to NCU).
         #: Part of the "more powerful hardware" extension; the shared
         #: empty sentinel until software installs one (``install_group``).
         self._groups = _NO_GROUPS
-        #: The one bound ``_deliver`` every neighbouring port entry
-        #: shares.  Binding it per port (``other.ss._deliver``) allocated
-        #: one method object per link direction — measurable memory and
-        #: build time at fabric scale.
-        self._deliver_cb = self._deliver
 
     @property
     def id_space(self) -> LinkIdSpace:
         """The ID scheme shared by the whole network."""
         return self._id_space
-
-    def attach_link(self, link: Link) -> None:
-        """Register a link's IDs (called once per link at build time)."""
-        normal, copy = link.ids_at(self._node.node_id)
-        for link_id in (normal, copy):
-            if link_id in self._port_by_id:
-                raise ValueError(
-                    f"duplicate link ID {link_id} at node {self._node.node_id}"
-                )
-        other = link.other(self._node.node_id)
-        receiving_normal, _ = link.ids_at(other.node_id)
-        port: Port = (link, other.node_id, receiving_normal, other.ss._deliver_cb)
-        self._port_by_id[normal] = port
-        self._port_by_id[copy] = port
-        self._port_by_link = None
-
-    def build_ports(self) -> None:
-        """Bulk-(re)build the port table from the node's registered links.
-
-        One pass over ``node.links``, no per-link duplicate checks: the
-        network builder hands this SS a simple graph with IDs assigned
-        uniquely by construction, so the incremental validation in
-        :meth:`attach_link` would only re-prove invariants the builder
-        already guarantees.  Replaces the table wholesale.
-        """
-        me = self._node.node_id
-        port_by_id: dict[int, Port] = {}
-        for link in self._node.links.values():
-            if me == link._u_id:
-                normal, copy = link._normal_u, link._copy_u
-                other = link.node_v
-                receiving_normal = link._normal_v
-            else:
-                normal, copy = link._normal_v, link._copy_v
-                other = link.node_u
-                receiving_normal = link._normal_u
-            port: Port = (link, other.node_id, receiving_normal, other.ss._deliver_cb)
-            port_by_id[normal] = port
-            port_by_id[copy] = port
-        self._port_by_id = port_by_id
-        self._port_by_link = None
-
-    def _link_ports(self) -> dict[Link, Port]:
-        """Link -> port map, built on first use and cached.
-
-        ``_port_by_id`` holds each port twice (normal and copy ID) in
-        per-link build order; deduplicating by first occurrence yields
-        the same insertion order the eager map had.
-        """
-        ports = self._port_by_link
-        if ports is None:
-            ports = {port[0]: port for port in self._port_by_id.values()}
-            self._port_by_link = ports
-        return ports
 
     def reset(self) -> None:
         """Drop run-time hardware state (installed multicast groups).
@@ -237,7 +165,7 @@ class SwitchingSubsystem:
             branch = packet.delivery_copy()
             branch.header = (group_id,) + remainder
             branch.header_pos = 0
-            self._forward(branch, self._link_ports()[link])
+            self._forward(branch, link)
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -273,12 +201,15 @@ class SwitchingSubsystem:
             self._receive_group(packet, next_id)
             return
 
-        port = self._port_by_id.get(next_id)
-        # A copy ID is a known port ID with the copy bit set; testing
-        # the bit on the already-fetched port replaces the per-SS set
-        # of copy IDs (identical semantics: normal IDs never carry the
-        # bit, group IDs are never in the port table).
-        to_ncu = next_id == NCU_ID or (port is not None and next_id & self._copy_flag)
+        # Normal ID ``i`` and copy ID ``flag | i`` both index entry
+        # ``i``; anything outside ``1..degree`` after the copy bit is
+        # taken off (negative, 0, ``flag``, group range) names no link.
+        flag = self._copy_flag
+        ports = self.ports
+        index = next_id - flag if next_id >= flag else next_id
+        link = ports[index] if 0 <= index < len(ports) else None
+        # A copy ID is a port's ID with the copy bit set.
+        to_ncu = next_id == NCU_ID or (link is not None and next_id & flag)
 
         if to_ncu:
             copy = packet.delivery_copy()
@@ -290,12 +221,12 @@ class SwitchingSubsystem:
                     TraceKind.PACKET_COPIED,
                     me,
                     packet=packet.seq,
-                    final=port is None,
+                    final=link is None,
                 )
             self._node.ncu.enqueue_packet(copy)
 
-        if port is not None:
-            self._forward(packet, port)
+        if link is not None:
+            self._forward(packet, link)
         elif not to_ncu:
             net.metrics.count_drop("unroutable_id")
             trace = net.trace
@@ -309,11 +240,11 @@ class SwitchingSubsystem:
                     id=next_id,
                 )
 
-    def _forward(self, packet: Packet, port: Port) -> None:
-        """Send the packet onward over one port, charging the C delay."""
-        net = self._node.net
-        me = self._node.node_id
-        link, other_id, receiving_normal, deliver = port
+    def _forward(self, packet: Packet, link: Link) -> None:
+        """Send the packet onward over one link, charging the C delay."""
+        node = self._node
+        net = node.net
+        me = node.node_id
         if not link.active:
             net.metrics.count_drop("inactive_link")
             trace = net.trace
@@ -330,12 +261,16 @@ class SwitchingSubsystem:
 
         fc = link.fc
         if fc is not None:
-            link.fc_forward(me, packet, port)
+            link.fc_forward(me, packet)
             return
 
         now = net.scheduler.now
         delay = net.delays.hardware_delay(link.key, packet.seq)
         arrival = link.fifo_arrival(me, now + delay)
+        if link.node_u is node:
+            far, receiving_normal = link.node_v, link._normal_v
+        else:
+            far, receiving_normal = link.node_u, link._normal_u
         packet.hops += 1
         packet._reverse.append(receiving_normal)
         net.metrics.count_hop(link.key)
@@ -347,9 +282,9 @@ class SwitchingSubsystem:
                 me,
                 packet=packet.seq,
                 link=link.key,
-                to=other_id,
+                to=far.node_id,
             )
-        net.scheduler.schedule_at(arrival, deliver, 0, "hop", (packet, link))
+        net.scheduler.schedule_at(arrival, _deliver, 0, "hop", (far.ss, packet, link))
 
     def _deliver(self, packet: Packet, link: Link) -> None:
         """Arrival at this side of ``link``; the scheduled hop payload.
@@ -371,3 +306,8 @@ class SwitchingSubsystem:
                 )
             return
         self.receive(packet, link)
+
+
+#: The hop payload, scheduled with the far SS as its first argument, so
+#: no SS keeps a bound method around for its neighbours to schedule.
+_deliver = SwitchingSubsystem._deliver

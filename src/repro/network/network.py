@@ -131,6 +131,10 @@ class Network:
         self._protocol_factory: ProtocolFactory | None = None
         #: Counts read at the previous fold (see :meth:`_fold`).
         self._fold_marks = (0, 0, 0, 0, 0)
+        #: The one scratch set behind every NCU's ``ports_used_this_call``:
+        #: handlers never nest, so one set serves every node, cleared at
+        #: the start of each handler invocation.
+        self.call_ports: set[int] = set()
 
         #: Bumped whenever a link changes state; the derived-view caches
         #: (``adjacency`` / ``components`` / ``diameter``) key on it.
@@ -150,15 +154,12 @@ class Network:
         id_space = LinkIdSpace(capacity=max(degree.values(), default=1))
         self.id_space = id_space
 
-        # One fused pass over nodes and edges.  Everything below is the
-        # same construction the incremental path (``add_link`` +
-        # ``build_ports``) performs — same repr-sorted orders, same ID
-        # assignment, same dict insertion orders, hence byte-identical
-        # golden traces — with the per-edge method calls inlined and the
-        # port tables filled as the links are created instead of in a
-        # second sweep.  At 10⁴–10⁵ nodes the call overhead was the
-        # build-time wall (see docs/PERFORMANCE.md § Construction at
-        # scale).
+        # One fused pass over nodes and edges: links are created in
+        # repr-sorted order and each one takes the next local ID at both
+        # endpoints, so each node's port list grows in local-ID order.
+        # The per-edge work is inlined: at 10⁴–10⁵ nodes the call
+        # overhead was the build-time wall (see docs/PERFORMANCE.md
+        # § Construction at scale).
         #
         # The repr of every node is needed many times below (node order,
         # edge order, link keys); compute each exactly once.
@@ -170,7 +171,9 @@ class Network:
         self.links: dict[tuple[Any, Any], Link] = {}
         links = self.links
         nodes = self.nodes
-        link_index: dict[Any, int] = dict.fromkeys(nodes, 0)
+        # Each node's port table as it grows: entry ``i`` is the link
+        # with normal ID ``i``, entry 0 the NCU (no link).
+        port_lists: dict[Any, list[Link | None]] = {node_id: [None] for node_id in nodes}
         flag = id_space.flag
         link_new = Link.__new__
         # Decorate-sort-undecorate beats ``sorted(key=...)`` here: the
@@ -191,15 +194,14 @@ class Network:
             u, v = pairs[i]
             if u == v:
                 raise ValueError("self-loops are not supported")
-            iu, iv = link_index[u], link_index[v]
-            link_index[u] = iu + 1
-            link_index[v] = iv + 1
-            # Normal ID = local index + 1 (0 is the NCU); the range
-            # check in ``LinkIdSpace.normal_id`` is redundant here
-            # because ``capacity`` is the maximum degree by
+            ports_u = port_lists[u]
+            ports_v = port_lists[v]
+            # Normal ID = position in the port table (0 is the NCU);
+            # the range check in ``LinkIdSpace.normal_id`` is redundant
+            # here because ``capacity`` is the maximum degree by
             # construction.
-            normal_u = iu + 1
-            normal_v = iv + 1
+            normal_u = len(ports_u)
+            normal_v = len(ports_v)
             node_u = nodes[u]
             node_v = nodes[v]
             # Hand-rolled Link construction (the builder's hot
@@ -218,21 +220,11 @@ class Network:
             link._arrival_u = 0.0
             link._arrival_v = 0.0
             link.fc = None
-            # ``add_link`` without the parallel-edge check (the pairs
-            # are distinct by construction) ...
-            node_u.links[v] = link
-            node_v.links[u] = link
             links[key] = link
-            # ... and the port-table entries ``build_ports`` would
-            # derive from the same data in a second pass.
-            ss_u = node_u.ss
-            ss_v = node_v.ss
-            port_u = (link, v, normal_v, ss_v._deliver_cb)
-            port_v = (link, u, normal_u, ss_u._deliver_cb)
-            ss_u._port_by_id[normal_u] = port_u
-            ss_u._port_by_id[flag | normal_u] = port_u
-            ss_v._port_by_id[normal_v] = port_v
-            ss_v._port_by_id[flag | normal_v] = port_v
+            ports_u.append(link)
+            ports_v.append(link)
+        for node_id, node in nodes.items():
+            node.ss.ports = tuple(port_lists[node_id])
 
     def topology(self) -> Topology:
         """The full topology (every link, active or not) as a :class:`Topology`.
@@ -498,21 +490,21 @@ class Network:
     # ------------------------------------------------------------------
     def fail_link(self, u: Any, v: Any) -> None:
         """Deactivate a link now; endpoints learn via the data link."""
-        self._set_link_state(u, v, active=False)
+        self._set_link_state(self.link(u, v), active=False)
 
     def restore_link(self, u: Any, v: Any) -> None:
         """Reactivate a link now; endpoints learn via the data link."""
-        self._set_link_state(u, v, active=True)
+        self._set_link_state(self.link(u, v), active=True)
 
     def fail_node(self, node_id: Any) -> None:
         """Model a node failure: deactivate all its links (Section 2)."""
-        for neighbor in list(self.nodes[node_id].links):
-            self.fail_link(node_id, neighbor)
+        for link in self.nodes[node_id].ss.ports[1:]:
+            self.fail_link(*link.key)
 
     def restore_node(self, node_id: Any) -> None:
         """Reactivate all links of a previously failed node."""
-        for neighbor in list(self.nodes[node_id].links):
-            self.restore_link(node_id, neighbor)
+        for link in self.nodes[node_id].ss.ports[1:]:
+            self.restore_link(*link.key)
 
     def crash_node(self, node_id: Any) -> None:
         """Crash a node: links go down, NCU state is lost (Section 2 +
@@ -523,9 +515,10 @@ class Network:
         protocol state, queued jobs, in-service job and pending timers.
         Jobs arriving while crashed are dropped (``ncu_crashed``).
         """
-        for neighbor in list(self.nodes[node_id].links):
-            self._set_link_state(node_id, neighbor, active=False)
-        self.nodes[node_id].crash()
+        node = self.nodes[node_id]
+        for link in node.ss.ports[1:]:
+            self._set_link_state(link, active=False)
+        node.crash()
 
     def restart_node(self, node_id: Any, *, start: bool = True) -> None:
         """Restart a crashed node with a blank protocol instance.
@@ -542,8 +535,8 @@ class Network:
             )
         node = self.nodes[node_id]
         node.restart(self._protocol_factory)
-        for neighbor in list(node.links):
-            self._set_link_state(node_id, neighbor, active=True)
+        for link in node.ss.ports[1:]:
+            self._set_link_state(link, active=True)
         if start:
             now = self.scheduler.now
             node.ncu.enqueue(Job(kind=JobKind.START, payload=None, enqueued_at=now))
@@ -571,7 +564,7 @@ class Network:
         for key, link in self.links.items():
             u, v = key
             if link.active and index.get(u, -1) != index.get(v, -1):
-                self._set_link_state(u, v, active=False)
+                self._set_link_state(link, active=False)
                 cut.append(key)
         return cut
 
@@ -585,7 +578,7 @@ class Network:
         healed: list[tuple[Any, Any]] = []
         for key, link in self.links.items():
             if not link.active:
-                self._set_link_state(*key, active=True)
+                self._set_link_state(link, active=True)
                 healed.append(key)
         return healed
 
@@ -597,8 +590,7 @@ class Network:
         """Reactivate a link at a future simulated time."""
         self.scheduler.schedule_at(at, self.restore_link, tag="restore", args=(u, v))
 
-    def _set_link_state(self, u: Any, v: Any, *, active: bool) -> None:
-        link = self.link(u, v)
+    def _set_link_state(self, link: Link, *, active: bool) -> None:
         if link.active == active:
             return
         link.active = active
@@ -658,11 +650,11 @@ class Network:
         version = self._topology_version
         if cached is not None and cached[0] == version:
             return cached[1]
-        # Read off the link table: ``self.nodes`` is already in repr
-        # order, and each node's ``links`` in link order.
+        # Read off the port tables: ``self.nodes`` is already in repr
+        # order, and each node's ports in local-ID order.
         adjacency = {
             node_id: tuple(sorted(
-                (neighbor for neighbor, link in node.links.items() if link.active),
+                (link.other(node_id).node_id for link in node.ss.ports[1:] if link.active),
                 key=repr,
             ))
             for node_id, node in self.nodes.items()

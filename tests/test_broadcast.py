@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from conftest import graph_adjacency, limiting_net
 from repro.core import (
     BranchingPathsBroadcast,
@@ -14,7 +12,7 @@ from repro.core import (
     run_standalone_broadcast,
 )
 from repro.network import Network, bfs_tree, topologies
-from repro.sim import FixedDelays, RandomDelays
+from repro.sim import RandomDelays
 
 
 def bpaths_factory(net, root, body=None):
@@ -32,6 +30,46 @@ def test_plan_headers_route_every_node_once():
     # Header lengths: path hops + delivery marker.
     for directive in plan.directives:
         assert len(directive.header) == len(directive.nodes)
+
+
+def test_plan_lookup_reads_grow_linearly(monkeypatch):
+    # Each informed node asks the plan for the directives it launches.
+    # Counting ``PathDirective.start`` reads (no wall clock) over one
+    # broadcast tells an index (O(n) reads in all) from a scan of the
+    # whole plan per node (O(n) reads per node, O(n²) in all).
+    from repro.core.broadcast import PathDirective
+
+    reads = 0
+    start = PathDirective.start
+
+    def counted(self):
+        nonlocal reads
+        reads += 1
+        return start.fget(self)
+
+    monkeypatch.setattr(PathDirective, "start", property(counted))
+    per_node = {}
+    for k in (8, 12):
+        net = limiting_net(topologies.fat_tree(k))
+        reads = 0
+        run = run_standalone_broadcast(net, bpaths_factory(net, 0), 0)
+        assert run.coverage == net.n
+        assert reads > 0
+        per_node[net.n] = reads / net.n
+    (n_small, small), (n_large, large) = sorted(per_node.items())
+    assert n_large > 2.5 * n_small
+    # A scan per node would multiply reads per node by ~n_large / n_small.
+    assert large < 1.5 * small, per_node
+
+
+def test_plan_lookup_keeps_plan_order():
+    net = limiting_net(topologies.random_connected(30, 0.15, seed=3))
+    plan = plan_broadcast(bfs_tree(net.adjacency(), 0), net.id_lookup)
+    for node in net.nodes:
+        expected = tuple(d for d in plan.directives if d.nodes[0] == node)
+        assert plan.starting_at(node) == expected
+        assert all(a is b for a, b in zip(plan.starting_at(node), expected))
+    assert plan.starting_at("not a node") == ()
 
 
 def test_broadcast_covers_all_nodes(small_graphs):

@@ -241,14 +241,32 @@ SMALL_SPECS = {
 
 
 def _construction(net) -> dict:
-    """Everything construction decides, in order."""
+    """Everything construction decides, in order.
+
+    Each port lists ``(port ID, far node, receiving normal)`` for its
+    normal ID and then its copy ID: entry ``i`` of the port table
+    answers to normal ID ``i`` and copy ID ``flag | i``.
+    """
+    flag = net.id_space.flag
+
+    def port_entries(node_id, ports):
+        entries = []
+        for index, link in enumerate(ports):
+            if link is None:
+                continue
+            far = link.other(node_id).node_id
+            receiving_normal = link.ids_at(far)[0]
+            entries += [(index, far, receiving_normal),
+                        (flag | index, far, receiving_normal)]
+        return entries
+
     return {
         "links": [
             (key, link._u_id, link._v_id, link._normal_u, link._normal_v)
             for key, link in net.links.items()
         ],
         "ports": {
-            node_id: [(pid, port[1], port[2]) for pid, port in node.ss._port_by_id.items()]
+            node_id: port_entries(node_id, node.ss.ports)
             for node_id, node in net.nodes.items()
         },
         "adjacency": dict(net.adjacency()),

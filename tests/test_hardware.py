@@ -186,6 +186,38 @@ def test_port_discipline_allows_distinct_links():
     assert all(received[leaf] == ["fanout"] for leaf in (1, 2, 3))
 
 
+def _send_in_one_call(graph, headers):
+    """Run one system call at node 0 that sends every header in turn."""
+    net = limiting_net(graph)
+
+    class Sender(Protocol):
+        def on_start(self, payload):
+            for header in headers:
+                self.api.send(header, "x")
+
+    net.attach(lambda api: Sender(api))
+    net.start([0])
+    net.run_to_quiescence()
+    return net
+
+
+def test_port_discipline_keys_groups_by_their_own_id():
+    # ring:3 has flag 4 and groups from 8: group 8 and group 12 differ
+    # only in the copy bit, yet are two groups, not one port.
+    ring = topologies.ring(3)
+    space = limiting_net(ring).id_space
+    flag, base = space.flag, space.group_base
+    assert (flag, base) == (4, 8)
+    _send_in_one_call(ring, [(base,), (base + flag,)])
+    _send_in_one_call(ring, [(base,), (base + 1,)])
+    # The two refusals that hold: the same group twice, and a port's
+    # normal ID together with its copy ID.
+    with pytest.raises(ProtocolError, match="multicast"):
+        _send_in_one_call(ring, [(base,), (base,)])
+    with pytest.raises(ProtocolError, match="multicast"):
+        _send_in_one_call(ring, [(1, NCU_ID), (flag | 1, NCU_ID)])
+
+
 def test_copy_and_forward_same_port_is_one_send():
     # A copy ID matches the link AND the NCU link: one send, two outputs.
     net = limiting_net(topologies.line(3))

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import attach_recorders, limiting_net
-from repro.hardware import build_anr, path_broadcast_anr, reply_route
+from repro.hardware import NCU_ID, build_anr, path_broadcast_anr, reply_route
 from repro.network import Topology, topologies
+from repro.sim import TraceKind
 
 SLOW = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -141,3 +142,82 @@ def test_hop_and_copy_conservation(seed):
     assert net.metrics.copies == expected_copies
     delivered = sum(len(r.packets) for r in recorders.values())
     assert delivered == expected_copies
+
+
+def _dict_port_table(net, node_id) -> dict:
+    """The port table as a dict from each link's normal and copy ID at
+    ``node_id`` to the link: the oracle the tuple table must agree with."""
+    table = {}
+    for link in net.links.values():
+        if node_id in (link.node_u.node_id, link.node_v.node_id):
+            normal, copy = link.ids_at(node_id)
+            table[normal] = link
+            table[copy] = link
+    return table
+
+
+def _oracle_decision(net, node_id, table, link_id) -> tuple:
+    """``(links forwarded over, copy delivered, drop reasons)`` the
+    ID-set rule gives for ``link_id`` against the dict table."""
+    groups = net.node(node_id).ss._groups
+    if link_id in groups:
+        members, to_ncu = groups[link_id]
+        over = tuple(link.key for link in members if link.active)
+        drops = tuple("inactive_link" for link in members if not link.active)
+        return over, to_ncu, drops
+    link = table.get(link_id)
+    copy = link_id == NCU_ID or (link is not None and net.id_space.is_copy(link_id))
+    if link is None:
+        return (), copy, () if copy else ("unroutable_id",)
+    if not link.active:
+        return (), copy, ("inactive_link",)
+    return (link.key,), copy, ()
+
+
+def _observed_decision(net, node_id, link_id) -> tuple:
+    """Inject ``(link_id,)`` at ``node_id`` and read what the SS did."""
+    start = len(net.trace)
+    net.node(node_id).inject((link_id,), "probe")
+    records = list(net.trace)[start:]
+    over = tuple(r.detail["link"] for r in records if r.kind is TraceKind.PACKET_HOP)
+    copy = any(r.kind is TraceKind.PACKET_COPIED for r in records)
+    drops = tuple(
+        r.detail["reason"] for r in records if r.kind is TraceKind.PACKET_DROPPED
+    )
+    return over, copy, drops
+
+
+@SLOW
+@given(st.integers(min_value=0, max_value=10**6), st.data())
+def test_port_table_matches_dict_oracle(seed, data):
+    rng = random.Random(seed)
+    n = rng.randint(2, 8)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [pair for pair in pairs if rng.random() < 0.5] or [pairs[0]]
+    net = limiting_net(Topology(range(n), edges), trace=True)
+    attach_recorders(net)
+    for u, v in edges:
+        if rng.random() < 0.2:
+            net.fail_link(u, v)
+    node_id = rng.randrange(n)
+    node = net.node(node_id)
+    space = net.id_space
+    flag, base = space.flag, space.group_base
+    degree = node.api.degree
+    if node.ss.ports[1:] and rng.random() < 0.5:
+        members = tuple(link for link in node.ss.ports[1:] if rng.random() < 0.5)
+        node.ss.install_group(base + flag, members, to_ncu=rng.random() < 0.5)
+    normal = list(range(1, degree + 1))
+    ids = (
+        [-(2**70), -flag - 1, -flag, -1, NCU_ID, flag, flag - 1, degree + 1,
+         flag | (degree + 1), 2 * flag - 1, base, base + 1, base + flag,
+         2**31, 2**64 + 1]
+        + normal
+        + [flag | i for i in normal]
+        + data.draw(st.lists(st.integers(), max_size=8))
+    )
+    table = _dict_port_table(net, node_id)
+    for link_id in ids:
+        assert _observed_decision(net, node_id, link_id) == _oracle_decision(
+            net, node_id, table, link_id
+        ), (link_id, flag, degree)

@@ -10,14 +10,18 @@ instead of showing up as a benchmark drift three PRs later.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core import FloodingBroadcast, run_standalone_broadcast
 from repro.hardware.link import Link, LinkFlowState
 from repro.hardware.ncu import NCU, Job, NodeApi
 from repro.hardware.node import Node
 from repro.hardware.packet import Packet
 from repro.hardware.switch import SwitchingSubsystem
-from repro.network import Network, from_spec
+from repro.network import Network, from_spec, topology_from_spec
+from repro.sim import FixedDelays
 from repro.sim.events import Event
 
 #: Every class whose instances scale with the network or event count.
@@ -59,11 +63,50 @@ def test_hot_instances_reject_stray_attributes():
             obj.__not_a_slot__ = 1  # type: ignore[attr-defined]
 
 
-def test_port_entries_are_plain_tuples():
+def test_port_table_holds_links():
+    # One tuple per node, entry i the Link with normal ID i and copy ID
+    # flag | i, entry 0 (the NCU) empty: each link end is stored once.
     net = from_spec("grid:3,3", trace=False)
+    flag = net.id_space.flag
+    held = []
+    for node_id, node in net.nodes.items():
+        ports = node.ss.ports
+        assert type(ports) is tuple and ports[0] is None
+        for index, link in enumerate(ports[1:], start=1):
+            assert type(link) is Link
+            assert link.ids_at(node_id) == (index, flag | index)
+        held += ports[1:]
+    assert Counter(map(id, held)) == {id(link): 2 for link in net.links.values()}
+
+
+def test_fat_tree_build_retains_under_budget():
+    # Retained heap per node of a fat_tree:16 build (1,344 nodes): the
+    # node, SS, NCU and API objects, one port tuple, and the node's
+    # share of the links.  A per-node dict of links or of port IDs
+    # would push it well past the budget.
+    import gc
+    import tracemalloc
+
+    topology = topology_from_spec("fat_tree:16")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = Network(topology, trace=False)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.n == 1344
+    assert retained / net.n <= 1500, f"{retained / net.n:.0f} B/node"
+
+
+def test_no_ncu_holds_a_set_after_a_flood():
+    # The per-call port check uses the network's one scratch set.
+    net = from_spec("fat_tree:4", delays=FixedDelays(0.1, 1.0), trace=False)
+    run = run_standalone_broadcast(net, lambda api: FloodingBroadcast(api, root=0), 0)
+    assert run.coverage == net.n
     for node in net.nodes.values():
-        for entry in node.ss._port_by_id.values():
-            assert type(entry) is tuple and len(entry) == 4
+        for slot in NCU.__slots__:
+            assert not isinstance(getattr(node.ncu, slot, None), set), slot
 
 
 @pytest.mark.parametrize("cls", [Network], ids=lambda c: c.__name__)

@@ -81,14 +81,12 @@ def test_reset_restores_pristine_state() -> None:
 
 def test_reset_keeps_build_products() -> None:
     net = from_spec("grid:4,4")
-    before = {
-        node_id: dict(node.ss._port_by_id) for node_id, node in net.nodes.items()
-    }
+    before = {node_id: node.ss.ports for node_id, node in net.nodes.items()}
     links_before = dict(net.links)
     net.reset()
     assert dict(net.links) == links_before
     for node_id, node in net.nodes.items():
-        assert dict(node.ss._port_by_id) == before[node_id]
+        assert node.ss.ports == before[node_id]
 
 
 def test_reset_returns_self_for_chaining() -> None:
