@@ -11,8 +11,7 @@ Examples::
     python -m repro multicast --topology random:64,1 --messages 5
     python -m repro observe   --topology grid:8,8 --workload broadcast --stats
     python -m repro election  --topology ring:32 --monitor budgets,watchdog
-    python -m repro bench --compare benchmarks/baselines/BENCH_election_ring.json
-    python -m repro bench --jobs 4
+    python -m repro bench --name hotpath_forwarding --perf
     python -m repro campaign tradeoff --n 48 --jobs 4 --rows-out rows.json
 
 Campaigns (see ``docs/TUTORIAL.md`` §8): ``repro campaign`` turns a
@@ -34,9 +33,11 @@ exports cover the ``--scheme`` run.
 Conformance monitoring: ``--monitor budgets,invariants,watchdog`` (or
 ``--monitor all``) attaches online monitors that flag theorem-budget
 breaches, invariant violations and stalls *while the run executes*;
-any violation makes the command exit non-zero.  ``repro bench`` runs
-the telemetry suite, writes ``BENCH_<name>.json`` documents, and
-``--compare`` gates them against a baseline.
+any violation makes the command exit non-zero.  ``repro bench`` times
+three microbenchmarks (the event kernel, the forwarding hot path and
+flow control) and prints their metrics, optionally under perf
+counters, cProfile or the sampling profiler; the exact counter pins
+live in ``tests/test_bench.py`` and end-to-end timing in ``bench/``.
 
 Congestion: ``--link-rate``/``--link-buffer`` enable credit-based
 flow control on every link (senders stall when the downstream buffer
@@ -692,175 +693,90 @@ def cmd_topology_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profiled_benchmarks(names: list, args: argparse.Namespace) -> dict:
-    """Run each benchmark under cProfile; dump stats and print a top-N
-    cumulative table.
+def _print_profile(name: str, profiler, args: argparse.Namespace) -> None:
+    """Dump one benchmark's cProfile stats and print a top-N cumulative
+    table.
 
     Perf work should start from data: this is the profiling entry point
-    ``docs/PERFORMANCE.md`` points at.  Wall-clock metrics in the
-    resulting documents include profiler overhead, so they must not be
-    compared against unprofiled baselines — deterministic counters are
-    unaffected.
+    ``docs/PERFORMANCE.md`` points at.
     """
-    import cProfile
     import io
     import pstats
-    from pathlib import Path
 
-    from .obs import run_benchmark
-
-    print("note: profiling inflates wall_ms / deflates events_per_sec; "
-          "do not gate against unprofiled baselines\n")
-    docs: dict = {}
-    for name in names:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        docs[name] = run_benchmark(name)
-        profiler.disable()
-        dump = Path(args.out_dir) / f"PROFILE_{name}.pstats"
-        dump.parent.mkdir(parents=True, exist_ok=True)
-        profiler.dump_stats(dump)
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("cumulative").print_stats(args.profile_top)
-        print(f"--- profile: {name} (top {args.profile_top} by cumulative "
-              f"time; full dump: {dump}) ---")
-        print(stream.getvalue())
-    return docs
+    dump = Path(args.out_dir) / f"PROFILE_{name}.pstats"
+    dump.parent.mkdir(parents=True, exist_ok=True)
+    profiler.dump_stats(dump)
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    stats.sort_stats("cumulative").print_stats(args.profile_top)
+    print(f"--- profile: {name} (top {args.profile_top} by cumulative "
+          f"time; full dump: {dump}) ---")
+    print(stream.getvalue())
 
 
-def _instrumented_benchmarks(names: list, args: argparse.Namespace) -> dict:
-    """Run benchmarks serially with --perf counters and/or --flamegraph.
-
-    Both instruments are honest where cProfile is not: counters cost
-    one guarded increment per hook and sampling never touches the
-    measured code, so the documents' deterministic metrics stay
-    byte-identical to an uninstrumented run (only wall metrics absorb
-    the sampler's steal time).
-    """
-    from .obs import PerfCounters, SamplingProfiler, run_benchmark
-
-    docs: dict = {}
-    for name in names:
-        profiler = SamplingProfiler(hz=args.flamegraph_hz) if args.flamegraph else None
-        if profiler is not None:
-            profiler.start()
-        try:
-            docs[name] = run_benchmark(name, perf=args.perf)
-        finally:
-            if profiler is not None:
-                profiler.stop()
-        if profiler is not None:
-            base = Path(args.out_dir)
-            collapsed = profiler.write_collapsed(
-                base / f"FLAME_{name}.collapsed.txt"
-            )
-            speedscope = profiler.write_speedscope(
-                base / f"FLAME_{name}.speedscope.json", name=name
-            )
-            print(f"flamegraph: {speedscope} ({profiler.samples} samples; "
-                  f"collapsed stacks: {collapsed})")
-        if args.perf:
-            print(PerfCounters.from_dict(docs[name]["perf"]).render(
-                title=f"{name}: perf attribution"
-            ))
-            print()
-    return docs
+def _write_flamegraph(name: str, sampler, args: argparse.Namespace) -> None:
+    """Write one benchmark's sampled stacks as collapsed text and
+    speedscope JSON."""
+    base = Path(args.out_dir)
+    collapsed = sampler.write_collapsed(base / f"FLAME_{name}.collapsed.txt")
+    speedscope = sampler.write_speedscope(
+        base / f"FLAME_{name}.speedscope.json", name=name
+    )
+    print(f"flamegraph: {speedscope} ({sampler.samples} samples; "
+          f"collapsed stacks: {collapsed})")
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the telemetry suite; write/compare ``BENCH_*.json``."""
-    from .obs import (
-        BENCHMARKS,
-        benchmark_names,
-        compare_documents,
-        load_bench_document,
-        regressions,
-        render_comparison,
-        render_metrics,
-        run_benchmarks,
-        write_bench_document,
-    )
+    """Run the timed microbenchmarks and print each one's metrics.
 
-    if args.list:
-        for bench in BENCHMARKS:
-            print(f"{bench.name:18} {bench.description}")
-        return 0
+    ``--perf`` counters and the ``--flamegraph`` sampler leave the
+    deterministic metrics as they are; ``--profile`` (cProfile) inflates
+    the wall metrics.
+    """
+    from .obs import PerfCounters, SamplingProfiler, benchmark_names
+    from .obs import render_metrics, run_benchmark
 
-    thresholds: dict[str, float] = {}
-    for spec in args.threshold or ():
-        metric, sep, value = spec.partition("=")
-        try:
-            if not sep:
-                raise ValueError
-            thresholds[metric.strip()] = float(value)
-        except ValueError:
-            print(f"error: bad --threshold {spec!r} (use METRIC=RATIO)",
-                  file=sys.stderr)
-            return 2
-
-    docs: dict[str, dict] = {}
-    if args.replay:
-        for path in args.replay:
-            try:
-                doc = load_bench_document(path)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            docs[doc["bench"]] = doc
-            print(f"replayed {doc['bench']} from {path}")
+    registered = benchmark_names()
+    if args.name is None:
+        names = list(registered)
     else:
-        if args.name:
-            names = [part.strip() for part in args.name.split(",") if part.strip()]
-        else:
-            names = list(benchmark_names())
-        try:
-            if args.profile:
-                docs = _profiled_benchmarks(names, args)
-            elif args.perf or args.flamegraph:
-                docs = _instrumented_benchmarks(names, args)
-            else:
-                docs = run_benchmarks(names, jobs=args.jobs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for name, doc in docs.items():
-            path = write_bench_document(doc, args.out_dir)
-            print(render_metrics(doc, title=f"{name}: {doc['description']}"))
-            print(f"written to {path}")
-            print()
+        names = [part.strip() for part in args.name.split(",") if part.strip()]
+    unknown = [name for name in names if name not in registered]
+    if not names or unknown:
+        what = (f"unknown benchmark {unknown[0]!r}" if unknown
+                else f"--name {args.name!r} selects no benchmark")
+        print(f"error: {what}; choose from {', '.join(registered)}",
+              file=sys.stderr)
+        return 2
+    if args.profile:
+        import cProfile
 
-    exit_code = 0
-    for baseline_path in args.compare or ():
+        print("note: profiling inflates wall_ms / deflates events_per_sec\n")
+    for name in names:
+        profiler = cProfile.Profile() if args.profile else None
+        sampler = (SamplingProfiler(hz=args.flamegraph_hz).start()
+                   if args.flamegraph else None)
+        if profiler is not None:
+            profiler.enable()
         try:
-            baseline = load_bench_document(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        name = baseline["bench"]
-        current = docs.get(name)
-        if current is None:
-            print(
-                f"error: baseline {baseline_path} is for benchmark {name!r}, "
-                "which was not run/replayed",
-                file=sys.stderr,
-            )
-            return 2
-        comparisons = compare_documents(current, baseline, thresholds)
-        print(render_comparison(
-            comparisons, title=f"{name}: current vs {baseline_path}"
-        ))
+            doc = run_benchmark(name, perf=args.perf)
+        finally:
+            if profiler is not None:
+                profiler.disable()
+            if sampler is not None:
+                sampler.stop()
+        if profiler is not None:
+            _print_profile(name, profiler, args)
+        if sampler is not None:
+            _write_flamegraph(name, sampler, args)
+        if args.perf:
+            print(PerfCounters.from_dict(doc["perf"]).render(
+                title=f"{name}: perf attribution"
+            ))
+            print()
+        print(render_metrics(doc, title=f"{name}: {doc['description']}"))
         print()
-        for c in regressions(comparisons):
-            direction = "below" if c.higher_is_better else "above"
-            print(
-                f"REGRESSION: {name}.{c.metric} = {c.current:g} is {direction} "
-                f"threshold ({c.ratio:.3f}x baseline {c.baseline:g}, "
-                f"allowed {c.threshold:g})",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    return exit_code
+    return 0
 
 
 def _scenario_spec(args: argparse.Namespace):
@@ -1397,47 +1313,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the benchmark telemetry suite, write BENCH_*.json, "
-             "gate regressions",
+        help="time the in-package microbenchmarks and print their metrics",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="benchmarks:\n"
+               "  kernel_scale          pure kernel throughput, "
+               "400k-event pending set\n"
+               "  hotpath_forwarding    end-to-end ANR streaming, line:64\n"
+               "  congested_forwarding  flow-controlled bottleneck line, "
+               "over-driven source",
     )
     p.add_argument("--name", default=None, metavar="LIST",
-                   help="comma list of benchmarks (default: all; see --list)")
+                   help="comma list of benchmarks (default: all three)")
     p.add_argument("--out-dir", default=".", metavar="DIR",
-                   help="where BENCH_<name>.json documents go "
+                   help="where --profile and --flamegraph write their files "
                         "(default: current directory)")
-    p.add_argument("--compare", action="append", metavar="BASELINE",
-                   help="baseline BENCH_*.json to gate against (repeatable); "
-                        "any threshold breach exits 1")
-    p.add_argument("--replay", action="append", metavar="CURRENT",
-                   help="compare saved documents instead of re-running "
-                        "(repeatable)")
-    p.add_argument("--threshold", action="append", metavar="METRIC=RATIO",
-                   help="allowed current/baseline ratio for one metric "
-                        "(repeatable; default 1.0, wall_ms 2.0, "
-                        "events_per_sec 0.5)")
-    p.add_argument("--list", action="store_true",
-                   help="list registered benchmarks and exit")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run benchmarks across N worker processes "
-                        "(default %(default)s; deterministic counters are "
-                        "identical for any N)")
     p.add_argument("--profile", action="store_true",
                    help="run each benchmark under cProfile: dump "
-                        "PROFILE_<name>.pstats next to the documents and "
-                        "print a top-N cumulative table (wall metrics "
-                        "include profiler overhead)")
+                        "PROFILE_<name>.pstats into --out-dir and print a "
+                        "top-N cumulative table (wall metrics include "
+                        "profiler overhead)")
     p.add_argument("--profile-top", type=int, default=15, metavar="N",
                    help="rows in the --profile table (default %(default)s)")
     p.add_argument("--perf", action="store_true",
-                   help="collect per-subsystem perf counters into a 'perf' "
-                        "block of each BENCH document and print the "
-                        "attribution table (metrics are unaffected; "
-                        "runs serially)")
+                   help="collect per-subsystem perf counters and print the "
+                        "attribution table (metrics are unaffected)")
     p.add_argument("--flamegraph", action="store_true",
                    help="sample each benchmark's stack and write "
-                        "FLAME_<name>.collapsed.txt + "
-                        ".speedscope.json next to the documents "
-                        "(runs serially)")
+                        "FLAME_<name>.collapsed.txt + .speedscope.json "
+                        "into --out-dir")
     p.add_argument("--flamegraph-hz", type=float, default=251.0,
                    metavar="HZ",
                    help="sampling rate for --flamegraph "

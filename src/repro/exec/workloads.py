@@ -14,16 +14,7 @@ from typing import Any
 
 #: Metrics in a benchmark document that vary run to run; everything
 #: else is an exactly reproducible simulation counter.
-NONDETERMINISTIC_METRICS = frozenset(
-    {
-        "wall_ms",
-        "events_per_sec",
-        "build_ms",
-        "reuse_run_ms",
-        "rebuild_run_ms",
-        "reuse_speedup",
-    }
-)
+NONDETERMINISTIC_METRICS = frozenset({"wall_ms", "events_per_sec"})
 
 
 def tradeoff_point(*, n: int, ratio: str, P: str = "1") -> dict[str, Any]:
@@ -180,8 +171,7 @@ def bench_counters(*, name: str) -> dict[str, Any]:
 
     This is the campaign form of ``repro bench``: identical across job
     counts, shards and machines, hence safely cacheable — unlike the
-    full ``BENCH_<name>.json`` document, whose wall metrics must be
-    measured fresh.
+    wall metrics, which must be measured fresh.
     """
     from ..obs.bench import run_benchmark
 

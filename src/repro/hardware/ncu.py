@@ -142,8 +142,18 @@ class NodeApi:
 
         May be called any number of times inside a single handler
         invocation at no extra software cost (the multicast primitive).
+        Outside a handler the NCU is not in a system call, so the send
+        would go uncharged: it raises :class:`ProtocolError` instead.
+        Drivers put raw traffic on the hardware with ``Node.inject``.
         """
-        return self._node.inject(header, payload)
+        node = self._node
+        if node.ncu.ports_used_this_call is None:
+            raise ProtocolError(
+                f"node {node.node_id} sent a packet outside a system call; "
+                "an NCU sends only from its handler (a driver injects raw "
+                "hardware traffic with Node.inject)"
+            )
+        return node.inject(header, payload)
 
     def install_group(
         self,

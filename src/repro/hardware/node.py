@@ -100,6 +100,9 @@ class Node:
     def inject(self, header: tuple[int, ...], payload: Any) -> Packet:
         """Create a packet and push it into the local SS.
 
+        The send path behind ``NodeApi.send``, and the driver hook for
+        raw hardware traffic: called outside a handler it injects at
+        the SS directly, which is never counted as a system call.
         Enforces the ``dmax`` restriction on header length: source
         routes longer than the network's configured maximum raise
         :class:`PathTooLongError` rather than being silently truncated.

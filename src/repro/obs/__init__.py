@@ -10,17 +10,9 @@ check per hook site — see ``benchmarks/bench_obs_overhead.py``).
 from .bench import (
     BENCHMARKS,
     Benchmark,
-    MetricComparison,
-    bench_path,
     benchmark_names,
-    compare_documents,
-    load_bench_document,
-    regressions,
-    render_comparison,
     render_metrics,
     run_benchmark,
-    run_benchmarks,
-    write_bench_document,
 )
 from .exporters import (
     TraceLoadError,
@@ -74,7 +66,6 @@ __all__ = [
     "InvariantMonitor",
     "LiveStats",
     "MONITOR_NAMES",
-    "MetricComparison",
     "Monitor",
     "MonitorHost",
     "NetCalcMonitor",
@@ -84,17 +75,14 @@ __all__ = [
     "SamplingProfiler",
     "Span",
     "TraceLoadError",
-    "bench_path",
     "benchmark_names",
     "broadcast_budgets",
     "budgets_for",
     "build_spans",
     "children_index",
     "chrome_trace_document",
-    "compare_documents",
     "election_budgets",
     "git_revision",
-    "load_bench_document",
     "makespan",
     "merge_perf_dicts",
     "monitors_from_spec",
@@ -102,16 +90,12 @@ __all__ = [
     "record_to_dict",
     "records_from_jsonl",
     "records_to_jsonl",
-    "regressions",
     "render_alerts",
-    "render_comparison",
     "render_congestion_heatmap",
     "render_metrics",
     "render_timeline",
     "run_benchmark",
-    "run_benchmarks",
     "span_counts",
     "span_summary_table",
-    "write_bench_document",
     "write_chrome_trace",
 ]

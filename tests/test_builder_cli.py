@@ -418,6 +418,11 @@ CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
             ("networkx", *CAMPAIGN_ONLY),
             id="converge",
         ),
+        pytest.param(
+            ["bench", "--name", "hotpath_forwarding"],
+            ("networkx", *CAMPAIGN_ONLY),
+            id="bench",
+        ),
         # A churn story derives its seeds from strings, and a campaign
         # hashes its specs and forks workers (which inherit the block).
         pytest.param(

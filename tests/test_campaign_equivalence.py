@@ -16,7 +16,7 @@ from repro.analysis.montecarlo import sweep
 from repro.analysis.sweeps import size_growth, tradeoff_sweep
 from repro.cli import main
 from repro.exec.workloads import NONDETERMINISTIC_METRICS, election_calls_per_node
-from repro.obs import CampaignManifest, load_bench_document, run_benchmarks
+from repro.obs import CampaignManifest, run_benchmark
 
 JOB_COUNTS = (1, 2, 3)
 
@@ -58,17 +58,18 @@ def test_size_growth_identical_across_jobs():
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_bench_counters_identical_across_jobs(jobs):
-    serial = run_benchmarks(["broadcast_grid"], jobs=1)
-    sharded = run_benchmarks(["broadcast_grid"], jobs=jobs)
-    assert deterministic_metrics(sharded["broadcast_grid"]) == deterministic_metrics(
-        serial["broadcast_grid"]
-    )
-
-
-def test_run_benchmarks_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        run_benchmarks(["no_such_bench"], jobs=2)
+def test_bench_counters_identical_across_jobs(tmp_path, jobs, capsys):
+    names = "hotpath_forwarding,congested_forwarding"
+    rows = {}
+    for run_jobs in (1, jobs):
+        path = tmp_path / f"rows{run_jobs}.json"
+        assert main(["campaign", "bench", "--names", names, "--no-cache",
+                     "--jobs", str(run_jobs), "--rows-out", str(path)]) == 0
+        rows[run_jobs] = json.loads(path.read_text())["rows"]
+    capsys.readouterr()
+    assert rows[jobs] == rows[1]
+    for row in rows[1]:
+        assert row["metrics"] == deterministic_metrics(run_benchmark(row["bench"]))
 
 
 # ----------------------------------------------------------------------
@@ -85,24 +86,6 @@ def test_second_sweep_run_executes_zero_tasks(tmp_path):
     assert second.executed == 0
     assert second.cache_hits == len(specs)
     assert second.values() == first.values()
-
-
-# ----------------------------------------------------------------------
-# CLI: BENCH_<name>.json across job counts
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("jobs", (1, 2))
-def test_bench_cli_documents_identical_across_jobs(tmp_path, jobs, capsys):
-    serial_dir = tmp_path / "serial"
-    sharded_dir = tmp_path / f"jobs{jobs}"
-    assert main(["bench", "--name", "broadcast_grid,flood_random",
-                 "--out-dir", str(serial_dir)]) == 0
-    assert main(["bench", "--name", "broadcast_grid,flood_random",
-                 "--jobs", str(jobs), "--out-dir", str(sharded_dir)]) == 0
-    capsys.readouterr()
-    for name in ("broadcast_grid", "flood_random"):
-        serial = load_bench_document(serial_dir / f"BENCH_{name}.json")
-        sharded = load_bench_document(sharded_dir / f"BENCH_{name}.json")
-        assert deterministic_metrics(sharded) == deterministic_metrics(serial)
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +173,12 @@ def test_campaign_manifest_records_per_task_wall_time(tmp_path, capsys):
 
 def test_campaign_rows_document_shape(tmp_path, capsys):
     rows_path = tmp_path / "rows.json"
-    assert campaign("bench", "--names", "broadcast_grid", "--no-cache",
+    assert campaign("bench", "--names", "hotpath_forwarding", "--no-cache",
                     "--rows-out", str(rows_path)) == 0
     capsys.readouterr()
     doc = json.loads(rows_path.read_text())
     assert doc["workload"] == "bench"
-    assert doc["params"] == {"names": ["broadcast_grid"]}
+    assert doc["params"] == {"names": ["hotpath_forwarding"]}
     [row] = doc["rows"]
-    assert row["bench"] == "broadcast_grid"
+    assert row["bench"] == "hotpath_forwarding"
     assert NONDETERMINISTIC_METRICS.isdisjoint(row["metrics"])

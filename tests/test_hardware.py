@@ -218,6 +218,22 @@ def test_port_discipline_keys_groups_by_their_own_id():
         _send_in_one_call(ring, [(1, NCU_ID), (flag | 1, NCU_ID)])
 
 
+def test_send_outside_a_system_call_is_refused():
+    # A send is NCU work: outside a handler no system call would pay
+    # for it, so the API refuses it before a packet exists.
+    net = limiting_net(topologies.ring(4))
+    net.attach(lambda api: Protocol(api))
+    with pytest.raises(ProtocolError, match="outside a system call"):
+        net.node(0).api.send((1, NCU_ID), "x")
+    assert net.metrics.snapshot().packets_injected == 0
+    # Raw hardware injection stays open to drivers and is never charged:
+    # the one system call is the receiver's delivery.
+    net.node(0).inject((1, NCU_ID), "raw")
+    net.run_to_quiescence()
+    assert net.metrics.snapshot().packets_injected == 1
+    assert net.metrics.system_calls == 1
+
+
 def test_copy_and_forward_same_port_is_one_send():
     # A copy ID matches the link AND the NCU link: one send, two outputs.
     net = limiting_net(topologies.line(3))

@@ -302,8 +302,8 @@ def test_golden_equivalence_with_counters_enabled():
 
 
 def test_bench_perf_block_leaves_metrics_identical():
-    plain = run_benchmark("broadcast_grid")
-    instrumented = run_benchmark("broadcast_grid", perf=True)
+    plain = run_benchmark("hotpath_forwarding")
+    instrumented = run_benchmark("hotpath_forwarding", perf=True)
     assert "perf" not in plain and "perf" in instrumented
     for key, value in plain["metrics"].items():
         if key in ("wall_ms", "events_per_sec"):

@@ -99,6 +99,31 @@ def test_fat_tree_build_retains_under_budget():
     assert retained / net.n <= 1500, f"{retained / net.n:.0f} B/node"
 
 
+def test_fat_tree_build_makes_constant_python_calls_per_node():
+    # Network._build inlines its per-link work, so a build's Python
+    # calls are the four per-node constructors (Node, SS, NCU, NodeApi)
+    # plus a few fixed ones: 5,404 on fat_tree:16.  One more call per
+    # link would add 3,072.  Counted with a profile hook, not a clock.
+    import sys
+
+    topology = topology_from_spec("fat_tree:16")
+    Network(topology, trace=False)  # first build loads modules and caches
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        net = Network(topology, trace=False)
+    finally:
+        sys.setprofile(None)
+    assert net.n == 1344
+    assert calls <= 4 * net.n + 64, calls
+
+
 def test_no_ncu_holds_a_set_after_a_flood():
     # The per-call port check uses the network's one scratch set.
     net = from_spec("fat_tree:4", delays=FixedDelays(0.1, 1.0), trace=False)
