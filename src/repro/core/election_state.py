@@ -16,6 +16,13 @@ mutated again: passing tours rely on it to compute their return routes
 ("ANR(q, o) is at that time computed in q, using INOUT_q" — possible
 because a tour's entry node ``o`` is in the IN set of every origin above
 it in the virtual tree).
+
+The state holds only what those routes read.  A route runs along the
+INOUT tree and, toward an OUT node, one last hop from its recorded IN
+neighbour; so link IDs are kept for tree edges only, and each OUT node
+keeps one flat record of the link that attaches it.  Every captured
+origin keeps its frozen copy for the rest of the run, so this state is
+the largest share of what an election retains.
 """
 
 from __future__ import annotations
@@ -55,15 +62,18 @@ class DomainState:
 
     origin: Any
     in_set: set[Any] = field(default_factory=set)
-    #: o -> (w, (normal, copy) at w for link (w, o), (normal, copy) at o)
-    #: where w is an IN node adjacent to the OUT node o.
-    out_info: dict[Any, tuple[Any, tuple[int, int], tuple[int, int]]] = field(
-        default_factory=dict
-    )
+    #: o -> (w, normal_w, copy_w, normal_o, copy_o): one flat record per
+    #: OUT node o, naming an IN neighbour w and the (normal, copy) IDs of
+    #: the real link w-o at each end.  Routes to o take its last hop from
+    #: here; a merge that pulls o into the tree reads both ends.
+    out_info: dict[Any, tuple[Any, int, int, int, int]] = field(default_factory=dict)
     #: Adjacency of the INOUT tree (IN nodes only; edges are real links).
     inout_adj: dict[Any, set[Any]] = field(default_factory=dict)
-    #: (a, b) -> (normal, copy) IDs at a of the real link a-b, for every
-    #: INOUT tree edge (both directions) and every OUT attachment edge.
+    #: (a, b) -> (normal, copy) IDs at a of the real link a-b, for the
+    #: INOUT tree edges only, in both directions: every in-domain route
+    #: and the leader's announce plan follow tree edges, and nothing
+    #: else reads an ID.  A singleton domain has none; each merge adds
+    #: its joining edge.
     link_ids: dict[tuple[Any, Any], tuple[int, int]] = field(default_factory=dict)
     size: int = 1
 
@@ -81,12 +91,11 @@ class DomainState:
                 continue
             state.out_info[info.v] = (
                 node_id,
-                (info.normal_at_u, info.copy_at_u),
-                (info.normal_at_v, info.copy_at_v),
+                info.normal_at_u,
+                info.copy_at_u,
+                info.normal_at_v,
+                info.copy_at_v,
             )
-            state.link_ids[(node_id, info.v)] = (info.normal_at_u, info.copy_at_u)
-            state.link_ids[(info.v, node_id)] = (info.normal_at_v, info.copy_at_v)
-        state.size = 1
         return state
 
     # ------------------------------------------------------------------
@@ -174,12 +183,12 @@ class DomainState:
     def anr_to_out_node(self, frm: Any, out_node: Any) -> tuple[int, ...]:
         """Full ANR from an IN node to an OUT neighbour of the domain."""
         try:
-            w, ids_at_w, _ = self.out_info[out_node]
+            w, normal_w = self.out_info[out_node][:2]
         except KeyError as exc:
             raise RoutingError(
                 f"{out_node!r} is not in domain {self.origin!r}'s OUT set"
             ) from exc
-        return self.anr_ids(self.tree_path(frm, w)) + (ids_at_w[0], NCU_ID)
+        return self.anr_ids(self.tree_path(frm, w)) + (normal_w, NCU_ID)
 
     def id_lookup(self, a: Any, b: Any) -> tuple[int, int]:
         """(normal, copy) IDs at ``a`` for the INOUT-tree link a-b.
@@ -198,8 +207,8 @@ class DomainState:
         """
         if to in self.in_set:
             return self.anr_ids(self.tree_path(frm, to))
-        w, ids_at_w, _ = self.out_info[to]
-        return self.anr_ids(self.tree_path(frm, w)) + (ids_at_w[0],)
+        w, normal_w = self.out_info[to][:2]
+        return self.anr_ids(self.tree_path(frm, w)) + (normal_w,)
 
     # ------------------------------------------------------------------
     # Merging (rule 2.2)
@@ -211,6 +220,10 @@ class DomainState:
         entered the captured domain; the INOUT trees are joined by the
         real link between ``o`` and its recorded IN neighbour, keeping
         all internal ANRs linear (the paper's merge step).
+
+        The OUT update costs O(size of the captured domain), not of the
+        merged one: our OUT never holds our IN, so only the captured IN
+        can leave it, and only the captured OUT can join it.
         """
         if attach_out_node not in self.out_info:
             raise ProtocolError(
@@ -222,7 +235,7 @@ class DomainState:
                 f"attach node {attach_out_node!r} is not in the captured "
                 f"domain {other.origin!r}"
             )
-        w, ids_at_w, ids_at_o = self.out_info[attach_out_node]
+        w, normal_w, copy_w, normal_o, copy_o = self.out_info[attach_out_node]
 
         # Copy the captured INOUT tree (it stays frozen at the captured
         # origin for future passing tours, so never share mutable sets).
@@ -233,14 +246,15 @@ class DomainState:
         # Join the trees through the (w, o) link.
         self.inout_adj.setdefault(w, set()).add(attach_out_node)
         self.inout_adj.setdefault(attach_out_node, set()).add(w)
-        self.link_ids[(w, attach_out_node)] = ids_at_w
-        self.link_ids[(attach_out_node, w)] = ids_at_o
+        self.link_ids[(w, attach_out_node)] = (normal_w, copy_w)
+        self.link_ids[(attach_out_node, w)] = (normal_o, copy_o)
 
         # IN := IN ∪ IN_v;  OUT := OUT ∪ OUT_v − IN.
         self.in_set |= other.in_set
-        for out_node, attachment in other.out_info.items():
-            self.out_info.setdefault(out_node, attachment)
-        for absorbed in self.in_set:
+        for out_node, record in other.out_info.items():
+            if out_node not in self.in_set:
+                self.out_info.setdefault(out_node, record)
+        for absorbed in other.in_set:
             self.out_info.pop(absorbed, None)
 
         self.size += other.size

@@ -216,12 +216,16 @@ class TopologyMaintenance(Protocol):
                 self.api.send(directive.header, message)
 
     def _merge(self, records: Iterable[TopoRecord]) -> None:
+        me = self.api.node_id
+        db = self.db
+        get = db.get
         for record in records:
-            if record.origin == self.api.node_id:
+            origin = record.origin
+            if origin == me:
                 continue  # a node is the sole authority on its own row
-            current = self.db.get(record.origin)
+            current = get(origin)
             if current is None or record.seq > current.seq:
-                self.db[record.origin] = record
+                db[origin] = record
 
     # ------------------------------------------------------------------
     # The derived view Gi(t)

@@ -66,10 +66,12 @@ class Node:
         lost) and the SS forgets installed multicast groups — hardware
         state provisioned by software does not survive the software that
         provisioned it.  The port table is a build product and stays.
+        The network records the node in ``crashed_nodes``.
         """
         self.protocol = None
         self.ncu.crash()
         self.ss.reset()
+        self.net.crashed_nodes.add(self.node_id)
 
     def restart(self, factory: Any) -> None:
         """Restart a crashed node with a fresh protocol instance.
@@ -80,6 +82,7 @@ class Node:
         protocol = factory(self.api)
         self.protocol = protocol
         self.ncu.restart(protocol.dispatch)
+        self.net.crashed_nodes.discard(self.node_id)
 
     def link_to(self, neighbor_id: Any) -> Link:
         """The link toward a neighbour (KeyError if not adjacent)."""

@@ -129,6 +129,10 @@ class Network:
         #: Remembered by :meth:`attach` so crashed nodes can be
         #: restarted with fresh protocol instances.
         self._protocol_factory: ProtocolFactory | None = None
+        #: IDs of the nodes that are down: ``Node.crash`` adds,
+        #: ``Node.restart`` discards, :meth:`reset` clears.  Checks that
+        #: concern crashed nodes read it instead of every NCU.
+        self.crashed_nodes: set[Any] = set()
         #: Counts read at the previous fold (see :meth:`_fold`).
         self._fold_marks = (0, 0, 0, 0, 0)
         #: The one scratch set behind every NCU's ``ports_used_this_call``:
@@ -357,9 +361,10 @@ class Network:
         ``enabled``/``capacity`` configuration), empty outputs, no
         protocol/handler on any node, empty NCU queues, no installed
         multicast groups, all links active with FIFO watermarks at 0,
-        restarted packet/group sequences, a cleared data-link monitor
-        and no observability probe.  The old run's counts are folded
-        into an active perf registry first (see :meth:`run`).
+        restarted packet/group sequences, a cleared data-link monitor,
+        no crashed nodes and no observability probe.  The old run's
+        counts are folded into an active perf registry first (see
+        :meth:`run`).
 
         The contract is **bit-identity**: a workload run on a reset
         network produces byte-for-byte the same metrics, drop reasons,
@@ -382,6 +387,7 @@ class Network:
         self._packet_seq = itertools.count(1)
         self._group_seq = itertools.count(0)
         self._protocol_factory = None
+        self.crashed_nodes = set()
         if delays is not None:
             self.delays = delays
         self._datalink.reset()

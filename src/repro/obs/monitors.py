@@ -707,7 +707,8 @@ class NetCalcMonitor(Monitor):
 class ChurnMonitor(Monitor):
     """Assert the §3/§4 invariants survive crashes, partitions and heals.
 
-    Live checks (every ``every`` events, over all nodes):
+    Live checks (every ``every`` events, over the crashed nodes and the
+    ones baselined while crashed, in node order):
 
     * **crash freeze** — a crashed NCU must not execute system calls:
       its per-node call count is baselined at the first crashed
@@ -746,10 +747,14 @@ class ChurnMonitor(Monitor):
         if self._count % self.every:
             return ()
         net = self.net
+        nodes = net.nodes
         metrics = net.metrics
         alerts: list[Alert] = []
-        for node_id, node in net.nodes.items():
-            ncu = node.ncu
+        # ``net.nodes`` is in repr order, so this visits the nodes that
+        # can alert or drop a baseline in the order a walk over every
+        # node would, at O(crashed) cost.
+        for node_id in sorted(net.crashed_nodes.union(self._frozen), key=repr):
+            ncu = nodes[node_id].ncu
             if not ncu.crashed:
                 self._frozen.pop(node_id, None)
                 continue

@@ -30,16 +30,17 @@ def _reelect(net: "Network") -> None:
     Crashed nodes stay crashed — a re-election is a software round, not
     a repair crew.  Surviving nodes drop their old instance state (the
     Bully-style "coordinator died, start over" round) and race again.
+    Each one restarts through :meth:`Node.restart`, as
+    :meth:`Network.restart_node` does: the new incarnation discards the
+    timers the replaced instance armed, which would otherwise fire into
+    the fresh one.
     """
     factory = net._protocol_factory
     if factory is None:
         raise RuntimeError("cannot re-elect: no protocol was attached")
     for node in net.nodes.values():
-        if node.ncu.crashed:
-            continue
-        protocol = factory(node.api)
-        node.protocol = protocol
-        node.ncu.handler = protocol.dispatch
+        if not node.ncu.crashed:
+            node.restart(factory)
     net.start(
         node_id for node_id, node in net.nodes.items() if not node.ncu.crashed
     )

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import limiting_net
-from repro.core import DomainState, Level
-from repro.network import topologies
-from repro.sim import ProtocolError, RoutingError
+from repro.core import DomainState, LeaderElection, Level
+from repro.network import Network, topologies
+from repro.sim import ProtocolError, RandomDelays, RoutingError
 
 
 def make_domain(net, node_id):
@@ -150,3 +152,92 @@ def test_id_lookup_matches_network():
     d0.absorb(d1.snapshot(), attach_out_node=1)
     assert d0.id_lookup(0, 1) == tuple(net.node(0).link_to(1).ids_at(0))
     assert d0.id_lookup(1, 0) == tuple(net.node(1).link_to(0).ids_at(1))
+
+
+# ----------------------------------------------------------------------
+# What the state holds after a real election
+# ----------------------------------------------------------------------
+def elected(net, policy, seed):
+    net.attach(lambda api: LeaderElection(api, tour_policy=policy, tour_seed=seed))
+    net.start()
+    net.run_to_quiescence(max_events=1_000_000)
+    assert sum(1 for flag in net.outputs_for_key("is_leader").values() if flag) == 1
+    return [node.protocol.domain for node in net.nodes.values()]
+
+
+def assert_compact(net, domain):
+    in_set = domain.in_set
+    adjacency = net.adjacency()
+    tree_edges = {(a, b) for a, adj in domain.inout_adj.items() for b in adj}
+    assert set(domain.inout_adj) == in_set
+    assert len(tree_edges) == 2 * (len(in_set) - 1)
+    # IDs for the INOUT tree's edges and nothing else, both directions.
+    assert set(domain.link_ids) == tree_edges
+    for (a, b), ids in domain.link_ids.items():
+        assert ids == net.id_lookup(a, b)
+    neighbours = {v for u in in_set for v in adjacency[u]}
+    assert set(domain.out_info) == neighbours - in_set
+    for out_node, (w, normal_w, copy_w, normal_o, copy_o) in domain.out_info.items():
+        assert w in in_set
+        assert (normal_w, copy_w) == net.id_lookup(w, out_node)
+        assert (normal_o, copy_o) == net.id_lookup(out_node, w)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    graph_seed=st.integers(min_value=0, max_value=10**6),
+    policy=st.sampled_from(["min", "max", "random"]),
+    delay_seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_every_domain_holds_tree_ids_and_flat_out_records(n, graph_seed, policy, delay_seed):
+    # Captured origins keep their frozen domains: they are checked too.
+    net = Network(
+        topologies.random_connected(n, 0.3, seed=graph_seed),
+        delays=RandomDelays(hardware=0.4, software=1.0, seed=delay_seed),
+    )
+    for domain in elected(net, policy, delay_seed):
+        assert_compact(net, domain)
+
+
+def test_absorb_out_work_is_bounded_by_the_captured_domain(monkeypatch):
+    # Count every ``out_info`` operation ``absorb`` makes (no wall
+    # clock).  Our OUT never holds our IN, so a capture can be merged
+    # by touching only the captured domain's IN and OUT entries; a pass
+    # over the merged IN set would grow with the capturer instead.
+    class Counted(dict):
+        ops = 0
+
+        def __contains__(self, key):
+            Counted.ops += 1
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            Counted.ops += 1
+            return super().__getitem__(key)
+
+        def setdefault(self, key, default=None):
+            Counted.ops += 1
+            return super().setdefault(key, default)
+
+        def pop(self, key, *default):
+            Counted.ops += 1
+            return super().pop(key, *default)
+
+    absorb = DomainState.absorb
+    captures = []
+
+    def counted_absorb(self, other, attach_out_node):
+        self.out_info = Counted(self.out_info)
+        Counted.ops = 0
+        absorb(self, other, attach_out_node)
+        captures.append((Counted.ops, len(other.in_set), len(other.out_info)))
+
+    monkeypatch.setattr(DomainState, "absorb", counted_absorb)
+    for make in (lambda: topologies.line(40), lambda: topologies.grid(8, 8)):
+        captures.clear()
+        net = limiting_net(make())
+        elected(net, "min", 0)
+        assert captures
+        for ops, captured_in, captured_out in captures:
+            assert ops <= 2 + captured_in + captured_out, captures

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro.analysis.closed_forms import election_message_bound
-from repro.core import LeaderElection
+from repro.core import LeaderElection, attach_topology_maintenance
 from repro.hardware import Job, JobKind
 from repro.network import Network, topologies
 from repro.obs import ChurnMonitor, MonitorHost
@@ -145,6 +145,27 @@ def test_stale_timers_die_with_the_incarnation():
     assert fired == ["fresh"]
 
 
+def test_reelect_disarms_the_replaced_instances_timers():
+    # Periodic maintenance on ring:6 (period 10) runs one timer chain
+    # per node.  The re-election at t = 25 replaces every instance, and
+    # each fresh START arms a new chain; the replaced instance's chain
+    # must die with it.  By t = 100 that is 8 timer calls per node; with
+    # both chains alive it would be 14.
+    net = limiting_net(topologies.ring(6))
+    attach_topology_maintenance(net, period=10)
+    spec = ScenarioSpec(
+        name="reelect-timers",
+        topology="ring:6",
+        events=(
+            ScenarioEvent(at=0.0, op="start"),
+            ScenarioEvent(at=25.0, op="reelect"),
+        ),
+    )
+    compile_scenario(net, spec)
+    net.run(until=100.0)
+    assert net.metrics.system_calls_of_kind("timer:topo") == 6 * 8
+
+
 def test_partition_cuts_and_heal_restores():
     net = limiting_net(topologies.grid(3, 3))
     cut = net.partition([[0, 1, 2], [6, 7, 8]])  # middle row → group -1
@@ -225,6 +246,63 @@ def test_churn_monitor_quiet_on_conforming_run():
     net.start()
     net.run_to_quiescence()
     assert host.finish() == []
+
+
+def test_churn_monitor_alerts_come_in_node_order():
+    # Three nodes crash out of node order and each "executes" a call
+    # while down: the alerts follow node order (``net.nodes``, sorted by
+    # repr, so 10 comes before 2), as a walk over every node gives them.
+    net = limiting_net(topologies.ring(12))
+    attach_recorders(net)
+    monitor = ChurnMonitor(net, every=1)
+    for node_id in (7, 2, 10):
+        net.crash_node(node_id)
+    assert monitor.check(None) == []  # first sight: baselines only
+    for node_id in (2, 7, 10):
+        net.metrics.count_system_call(node_id, "planted")
+    alerts = monitor.check(None)
+    assert [alert.message for alert in alerts] == [
+        f"crashed node {node_id!r} executed 1 system call(s) while down"
+        for node_id in (10, 2, 7)
+    ]
+    assert all(alert.measure == "crash freeze" for alert in alerts)
+    # A restart drops the baseline; the next crash takes a fresh one.
+    net.restart_node(2, start=False)
+    net.metrics.count_system_call(2, "planted")
+    assert monitor.check(None) == []
+    net.crash_node(2)
+    assert monitor.check(None) == []
+    net.metrics.count_system_call(2, "planted")
+    (alert,) = monitor.check(None)
+    assert alert.message == "crashed node 2 executed 1 system call(s) while down"
+
+
+def test_churn_monitor_check_visits_only_crashed_nodes(monkeypatch):
+    # Count reads of ``NCU.crashed`` during one check (no wall clock):
+    # with k nodes down, a check must visit O(k) nodes, not all n.
+    from repro.hardware.ncu import NCU
+
+    slot = NCU.crashed
+    reads = 0
+
+    def read(ncu):
+        nonlocal reads
+        reads += 1
+        return slot.__get__(ncu, NCU)
+
+    net = limiting_net(topologies.fat_tree(16))
+    attach_recorders(net)
+    monitor = ChurnMonitor(net, every=1)
+    crashed = list(net.nodes)[::450]
+    for node_id in crashed:
+        net.crash_node(node_id)
+    monitor.check(None)
+    # One node is back up but still baselined: it is visited once more.
+    net.restart_node(crashed[0], start=False)
+    monkeypatch.setattr(NCU, "crashed", property(read, slot.__set__))
+    assert monitor.check(None) == []
+    assert net.n == 1344 and len(crashed) == 3
+    assert reads == len(crashed)
 
 
 def test_scenario_metrics_matches_direct_run():

@@ -189,6 +189,30 @@ def test_view_edges_respects_one_sided_failure_reports():
     assert (0, 1) not in edges and (1, 0) not in edges
 
 
+def test_merge_reads_its_own_id_once_per_message(monkeypatch):
+    # A ``full``-scope message carries one record per origin, so the
+    # merge walks O(n) records per receipt; the node's own ID is read
+    # once per merge, not once per record (counted, no wall clock).
+    from repro.hardware.ncu import NodeApi
+
+    net = fresh_net(topologies.torus(6, 6))
+    attach_topology_maintenance(net, strategy="bpaths", scope="full")
+    converge_by_rounds(net)
+    records = tuple(net.node(0).protocol.db.values())
+    assert len(records) == net.n
+    node_id = NodeApi.node_id
+    reads = 0
+
+    def counted(api):
+        nonlocal reads
+        reads += 1
+        return node_id.fget(api)
+
+    monkeypatch.setattr(NodeApi, "node_id", property(counted))
+    net.node(1).protocol._merge(records)
+    assert reads == 1
+
+
 def test_invalid_strategy_and_scope_rejected():
     net = fresh_net(topologies.line(2))
     with pytest.raises(ValueError):
