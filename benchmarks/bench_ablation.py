@@ -53,7 +53,6 @@ def test_e11_oneway_vs_single_packet(benchmark, capsys):
             lambda api, cls=cls: cls(api, root=0, adjacency=stale, ids=net.id_lookup)
         )
         net.run_to_quiescence()
-        before = net.metrics.snapshot()
         net.start([0])
         net.run_to_quiescence()
         received = net.outputs_for_key("received_at")
@@ -65,7 +64,6 @@ def test_e11_oneway_vs_single_packet(benchmark, capsys):
             header_ids = len(dfs_broadcast_header(tree, net.id_lookup))
         else:
             header_ids = len(layered_broadcast_header(tree, net.id_lookup))
-        delta = net.metrics.since(before)
         rows.append(
             [
                 name,

@@ -32,15 +32,14 @@ def run_scheme(g, scheme: str):
     net = Network(g, delays=FixedDelays(0.0, 1.0))
     adjacency = net.adjacency()
     if scheme == "bpaths":
-        factory = lambda api: BranchingPathsBroadcast(
-            api, root=0, adjacency=adjacency, ids=net.id_lookup
-        )
+        def factory(api):
+            return BranchingPathsBroadcast(api, root=0, adjacency=adjacency, ids=net.id_lookup)
     elif scheme == "direct":
-        factory = lambda api: DirectBroadcast(
-            api, root=0, adjacency=adjacency, ids=net.id_lookup
-        )
+        def factory(api):
+            return DirectBroadcast(api, root=0, adjacency=adjacency, ids=net.id_lookup)
     else:
-        factory = lambda api: FloodingBroadcast(api, root=0)
+        def factory(api):
+            return FloodingBroadcast(api, root=0)
     run = run_standalone_broadcast(net, factory, 0)
     assert run.coverage == net.n
     return net, run

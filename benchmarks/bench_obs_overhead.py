@@ -186,9 +186,7 @@ def test_disabled_hooks_within_noise_of_seed_loop(capsys):
 # is the handler timer in ``NCU._complete``.  ``_complete_noperf`` is
 # that function with exactly the timer lines removed — the same
 # methodology as SeedScheduler above, applied per function so the gate
-# isolates precisely the hook.  The class is patched *before* the
-# network is built because the NCU captures its ``_complete_cb`` on
-# first use.
+# isolates precisely the hook.
 
 FWD_LENGTH = 64
 FWD_PACKETS = 200
@@ -256,7 +254,7 @@ def _forward_nofc(self, packet, link):
         far, receiving_normal = link.node_u, link._normal_u
     packet.hops += 1
     packet._reverse.append(receiving_normal)
-    net.metrics.count_hop(link.key)
+    net.metrics.count_hop(link)
     trace = net.trace
     if trace.enabled:
         trace.record(

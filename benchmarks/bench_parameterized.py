@@ -43,11 +43,11 @@ def test_e13_broadcast_time_vs_C(benchmark, capsys):
             net = Network(g, delays=FixedDelays(C, 1.0))
             adjacency = net.adjacency()
             if cls is FloodingBroadcast:
-                factory = lambda api: FloodingBroadcast(api, root=0)
+                def factory(api):
+                    return FloodingBroadcast(api, root=0)
             else:
-                factory = lambda api, cls=cls: cls(
-                    api, root=0, adjacency=adjacency, ids=net.id_lookup
-                )
+                def factory(api, cls=cls):
+                    return cls(api, root=0, adjacency=adjacency, ids=net.id_lookup)
             run = run_standalone_broadcast(net, factory, 0)
             assert run.coverage == net.n
             record.append(run.completion_time())

@@ -27,7 +27,7 @@ class Narrator(Protocol):
             f"reverse route: {packet.reverse_anr})"
         )
         if packet.payload == "ping":
-            print(f"           ... replying along the reverse path")
+            print("           ... replying along the reverse path")
             self.api.send(reply_route(packet), "pong")
 
 

@@ -29,7 +29,7 @@ from repro.analysis.causality import (
     compute_causal_messages,
     last_causal_tree,
 )
-from repro.core import TreeAggregation, optimal_spanning_tree, run_tree_aggregation
+from repro.core import optimal_spanning_tree, run_tree_aggregation
 from repro.core.globalfn import ChattyTreeAggregation
 
 N, P, C = 34, 1.0, 1.0

@@ -18,18 +18,18 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-#: Optional per-node child ordering for the DFS tour.  The paper's
-#: six-node deadlock example depends on *which* child the traversal
-#: descends into first; the hook lets tests reproduce the adversarial
-#: choice (``None`` keeps the tree's deterministic sorted order).
-ChildOrder = Callable[[Any, tuple[Any, ...]], Sequence[Any]]
-
 from ..hardware.anr import IdLookup
 from ..hardware.ncu import NodeApi
 from ..hardware.packet import Packet
 from ..network.protocol import Protocol
 from ..network.spanning import Tree, bfs_tree
 from ..sim.errors import RoutingError
+
+#: Optional per-node child ordering for the DFS tour.  The paper's
+#: six-node deadlock example depends on *which* child the traversal
+#: descends into first; the hook lets tests reproduce the adversarial
+#: choice (``None`` keeps the tree's deterministic sorted order).
+ChildOrder = Callable[[Any, tuple[Any, ...]], Sequence[Any]]
 
 
 def euler_tour(tree: Tree, child_order: ChildOrder | None = None) -> list[Any]:

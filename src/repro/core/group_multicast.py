@@ -31,7 +31,7 @@ from ..hardware.packet import Packet
 from ..metrics.accounting import MetricsSnapshot
 from ..network.network import Network
 from ..network.protocol import Protocol
-from ..network.spanning import Tree, bfs_tree
+from ..network.spanning import bfs_tree
 from ..sim.errors import ProtocolError
 from .broadcast import BroadcastPlan, plan_broadcast
 

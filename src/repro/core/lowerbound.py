@@ -113,7 +113,6 @@ def greedy_schedule(tree: Tree) -> list[list[OneWayPath]]:
     (if anything below is still uncovered) a maximal path that always
     descends into the child subtree with the most uncovered nodes.
     """
-    sizes = tree.subtree_sizes()
     informed = {tree.root}
     uncovered = set(tree.parent) - informed
     schedule: list[list[OneWayPath]] = []

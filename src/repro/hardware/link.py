@@ -140,6 +140,7 @@ class Link:
         "_copy_v",
         "_arrival_u",
         "_arrival_v",
+        "hops",
     )
 
     def __init__(
@@ -175,6 +176,10 @@ class Link:
         #: promised on this link, one slot per *sending* endpoint.
         self._arrival_u = 0.0
         self._arrival_v = 0.0
+        #: Packet traversals of this link, both directions: the link's
+        #: share of the hop complexity, counted by
+        #: :meth:`repro.metrics.accounting.MetricsCollector.count_hop`.
+        self.hops = 0
         #: Flow control is off by default (``None``) so the free-hardware
         #: model — and every golden trace — is untouched.  When enabled,
         #: maps sending node id -> :class:`LinkFlowState`.
@@ -227,7 +232,7 @@ class Link:
     # Substrate reuse
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Restore the pristine post-build state: active, FIFO idle.
+        """Restore the pristine post-build state: active, FIFO idle, no hops.
 
         IDs, endpoints and ``key`` are build products and stay put —
         that is the whole point of substrate reuse (see
@@ -236,6 +241,7 @@ class Link:
         self.active = True
         self._arrival_u = 0.0
         self._arrival_v = 0.0
+        self.hops = 0
         if self.fc is not None:
             for state in self.fc.values():
                 state.clear()
@@ -360,7 +366,7 @@ class Link:
             far, receiving_normal = self.node_u, self._normal_u
         packet.hops += 1
         packet._reverse.append(receiving_normal)
-        net.metrics.count_hop(self.key)
+        net.metrics.count_hop(self)
         probe = net.probe
         if probe is not None:
             probe.link_queue(self.key, occupancy, now)

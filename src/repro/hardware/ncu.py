@@ -60,15 +60,19 @@ def _timer_label(tag: str) -> str:
 
 @dataclass(slots=True)
 class Job:
-    """One unit of NCU work (= one system call once served)."""
+    """One unit of NCU work (= one system call once served).
+
+    A delivered packet waits in the NCU queue as itself and gets its
+    ``Job`` only when its service starts (see :meth:`NCU.enqueue_packet`).
+    """
 
     kind: JobKind
     payload: Any = None
     tag: str = ""
-    enqueued_at: float = 0.0
     #: Cached :attr:`accounting_kind`.  The hot constructors
-    #: (:meth:`NodeApi._timer_fire`, :meth:`NCU.enqueue_packet`) prefill
-    #: it, so serving a steady-state job never walks the payload.
+    #: (:meth:`NodeApi._timer_fire`, :meth:`NCU._serve` for a delivered
+    #: packet) prefill it, so serving a steady-state job never walks
+    #: the payload.
     akind: str | None = field(default=None, compare=False)
 
     @property
@@ -200,10 +204,9 @@ class NodeApi:
             # Set before a crash; the restarted software never armed it.
             return
         net = node.net
-        now = net.scheduler.now
         trace = net.trace
         if trace.enabled:
-            trace.record(now, TraceKind.TIMER_FIRED, node.node_id, tag=tag)
+            trace.record(net.scheduler.now, TraceKind.TIMER_FIRED, node.node_id, tag=tag)
         # Hand-rolled Job with the accounting label prefilled: this is
         # the hottest job constructor (every timer tick) and the
         # generated dataclass __init__ is measurable at that volume.
@@ -211,7 +214,6 @@ class NodeApi:
         job.kind = JobKind.TIMER
         job.payload = payload
         job.tag = tag
-        job.enqueued_at = now
         job.akind = _timer_label(tag) if tag else "timer"
         ncu.enqueue(job)
 
@@ -234,29 +236,25 @@ class NCU:
         "_queue",
         "_busy",
         "_job_seq",
-        "_complete_cb",
         "handler",
         "crashed",
         "incarnation",
         "_service_event",
         "ports_used_this_call",
         "queue_peak",
+        "system_calls",
     )
 
     def __init__(self, node: "Node") -> None:
         self._node = node
-        #: Waiting jobs.  ``None`` until the first job actually has to
+        #: Waiting work: jobs, and delivered packets waiting as
+        #: themselves.  ``None`` until the first job actually has to
         #: wait: a deque is ~600 bytes, and at 10⁴–10⁵ nodes most NCUs
         #: never queue (the idle fast path serves directly), so eager
         #: allocation was one of the larger per-node build costs.
-        self._queue: deque[Job] | None = None
+        self._queue: deque[Job | Packet] | None = None
         self._busy = False
         self._job_seq = 0
-        #: Long-lived completion callback: scheduling ``_complete`` via
-        #: ``args`` avoids binding a fresh closure per service slot.
-        #: Bound lazily on first service — a bound method per node is
-        #: pure build overhead for nodes that never run a job.
-        self._complete_cb: Callable[[Job], None] | None = None
         #: Set by the network when a protocol is attached.
         self.handler: Callable[[NodeApi, Job], None] | None = None
         #: Whether this NCU is down after a :meth:`crash` (churn
@@ -284,14 +282,21 @@ class NCU:
         #: the one in service), read by the congestion observability
         #: layer.  One compare per enqueue; never read on the hot path.
         self.queue_peak = 0
+        #: System calls this NCU has served: its share of the
+        #: system-call complexity, counted by
+        #: :meth:`repro.metrics.accounting.MetricsCollector.count_system_call`.
+        #: A crash keeps it (the churn monitor reads it while the node
+        #: is down); :meth:`reset` zeroes it.
+        self.system_calls = 0
 
     def reset(self) -> None:
         """Restore the pristine pre-``attach()`` state.
 
-        Drops queued jobs, clears the handler and restarts the job
-        sequence so a reused substrate draws the same software delays
-        as a freshly built one.  Part of the substrate-reuse contract
-        (see :meth:`repro.network.network.Network.reset`).
+        Drops queued jobs, clears the handler, zeroes the system-call
+        count and restarts the job sequence so a reused substrate draws
+        the same software delays as a freshly built one.  Part of the
+        substrate-reuse contract (see
+        :meth:`repro.network.network.Network.reset`).
         """
         self._queue = None
         self._busy = False
@@ -302,6 +307,7 @@ class NCU:
         self._service_event = None
         self.ports_used_this_call = None
         self.queue_peak = 0
+        self.system_calls = 0
 
     def crash(self) -> None:
         """Take the NCU down with total state loss.
@@ -348,26 +354,23 @@ class NCU:
     # Enqueueing
     # ------------------------------------------------------------------
     def enqueue_packet(self, packet: Packet) -> None:
-        """A copy has been delivered by the SS toward this NCU."""
-        # Hand-rolled, label prefilled — the per-delivery twin of the
-        # timer path's constructor (see ``NodeApi._timer_fire``).
-        job = Job.__new__(Job)
-        job.kind = JobKind.PACKET
-        job.payload = packet
-        job.tag = ""
-        job.enqueued_at = self._node.net.scheduler.now
-        job.akind = getattr(packet.payload, "kind", "packet")
-        self.enqueue(job)
+        """A copy has been delivered by the SS toward this NCU.
 
-    def enqueue(self, job: Job) -> None:
-        """Queue one job; begins service immediately if the NCU is idle."""
+        The packet waits as itself; :meth:`_serve` wraps it in its
+        :class:`Job` when its service starts.
+        """
+        self.enqueue(packet)
+
+    def enqueue(self, job: Job | Packet) -> None:
+        """Queue one job or delivered packet; begins service at once if the NCU is idle."""
         if self.handler is None:
             if self.crashed:
                 # A down processor loses arriving work silently.
                 self._node.net.metrics.count_drop("ncu_crashed")
                 return
+            kind = JobKind.PACKET if isinstance(job, Packet) else job.kind
             raise ProtocolError(
-                f"node {self._node.node_id} received a {job.kind.value} job "
+                f"node {self._node.node_id} received a {kind.value} job "
                 "but no protocol is attached"
             )
         queue = self._queue
@@ -391,18 +394,28 @@ class NCU:
     def _begin_next(self) -> None:
         self._serve(self._queue.popleft())
 
-    def _serve(self, job: Job) -> None:
+    def _serve(self, job: Job | Packet) -> None:
         node = self._node
         net = node.net
         self._busy = True
         seq = self._job_seq + 1
         self._job_seq = seq
+        if isinstance(job, Packet):
+            # A delivered packet gets its job now.  Hand-rolled, label
+            # prefilled: the per-delivery twin of the timer path's
+            # constructor (see ``NodeApi._timer_fire``).
+            packet = job
+            job = Job.__new__(Job)
+            job.kind = JobKind.PACKET
+            job.payload = packet
+            job.tag = ""
+            job.akind = getattr(packet.payload, "kind", "packet")
         # Usually prefilled by the hot constructors; ``accounting_kind``
         # walks the payload at most once per job otherwise.
         kind = job.akind
         if kind is None:
             kind = job.accounting_kind
-        net.metrics.count_system_call(node.node_id, kind)
+        net.metrics.count_system_call(self, kind)
         trace = net.trace
         if trace.enabled:
             trace.record(
@@ -416,11 +429,11 @@ class NCU:
         probe = net.probe
         if probe is not None:
             probe.ncu_job_start(node.node_id, kind, net.scheduler.now, service)
-        complete_cb = self._complete_cb
-        if complete_cb is None:
-            complete_cb = self._complete_cb = self._complete
+        # The class's function with the NCU as an argument: no NCU
+        # keeps a bound method, and ``_complete`` is looked up on the
+        # class at each schedule, so a replacement there takes effect.
         self._service_event = net.scheduler.schedule(
-            service, complete_cb, 1, "ncu", (job,)
+            service, NCU._complete, 1, "ncu", (self, job)
         )
 
     def _complete(self, job: Job) -> None:

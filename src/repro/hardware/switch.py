@@ -32,8 +32,9 @@ the per-hop cycle and must be allocation-free in steady state:
   per-hop closure, no per-port tuple;
 * trace records are guarded on ``trace.enabled`` so a disabled trace
   costs one attribute load, not a kwargs dict;
-* the hop is counted once, by the metrics layer: perf counters and
-  live stats read that count instead of hooking the hop themselves;
+* the hop is counted once, on the link (``Link.hops``, through the
+  metrics layer): perf counters and live stats read that count instead
+  of hooking the hop themselves;
 * capacity limits are opt-in: the free-hardware path pays one
   ``link.fc is not None`` check per hop, and flow-controlled links
   divert to :meth:`repro.hardware.link.Link.fc_forward`.
@@ -273,7 +274,7 @@ class SwitchingSubsystem:
             far, receiving_normal = link.node_u, link._normal_u
         packet.hops += 1
         packet._reverse.append(receiving_normal)
-        net.metrics.count_hop(link.key)
+        net.metrics.count_hop(link)
         trace = net.trace
         if trace.enabled:
             trace.record(

@@ -15,15 +15,22 @@ broadcast copies its message exactly once per node).
 
 Counters can be sliced by node and by a free-form *kind* label so that a
 test can, say, count only the election's tour messages when checking the
-``6n`` bound of Theorem 5.  :meth:`snapshot` / :meth:`since` provide
-cheap delta measurement around a protocol phase.
+``6n`` bound of Theorem 5.  The per-node and per-link counts are slots on
+the NCU and the link themselves, so counting one costs an attribute
+increment.  :meth:`snapshot` / :meth:`since` provide cheap delta
+measurement around a protocol phase.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import TYPE_CHECKING, Any, Hashable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hardware.link import Link
+    from ..hardware.ncu import NCU
+    from ..network.network import Network
 
 
 @dataclass(frozen=True)
@@ -34,6 +41,12 @@ class MetricsSnapshot:
     ``"packet"``, ``"timer"``, ``"link_event"`` or a protocol-supplied
     tag) to counts, which is what lets analyses separate, for example,
     broadcast relays from periodic-timer overhead.
+
+    The per-object maps hold nonzero counts only.
+    ``system_calls_per_node`` is in node-table order and
+    ``hops_per_link`` in link-table order (``Network.nodes`` and
+    ``Network.links``, both repr-sorted); ``system_calls_by_kind`` is in
+    the order the kinds were first counted.
     """
 
     system_calls: int
@@ -46,34 +59,20 @@ class MetricsSnapshot:
     system_calls_by_kind: dict[str, int] = field(default_factory=dict)
     hops_per_link: dict[Hashable, int] = field(default_factory=dict)
 
-    def __sub__(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Delta between two snapshots (``later - earlier``)."""
-        per_node = Counter(self.system_calls_per_node)
-        per_node.subtract(earlier.system_calls_per_node)
-        by_kind = Counter(self.system_calls_by_kind)
-        by_kind.subtract(earlier.system_calls_by_kind)
-        per_link = Counter(self.hops_per_link)
-        per_link.subtract(earlier.hops_per_link)
-        return MetricsSnapshot(
-            system_calls=self.system_calls - earlier.system_calls,
-            hops=self.hops - earlier.hops,
-            packets_injected=self.packets_injected - earlier.packets_injected,
-            header_ids=self.header_ids - earlier.header_ids,
-            copies=self.copies - earlier.copies,
-            drops=self.drops - earlier.drops,
-            system_calls_per_node={k: v for k, v in per_node.items() if v},
-            system_calls_by_kind={k: v for k, v in by_kind.items() if v},
-            hops_per_link={k: v for k, v in per_link.items() if v},
-        )
-
 
 class MetricsCollector:
-    """Mutable counters updated by the hardware and NCU layers."""
+    """The network's cost counters.
 
-    def __init__(self) -> None:
-        self._system_calls_per_node: Counter = Counter()
+    The per-object counts live on the objects: each NCU counts its own
+    system calls (``NCU.system_calls``) and each link its own hops
+    (``Link.hops``).  The collector keeps the totals and the small
+    by-kind map, and reads the per-object counts off ``net`` when a
+    snapshot or a delta asks for them.
+    """
+
+    def __init__(self, net: "Network") -> None:
+        self._net = net
         self._system_calls_by_kind: Counter = Counter()
-        self._hops_per_link: Counter = Counter()
         self.system_calls = 0
         self.hops = 0
         self.packets_injected = 0
@@ -87,16 +86,16 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Update hooks (called by the substrate)
     # ------------------------------------------------------------------
-    def count_system_call(self, node: Any, kind: str) -> None:
-        """One NCU involvement at ``node`` (one unit of software cost)."""
+    def count_system_call(self, ncu: "NCU", kind: str) -> None:
+        """One involvement of ``ncu`` (one unit of software cost)."""
         self.system_calls += 1
-        self._system_calls_per_node[node] += 1
+        ncu.system_calls += 1
         self._system_calls_by_kind[kind] += 1
 
-    def count_hop(self, link_key: Hashable) -> None:
-        """One packet traversal of one link (one unit of hardware cost)."""
+    def count_hop(self, link: "Link") -> None:
+        """One packet traversal of ``link`` (one unit of hardware cost)."""
         self.hops += 1
-        self._hops_per_link[link_key] += 1
+        link.hops += 1
 
     def count_injection(self, node: Any, header_len: int = 0) -> None:
         """One packet handed by an NCU to its switching subsystem."""
@@ -115,15 +114,20 @@ class MetricsCollector:
     # Reading
     # ------------------------------------------------------------------
     def system_calls_at(self, node: Any) -> int:
-        """NCU involvements at one node."""
-        return self._system_calls_per_node[node]
+        """NCU involvements at one node (``KeyError`` if not in the network)."""
+        return self._net.nodes[node].ncu.system_calls
 
     def system_calls_of_kind(self, kind: str) -> int:
         """NCU involvements whose job carried the given kind label."""
         return self._system_calls_by_kind[kind]
 
     def snapshot(self) -> MetricsSnapshot:
-        """Immutable copy of every counter."""
+        """Immutable copy of every counter.
+
+        A zero total gives an empty map without visiting an NCU or a
+        link, so a snapshot taken before a run costs nothing per node.
+        """
+        net = self._net
         return MetricsSnapshot(
             system_calls=self.system_calls,
             hops=self.hops,
@@ -131,11 +135,48 @@ class MetricsCollector:
             header_ids=self.header_ids,
             copies=self.copies,
             drops=self.drops,
-            system_calls_per_node=dict(self._system_calls_per_node),
+            system_calls_per_node={
+                node_id: calls
+                for node_id, node in net.nodes.items()
+                if (calls := node.ncu.system_calls)
+            } if self.system_calls else {},
             system_calls_by_kind=dict(self._system_calls_by_kind),
-            hops_per_link=dict(self._hops_per_link),
+            hops_per_link={
+                key: hops for key, link in net.links.items() if (hops := link.hops)
+            } if self.hops else {},
         )
 
     def since(self, earlier: MetricsSnapshot) -> MetricsSnapshot:
-        """Delta of every counter relative to an earlier snapshot."""
-        return self.snapshot() - earlier
+        """Delta of every counter relative to an earlier snapshot.
+
+        Each per-object delta is read off its NCU or link against
+        ``earlier`` directly; the maps keep the nonzero deltas, in the
+        order :meth:`snapshot` gives.
+        """
+        net = self._net
+        calls_before = earlier.system_calls_per_node.get
+        kinds_before = earlier.system_calls_by_kind.get
+        hops_before = earlier.hops_per_link.get
+        return MetricsSnapshot(
+            system_calls=self.system_calls - earlier.system_calls,
+            hops=self.hops - earlier.hops,
+            packets_injected=self.packets_injected - earlier.packets_injected,
+            header_ids=self.header_ids - earlier.header_ids,
+            copies=self.copies - earlier.copies,
+            drops=self.drops - earlier.drops,
+            system_calls_per_node={
+                node_id: delta
+                for node_id, node in net.nodes.items()
+                if (delta := node.ncu.system_calls - calls_before(node_id, 0))
+            },
+            system_calls_by_kind={
+                kind: delta
+                for kind, count in self._system_calls_by_kind.items()
+                if (delta := count - kinds_before(kind, 0))
+            },
+            hops_per_link={
+                key: delta
+                for key, link in net.links.items()
+                if (delta := link.hops - hops_before(key, 0))
+            },
+        )

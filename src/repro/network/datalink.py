@@ -58,11 +58,7 @@ class DataLinkMonitor:
                 if node.ncu.handler is None:
                     continue  # no protocol attached yet
                 node.ncu.enqueue(
-                    Job(
-                        kind=JobKind.LINK_EVENT,
-                        payload=link.info_at(node.node_id),
-                        enqueued_at=self._net.scheduler.now,
-                    )
+                    Job(kind=JobKind.LINK_EVENT, payload=link.info_at(node.node_id))
                 )
 
         self._net.scheduler.schedule(self._delay, notify, priority=2, tag="datalink")

@@ -113,10 +113,12 @@ class Network:
         self._node_order = order
         self.scheduler = Scheduler()
         self.delays = delays if delays is not None else limiting_model()
-        self.metrics = MetricsCollector()
+        self.metrics = MetricsCollector(self)
         self.trace = Trace(enabled=trace, capacity=trace_capacity)
         self.dmax = dmax if dmax is not None else 2 * len(order) + 2
-        self.outputs: dict[Any, dict[str, Any]] = {}
+        #: Protocol-reported outputs: output name -> node ID -> value,
+        #: nodes in the order they first reported that name.
+        self.outputs: dict[str, dict[Any, Any]] = {}
         #: Observability probe (see :mod:`repro.obs.live`).  ``None``
         #: means disabled; the NCU and SS hot paths then pay one
         #: attribute load + identity check per hook site.  Install via
@@ -223,6 +225,7 @@ class Network:
             link.key = key = (u, v) if repr_u <= repr_v else (v, u)
             link._arrival_u = 0.0
             link._arrival_v = 0.0
+            link.hops = 0
             link.fc = None
             links[key] = link
             ports_u.append(link)
@@ -359,8 +362,9 @@ class Network:
         fresh :class:`Scheduler` (time 0, sequence 0), fresh
         :class:`MetricsCollector` and :class:`Trace` (same
         ``enabled``/``capacity`` configuration), empty outputs, no
-        protocol/handler on any node, empty NCU queues, no installed
-        multicast groups, all links active with FIFO watermarks at 0,
+        protocol/handler on any node, empty NCU queues and zero
+        ``NCU.system_calls``, no installed multicast groups, all links
+        active with FIFO watermarks and ``Link.hops`` at 0,
         restarted packet/group sequences, a cleared data-link monitor,
         no crashed nodes and no observability probe.  The old run's
         counts are folded into an active perf registry first (see
@@ -379,7 +383,7 @@ class Network:
         """
         self._fold()
         self.scheduler = Scheduler()
-        self.metrics = MetricsCollector()
+        self.metrics = MetricsCollector(self)
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)
         self._fold_marks = (0, 0, 0, 0, 0)
         self.outputs = {}
@@ -436,7 +440,7 @@ class Network:
                 self.nodes[node_id].ncu.enqueue,
                 priority=2,
                 tag="start",
-                args=(Job(kind=JobKind.START, payload=payload, enqueued_at=at),),
+                args=(Job(kind=JobKind.START, payload=payload),),
             )
 
     def run(self, **kwargs: Any) -> float:
@@ -477,19 +481,15 @@ class Network:
     # ------------------------------------------------------------------
     def record_output(self, node_id: Any, key: str, value: Any) -> None:
         """Store a protocol-reported output (see ``api.report``)."""
-        self.outputs.setdefault(node_id, {})[key] = value
+        self.outputs.setdefault(key, {})[node_id] = value
 
     def output(self, node_id: Any, key: str, default: Any = None) -> Any:
         """Read back a protocol-reported output."""
-        return self.outputs.get(node_id, {}).get(key, default)
+        return self.outputs.get(key, {}).get(node_id, default)
 
     def outputs_for_key(self, key: str) -> dict[Any, Any]:
-        """All nodes' values for one output key."""
-        return {
-            node_id: values[key]
-            for node_id, values in self.outputs.items()
-            if key in values
-        }
+        """All nodes' values for one output key, in first-report order."""
+        return dict(self.outputs.get(key, {}))
 
     # ------------------------------------------------------------------
     # Failures
@@ -544,8 +544,7 @@ class Network:
         for link in node.ss.ports[1:]:
             self._set_link_state(link, active=True)
         if start:
-            now = self.scheduler.now
-            node.ncu.enqueue(Job(kind=JobKind.START, payload=None, enqueued_at=now))
+            node.ncu.enqueue(Job(kind=JobKind.START, payload=None))
 
     def partition(self, groups: Iterable[Iterable[Any]]) -> list[tuple[Any, Any]]:
         """Cut every active link between distinct groups of nodes.

@@ -301,7 +301,11 @@ class LiveStats:
 
     @property
     def hottest_link(self) -> tuple[Hashable, int] | None:
-        """(link key, hops) of the most-traversed link, if any."""
+        """(link key, hops) of the most-traversed link, if any.
+
+        Ties go to the link that comes first in the link table
+        (``Network.links``, repr-sorted), not to the one traversed first.
+        """
         hops_by_link = self.hops_by_link
         if not hops_by_link:
             return None

@@ -16,7 +16,6 @@ from typing import Any
 
 from ..exec.task import TaskSpec
 from ..sim.seeding import derive_seed
-from .runner import scenario_metrics
 from .spec import ScenarioSpec
 
 #: Eps for "worst ≤ bound" float comparisons (mirrors SearchResult).

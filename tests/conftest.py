@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import networkx as nx
 import pytest

@@ -136,12 +136,11 @@ def test_broadcast_partial_coverage_with_failed_link():
     net = limiting_net(topologies.line(5))
     net.fail_link(3, 4)
     adjacency = graph_adjacency(topologies.line(5))  # stale view: all up
-    factory = lambda api: BranchingPathsBroadcast(
-        api, root=0, adjacency=adjacency, ids=net.id_lookup
-    )
+    def factory(api):
+        return BranchingPathsBroadcast(api, root=0, adjacency=adjacency, ids=net.id_lookup)
+
     net.attach(factory)
     net.run_to_quiescence()  # drain datalink events
-    before = net.metrics.snapshot()
     net.start([0])
     net.run_to_quiescence()
     received = net.outputs_for_key("received_at")
@@ -151,9 +150,9 @@ def test_broadcast_partial_coverage_with_failed_link():
 def test_direct_broadcast_covers_but_serializes():
     net = limiting_net(topologies.random_connected(16, 0.25, seed=2))
     adjacency = net.adjacency()
-    factory = lambda api: DirectBroadcast(
-        api, root=0, adjacency=adjacency, ids=net.id_lookup, body="d"
-    )
+    def factory(api):
+        return DirectBroadcast(api, root=0, adjacency=adjacency, ids=net.id_lookup, body="d")
+
     run = run_standalone_broadcast(net, factory, 0)
     assert run.coverage == net.n
     # n-1 receiver calls + n-2 self-continuations.

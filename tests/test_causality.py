@@ -16,7 +16,6 @@ from repro.analysis.causality import (
 from repro.core import TreeAggregation, optimal_spanning_tree
 from repro.core.globalfn import ChattyTreeAggregation
 from repro.core.tree_shapes import predicted_completion
-from repro.core.opt_tree import OptTreeBuilder
 from repro.network import Network, topologies
 from repro.sim import FixedDelays, ProtocolError, RandomDelays
 

@@ -347,7 +347,7 @@ def test_probe_summary_reports_stalls():
 
 def test_chrome_counters_from_queue_records():
     net = _line(3, rate=1.0, buffer=1, trace=True)
-    probe = CongestionProbe(net, sample_every=2, to_trace=True).install()
+    CongestionProbe(net, sample_every=2, to_trace=True).install()
     _drive(net, 3, packets=10, gap=0.0)
     queue = [r for r in net.trace if r.kind is TraceKind.QUEUE]
     doc = chrome_trace_document([], counters=queue)

@@ -7,7 +7,6 @@ import operator
 import pytest
 
 from repro.core import (
-    OptTreeBuilder,
     is_globally_sensitive,
     optimal_spanning_tree,
     run_tree_aggregation,

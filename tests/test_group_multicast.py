@@ -7,7 +7,7 @@ import pytest
 from conftest import limiting_net
 from repro.core.group_multicast import GroupMulticast, run_group_multicast
 from repro.network import Network, bfs_tree, topologies
-from repro.sim import FixedDelays, ProtocolError, RandomDelays
+from repro.sim import ProtocolError, RandomDelays
 
 
 def test_group_ids_live_above_point_to_point_ids():

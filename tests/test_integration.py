@@ -23,7 +23,7 @@ from repro.core import (
     run_standalone_broadcast,
 )
 from repro.core.topology_maintenance import TopologyMaintenance
-from repro.network import Network, Tree, topologies, tree_from_parent
+from repro.network import Network, topologies, tree_from_parent
 from repro.sim import FixedDelays, RandomDelays
 
 

@@ -54,3 +54,37 @@ def test_metric_kind_separation_end_to_end():
     assert net.metrics.system_calls_of_kind("start") == 1
     assert net.metrics.system_calls_of_kind("my_tag") == 1
     assert net.metrics.system_calls == 2
+
+
+def test_queued_deliveries_get_their_job_when_service_starts(monkeypatch):
+    # k packets reach node 1's NCU at once: the first starts service,
+    # the other k - 1 wait as themselves, and each gets its Job only
+    # when its own service starts.
+    from conftest import limiting_net
+    from repro.hardware import build_anr
+    from repro.hardware import ncu as ncu_module
+    from repro.network import Protocol, topologies
+
+    made = 0
+
+    class CountedJob(Job):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return super().__new__(cls)
+
+    net = limiting_net(topologies.line(2))
+    net.attach(lambda api: Protocol(api))
+    header = build_anr([0, 1], net.id_lookup)
+    k = 5
+    monkeypatch.setattr(ncu_module, "Job", CountedJob)
+    for i in range(k):
+        net.node(0).inject(header, i)
+    net.run(until=0.5)  # every packet has arrived, the first is in service
+    ncu = net.node(1).ncu
+    assert ncu.busy and ncu.queued == k - 1
+    assert made == 1
+    net.run_to_quiescence()
+    assert made == k == net.metrics.system_calls_at(1)

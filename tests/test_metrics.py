@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import pytest
 
+from repro.core import FloodingBroadcast, run_standalone_broadcast
+from repro.hardware import NCU, Link
 from repro.metrics import (
-    MetricsCollector,
+    MetricsSnapshot,
     format_ratio,
     format_table,
     hop_complexity,
@@ -14,15 +19,31 @@ from repro.metrics import (
     system_call_complexity,
     time_units,
 )
+from repro.network import Network, Topology, from_spec
+from repro.sim import FixedDelays
+
+
+def _path() -> Network:
+    """A 3-node path ``a - b - c``: the collector counts on its NCUs and links."""
+    return Network(Topology(("a", "b", "c"), (("a", "b"), ("b", "c"))))
+
+
+def _call(net: Network, node_id: str, kind: str) -> None:
+    net.metrics.count_system_call(net.node(node_id).ncu, kind)
+
+
+def _hop(net: Network, u: str, v: str) -> None:
+    net.metrics.count_hop(net.link(u, v))
 
 
 def test_counters_accumulate():
-    m = MetricsCollector()
-    m.count_system_call("a", "packet")
-    m.count_system_call("a", "start")
-    m.count_system_call("b", "packet")
-    m.count_hop((0, 1))
-    m.count_hop((0, 1))
+    net = _path()
+    m = net.metrics
+    _call(net, "a", "packet")
+    _call(net, "a", "start")
+    _call(net, "b", "packet")
+    _hop(net, "a", "b")
+    _hop(net, "a", "b")
     m.count_injection("a")
     m.count_copy("b")
     m.count_drop("inactive_link")
@@ -36,36 +57,39 @@ def test_counters_accumulate():
 
 
 def test_snapshot_is_immutable_copy():
-    m = MetricsCollector()
-    m.count_system_call("a", "packet")
+    net = _path()
+    m = net.metrics
+    _call(net, "a", "packet")
     snap = m.snapshot()
-    m.count_system_call("a", "packet")
+    _call(net, "a", "packet")
     assert snap.system_calls == 1
     assert m.system_calls == 2
 
 
 def test_since_computes_delta():
-    m = MetricsCollector()
-    m.count_system_call("a", "packet")
-    m.count_hop((0, 1))
+    net = _path()
+    m = net.metrics
+    _call(net, "a", "packet")
+    _hop(net, "a", "b")
     before = m.snapshot()
-    m.count_system_call("b", "tour")
-    m.count_hop((1, 2))
-    m.count_hop((1, 2))
+    _call(net, "b", "tour")
+    _hop(net, "b", "c")
+    _hop(net, "b", "c")
     delta = m.since(before)
     assert delta.system_calls == 1
     assert delta.hops == 2
     assert delta.system_calls_per_node == {"b": 1}
     assert delta.system_calls_by_kind == {"tour": 1}
-    assert delta.hops_per_link == {(1, 2): 2}
+    assert delta.hops_per_link == {("b", "c"): 2}
 
 
 def test_measures():
-    m = MetricsCollector()
+    net = _path()
+    m = net.metrics
     for _ in range(5):
-        m.count_system_call("a", "packet")
-    m.count_system_call("a", "start")
-    m.count_hop((0, 1))
+        _call(net, "a", "packet")
+    _call(net, "a", "start")
+    _hop(net, "a", "b")
     m.count_injection("a")
     snap = m.snapshot()
     assert system_call_complexity(snap) == 6
@@ -73,6 +97,74 @@ def test_measures():
     assert hop_complexity(snap) == 1
     assert message_complexity(snap) == 1
     assert max_system_calls_per_node(snap) == 6
+
+
+def _flood(spec: str) -> Network:
+    """A network that has run one flood from node 0 to quiescence."""
+    net = from_spec(spec, delays=FixedDelays(0.1, 1.0))
+    run_standalone_broadcast(net, lambda api: FloodingBroadcast(api, root=0), 0)
+    return net
+
+
+def test_reset_zeroes_the_per_object_counts_that_a_crash_keeps():
+    net = _flood("grid:3,3")
+    calls = net.node(4).ncu.system_calls
+    assert calls == net.metrics.system_calls_at(4) > 0
+    # The churn monitor reads a crashed node's count while it is down.
+    net.crash_node(4)
+    assert net.metrics.system_calls_at(4) == calls
+    net.restart_node(4, start=False)
+    assert net.metrics.system_calls_at(4) == calls
+    net.reset()
+    assert [link.hops for link in net.links.values()] == [0] * net.m
+    assert [node.ncu.system_calls for node in net.nodes.values()] == [0] * net.n
+    assert net.metrics.snapshot() == MetricsSnapshot(0, 0, 0, 0, 0, 0)
+
+
+def test_since_allocates_little_beyond_its_result():
+    # ``since`` reads each delta off its NCU or link: its peak is the
+    # result being built, not copies of the maps it is computed from.
+    net = from_spec("fat_tree:8", delays=FixedDelays(0.1, 1.0))
+    net.attach(lambda api: FloodingBroadcast(api, root=0))
+    before = net.metrics.snapshot()
+    net.start([0])
+    net.run_to_quiescence()
+    tracemalloc.start()
+    try:
+        delta = net.metrics.since(before)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(delta.system_calls_per_node) == net.n
+    assert len(delta.hops_per_link) == net.m
+    assert peak <= 1.6 * size, f"peak {peak} B for a {size} B result"
+
+
+def test_snapshot_with_zero_totals_visits_no_ncu_and_no_link(monkeypatch):
+    net = from_spec("fat_tree:8", delays=FixedDelays(0.1, 1.0))
+    reads = Counter()
+
+    def counting(cls, name):
+        slot = getattr(cls, name)
+
+        def read(obj):
+            reads[name] += 1
+            return slot.__get__(obj, cls)
+
+        monkeypatch.setattr(cls, name, property(read, slot.__set__))
+
+    counting(NCU, "system_calls")
+    counting(Link, "hops")
+    snap = net.metrics.snapshot()
+    assert snap.system_calls_per_node == {} and snap.hops_per_link == {}
+    assert reads == {}
+    # Once something was counted, the snapshot reads every object once.
+    net.attach(lambda api: FloodingBroadcast(api, root=0))
+    net.start([0])
+    net.run_to_quiescence()
+    reads.clear()
+    net.metrics.snapshot()
+    assert reads == {"system_calls": net.n, "hops": net.m}
 
 
 def test_time_units():
@@ -102,7 +194,7 @@ def test_format_ratio():
 
 
 def test_header_ids_accounting():
-    m = MetricsCollector()
+    m = _path().metrics
     m.count_injection("a", header_len=5)
     m.count_injection("a", header_len=3)
     snap = m.snapshot()

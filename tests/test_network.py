@@ -132,6 +132,8 @@ def test_outputs_recording():
     assert net.output(0, "x") == 1
     assert net.output(0, "missing", "default") == "default"
     assert net.outputs_for_key("x") == {0: 1, 1: 2}
+    # Keyed by output name, then node ID.
+    assert net.outputs == {"x": {0: 1, 1: 2}, "y": {0: 3}}
 
 
 def test_active_graph_and_diameter():

@@ -24,7 +24,7 @@ from repro.obs import (
     span_summary_table,
     write_chrome_trace,
 )
-from repro.sim import FixedDelays, Trace, TraceKind, TraceRecord
+from repro.sim import FixedDelays, Trace, TraceKind
 
 
 def traced_broadcast(spec: str = "grid:4,4", root: int = 0):
@@ -361,6 +361,22 @@ def test_live_stats_zero_sample_finalization():
     assert "events observed" in rendered
     # Empty histograms are omitted, not rendered as bogus zeros.
     assert "link occupancy" not in rendered
+
+
+def test_live_stats_hottest_link_ties_go_to_link_table_order():
+    # Two links with one hop each, the later one in the link table
+    # traversed first: the tie goes to the link table's first link.
+    from repro.hardware import build_anr
+    from repro.network import Protocol
+
+    net = from_spec("line:3", delays=FixedDelays(0.0, 1.0))
+    net.attach(lambda api: Protocol(api))
+    stats = LiveStats().install(net)
+    net.node(2).inject(build_anr([2, 1], net.id_lookup), "x")
+    net.node(0).inject(build_anr([0, 1], net.id_lookup), "y")
+    net.run_to_quiescence()
+    assert list(net.links) == [(0, 1), (1, 2)]
+    assert stats.hottest_link == ((0, 1), 1)
 
 
 def test_build_spans_warns_on_truncated_trace():

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import pytest
-
 from repro.core.pipelined import run_pipelined_broadcast, run_stop_and_wait
 from repro.network import Network, topologies
 from repro.sim import FixedDelays, RandomDelays

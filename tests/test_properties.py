@@ -8,13 +8,17 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_adjacency, random_tree, tree_to_graph
+from conftest import random_tree, tree_to_graph
 from repro.core import (
     BranchingPathsBroadcast,
+    DfsBroadcast,
+    DirectBroadcast,
+    FloodingBroadcast,
     LeaderElection,
     OptTreeBuilder,
     coverage_rounds,
@@ -22,10 +26,9 @@ from repro.core import (
     optimal_spanning_tree,
     run_standalone_broadcast,
     run_tree_aggregation,
-    theorem3_lower_bound,
 )
 from repro.network import Network, topologies
-from repro.sim import FixedDelays, RandomDelays
+from repro.sim import FixedDelays, RandomDelays, TraceKind
 
 SLOW = settings(
     max_examples=15,
@@ -120,6 +123,48 @@ def test_greedy_oneway_schedule_any_tree(n, seed):
     # growth: each round at most squares... keep it simple: rounds is
     # bounded by n.
     assert rounds <= n
+
+
+def _counted_protocol(scheme: str, net: Network):
+    """Factory for one of the runs the per-object counts are checked on."""
+    adjacency = net.adjacency()
+    ids = net.id_lookup
+    return {
+        "flood": lambda api: FloodingBroadcast(api, root=0),
+        "bpaths": lambda api: BranchingPathsBroadcast(
+            api, root=0, adjacency=adjacency, ids=ids
+        ),
+        "direct": lambda api: DirectBroadcast(api, root=0, adjacency=adjacency, ids=ids),
+        "dfs": lambda api: DfsBroadcast(api, root=0, adjacency=adjacency, ids=ids),
+        "election": lambda api: LeaderElection(api),
+    }[scheme]
+
+
+@SLOW
+@given(
+    graph_strategy,
+    st.sampled_from(["flood", "bpaths", "direct", "dfs", "election"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_per_object_counts_match_the_trace(make_graph, scheme, seed):
+    # The trace is an oracle that shares nothing with the counters: one
+    # PACKET_HOP record per link traversal, one NCU_JOB_START record
+    # per system call.
+    net = Network(
+        make_graph(seed),
+        delays=RandomDelays(hardware=0.4, software=1.0, seed=seed),
+        trace=True,
+    )
+    net.attach(_counted_protocol(scheme, net))
+    net.start(None if scheme == "election" else [0])
+    net.run_to_quiescence(max_events=3_000_000)
+    snap = net.metrics.snapshot()
+    hops = Counter(r.detail["link"] for r in net.trace if r.kind is TraceKind.PACKET_HOP)
+    calls = Counter(r.node for r in net.trace if r.kind is TraceKind.NCU_JOB_START)
+    assert snap.hops_per_link == dict(hops)
+    assert snap.system_calls_per_node == dict(calls)
+    assert snap.hops == sum(link.hops for link in net.links.values())
+    assert snap.system_calls == sum(node.ncu.system_calls for node in net.nodes.values())
 
 
 @SLOW

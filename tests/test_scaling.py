@@ -36,11 +36,11 @@ def broadcast_series(proto_cls):
                       delays=FixedDelays(0.0, 1.0))
         adjacency = net.adjacency()
         if proto_cls is FloodingBroadcast:
-            factory = lambda api: FloodingBroadcast(api, root=0)
+            def factory(api):
+                return FloodingBroadcast(api, root=0)
         else:
-            factory = lambda api: proto_cls(
-                api, root=0, adjacency=adjacency, ids=net.id_lookup
-            )
+            def factory(api):
+                return proto_cls(api, root=0, adjacency=adjacency, ids=net.id_lookup)
         run = run_standalone_broadcast(net, factory, 0)
         calls.append(run.system_calls)
         times.append(run.completion_time())

@@ -31,7 +31,7 @@ from repro.scenario import (
 )
 from repro.sim import FixedDelays, ProtocolError
 
-from conftest import Recorder, attach_recorders, limiting_net
+from conftest import attach_recorders, limiting_net
 
 
 def churn_spec(seed: int = 7) -> ScenarioSpec:
@@ -99,7 +99,7 @@ def test_crash_clears_ncu_and_drops_arrivals():
     assert not node.ncu.queued and not node.ncu.busy
     # Jobs that arrive while crashed are dropped and accounted.
     before = net.metrics.drops
-    node.ncu.enqueue(Job(kind=JobKind.START, payload=None, enqueued_at=0.0))
+    node.ncu.enqueue(Job(kind=JobKind.START, payload=None))
     assert net.metrics.drops == before + 1
     assert not node.ncu.queued
 
@@ -248,6 +248,11 @@ def test_churn_monitor_quiet_on_conforming_run():
     assert host.finish() == []
 
 
+def _plant_call(net, node_id):
+    """Count one system call at ``node_id`` that no job ran."""
+    net.metrics.count_system_call(net.node(node_id).ncu, "planted")
+
+
 def test_churn_monitor_alerts_come_in_node_order():
     # Three nodes crash out of node order and each "executes" a call
     # while down: the alerts follow node order (``net.nodes``, sorted by
@@ -259,7 +264,7 @@ def test_churn_monitor_alerts_come_in_node_order():
         net.crash_node(node_id)
     assert monitor.check(None) == []  # first sight: baselines only
     for node_id in (2, 7, 10):
-        net.metrics.count_system_call(node_id, "planted")
+        _plant_call(net, node_id)
     alerts = monitor.check(None)
     assert [alert.message for alert in alerts] == [
         f"crashed node {node_id!r} executed 1 system call(s) while down"
@@ -268,11 +273,11 @@ def test_churn_monitor_alerts_come_in_node_order():
     assert all(alert.measure == "crash freeze" for alert in alerts)
     # A restart drops the baseline; the next crash takes a fresh one.
     net.restart_node(2, start=False)
-    net.metrics.count_system_call(2, "planted")
+    _plant_call(net, 2)
     assert monitor.check(None) == []
     net.crash_node(2)
     assert monitor.check(None) == []
-    net.metrics.count_system_call(2, "planted")
+    _plant_call(net, 2)
     (alert,) = monitor.check(None)
     assert alert.message == "crashed node 2 executed 1 system call(s) while down"
 

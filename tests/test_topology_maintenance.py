@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    TopologyMaintenance,
     attach_topology_maintenance,
     converge_by_rounds,
     is_converged,

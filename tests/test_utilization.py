@@ -20,11 +20,11 @@ def traced_broadcast(proto_cls, g, **kw):
     net = limiting_net(g, trace=True)
     adjacency = net.adjacency()
     if proto_cls is FloodingBroadcast:
-        factory = lambda api: FloodingBroadcast(api, root=0)
+        def factory(api):
+            return FloodingBroadcast(api, root=0)
     else:
-        factory = lambda api: proto_cls(
-            api, root=0, adjacency=adjacency, ids=net.id_lookup, **kw
-        )
+        def factory(api):
+            return proto_cls(api, root=0, adjacency=adjacency, ids=net.id_lookup, **kw)
     run_standalone_broadcast(net, factory, 0)
     return net
 
