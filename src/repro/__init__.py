@@ -34,6 +34,8 @@ Quickstart::
     leader = {k for k, v in net.outputs_for_key("is_leader").items() if v}
 """
 
+from . import _lazy
+
 __version__ = "1.0.0"
 
 #: Every public name and the subpackage that defines it (``None`` for a
@@ -57,20 +59,4 @@ _EXPORTS: dict[str, str | None] = {
 }
 
 __all__ = [*_EXPORTS, "__version__"]
-
-
-def __getattr__(name: str):
-    """Import a public name on first access (PEP 562) and keep it."""
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    home = _EXPORTS[name]
-    module = importlib.import_module(f"{__name__}.{home or name}")
-    value = module if home is None else getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = _lazy.hooks(__name__, _EXPORTS)

@@ -1,109 +1,40 @@
 """Closed forms, sweeps and tree statistics for the experiment harness."""
 
-from .closed_forms import (
-    binomial_size,
-    broadcast_system_calls,
-    broadcast_time_bound,
-    broadcast_time_bound_general,
-    election_message_bound,
-    fibonacci_closed_form,
-    flooding_system_calls_bounds,
-    growth_rate,
-    oneway_lower_bound_rounds,
-    optimal_time_estimate,
-)
-from .causality import (
-    CausalEvent,
-    CausalityRecorder,
-    CausalLog,
-    compute_causal_messages,
-    last_causal_tree,
-    message_counts,
-    termination_event,
-)
-from .export import load_json_rows, rows_to_csv, rows_to_json, slugify
-from .invariants import ElectionInvariantChecker, run_checked
-from .fitting import GROWTH_MODELS, ModelFit, best_model, fit_constant, loglog_slope
-from .montecarlo import SUMMARY_HEADERS, Summary, resolve_seeds, sweep
-from .netcalc import (
-    LinkBounds,
-    RateLatency,
-    TokenBucket,
-    backlog_bound,
-    convolve,
-    delay_bound,
-    flow_controlled_rate,
-    is_stable,
-    link_bounds,
-    link_service_curve,
-    output_burst,
-)
-from .render import (
-    render_labelled_tree,
-    render_opt_tree,
-    render_paths,
-    render_tree,
-)
-from .sweeps import GrowthRow, TradeoffRow, size_growth, tradeoff_sweep
-from .utilization import NodeUtilization, UtilizationReport, utilization_report
-from .trees import TreeStats, graph_tree_stats, tree_stats
+from .. import _lazy
 
-__all__ = [
-    "CausalEvent",
-    "CausalLog",
-    "CausalityRecorder",
-    "GROWTH_MODELS",
-    "GrowthRow",
-    "ModelFit",
-    "NodeUtilization",
-    "UtilizationReport",
-    "best_model",
-    "load_json_rows",
-    "rows_to_csv",
-    "rows_to_json",
-    "slugify",
-    "ElectionInvariantChecker",
-    "fit_constant",
-    "run_checked",
-    "compute_causal_messages",
-    "last_causal_tree",
-    "loglog_slope",
-    "message_counts",
-    "render_labelled_tree",
-    "render_opt_tree",
-    "render_paths",
-    "render_tree",
-    "SUMMARY_HEADERS",
-    "Summary",
-    "resolve_seeds",
-    "sweep",
-    "termination_event",
-    "utilization_report",
-    "TradeoffRow",
-    "TreeStats",
-    "LinkBounds",
-    "RateLatency",
-    "TokenBucket",
-    "backlog_bound",
-    "convolve",
-    "delay_bound",
-    "flow_controlled_rate",
-    "is_stable",
-    "link_bounds",
-    "link_service_curve",
-    "output_burst",
-    "binomial_size",
-    "broadcast_system_calls",
-    "broadcast_time_bound",
-    "broadcast_time_bound_general",
-    "election_message_bound",
-    "fibonacci_closed_form",
-    "flooding_system_calls_bounds",
-    "graph_tree_stats",
-    "growth_rate",
-    "oneway_lower_bound_rounds",
-    "optimal_time_estimate",
-    "size_growth",
-    "tradeoff_sweep",
-    "tree_stats",
-]
+#: Every public name and the submodule that defines it, imported when
+#: first read.
+_EXPORTS = {
+    **dict.fromkeys([
+        "CausalEvent", "CausalLog", "CausalityRecorder", "compute_causal_messages",
+        "last_causal_tree", "message_counts", "termination_event",
+    ], "causality"),
+    **dict.fromkeys([
+        "binomial_size", "broadcast_system_calls", "broadcast_time_bound",
+        "broadcast_time_bound_general", "election_message_bound", "fibonacci_closed_form",
+        "flooding_system_calls_bounds", "growth_rate", "oneway_lower_bound_rounds",
+        "optimal_time_estimate",
+    ], "closed_forms"),
+    **dict.fromkeys(["load_json_rows", "rows_to_csv", "rows_to_json", "slugify"], "export"),
+    **dict.fromkeys(
+        ["GROWTH_MODELS", "ModelFit", "best_model", "fit_constant", "loglog_slope"], "fitting"
+    ),
+    **dict.fromkeys(["ElectionInvariantChecker", "run_checked"], "invariants"),
+    **dict.fromkeys(["SUMMARY_HEADERS", "Summary", "resolve_seeds", "sweep"], "montecarlo"),
+    **dict.fromkeys([
+        "LinkBounds", "RateLatency", "TokenBucket", "backlog_bound", "convolve", "delay_bound",
+        "flow_controlled_rate", "is_stable", "link_bounds", "link_service_curve",
+        "output_burst",
+    ], "netcalc"),
+    **dict.fromkeys(
+        ["render_labelled_tree", "render_opt_tree", "render_paths", "render_tree"], "render"
+    ),
+    **dict.fromkeys(["GrowthRow", "TradeoffRow", "size_growth", "tradeoff_sweep"], "sweeps"),
+    **dict.fromkeys(["TreeStats", "graph_tree_stats", "tree_stats"], "trees"),
+    **dict.fromkeys(
+        ["NodeUtilization", "UtilizationReport", "utilization_report"], "utilization"
+    ),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.hooks(__name__, _EXPORTS)

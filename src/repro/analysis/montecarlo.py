@@ -132,7 +132,8 @@ def sweep(
         return Summary(
             samples=tuple(float(experiment(seed, **params)) for seed in resolved)
         )
-    from ..exec import TaskSpec, fn_path, run_campaign
+    from ..exec.engine import run_campaign
+    from ..exec.task import TaskSpec, fn_path
 
     path = experiment if isinstance(experiment, str) else fn_path(experiment)
     specs = [

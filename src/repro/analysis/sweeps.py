@@ -110,7 +110,7 @@ def tradeoff_specs(
     n: int, ratios: Sequence[Number], *, P: Number = 1
 ) -> list[Any]:
     """The sweep's :class:`~repro.exec.task.TaskSpec` list, in grid order."""
-    from ..exec import TaskSpec
+    from ..exec.task import TaskSpec
 
     Pf = _frac(P)
     return [
@@ -146,7 +146,7 @@ def tradeoff_sweep(
     directory) makes the sweep resumable.  Rows are byte-identical for
     any ``jobs``.
     """
-    from ..exec import run_campaign
+    from ..exec.engine import run_campaign
 
     outcome = run_campaign(tradeoff_specs(n, ratios, P=P), jobs=jobs, cache=cache)
     return [TradeoffRow.from_dict(value) for value in outcome.values()]
@@ -182,7 +182,8 @@ def size_growth(
             GrowthRow(k=k, size=builder.size(k * Pf))
             for k in range(1, steps + 1)
         ]
-    from ..exec import TaskSpec, run_campaign
+    from ..exec.engine import run_campaign
+    from ..exec.task import TaskSpec
 
     specs = [
         TaskSpec.make(

@@ -55,28 +55,10 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .core import (
-    BranchingPathsBroadcast,
-    ChangRoberts,
-    DfsBroadcast,
-    DirectBroadcast,
-    FloodingBroadcast,
-    HirschbergSinclair,
-    LeaderElection,
-    OptTreeBuilder,
-    attach_topology_maintenance,
-    converge_by_rounds,
-    coverage_rounds,
-    decompose_paths,
-    greedy_schedule,
-    max_chain_depth,
-    run_group_multicast,
-    run_standalone_broadcast,
-    theorem3_lower_bound,
-)
 from .metrics import format_table
 from .network import bfs_tree, random_link_failures, topologies
 from .network.builder import TopologySpecError, from_spec, topology_from_spec
+from .network.network import UnknownNodeError
 from .sim import FixedDelays
 
 BROADCAST_SCHEMES = ("bpaths", "flood", "direct", "dfs")
@@ -90,15 +72,19 @@ def _broadcast_factory(scheme: str, net, root):
     """Protocol factory for one broadcast scheme on ``net``.
 
     Flooding needs no topology knowledge; the other schemes get the
-    omniscient adjacency and ID lookup, computed only for them.
+    omniscient adjacency and ID lookup, computed only for them.  Only
+    the scheme's own module is imported.
     """
     if scheme == "flood":
+        from .core.flooding import FloodingBroadcast
+
         return lambda api: FloodingBroadcast(api, root=root)
-    protocol = {
-        "bpaths": BranchingPathsBroadcast,
-        "direct": DirectBroadcast,
-        "dfs": DfsBroadcast,
-    }[scheme]
+    if scheme == "dfs":
+        from .core.dfs_broadcast import DfsBroadcast as protocol
+    else:
+        from .core.broadcast import BranchingPathsBroadcast, DirectBroadcast
+
+        protocol = BranchingPathsBroadcast if scheme == "bpaths" else DirectBroadcast
     adjacency = net.adjacency()
     return lambda api: protocol(api, root=root, adjacency=adjacency, ids=net.id_lookup)
 
@@ -143,7 +129,8 @@ def _apply_scenario(args: argparse.Namespace, net) -> None:
     path = getattr(args, "scenario", None)
     if not path:
         return
-    from .scenario import ScenarioSpec, compile_scenario
+    from .scenario.compiler import compile_scenario
+    from .scenario.spec import ScenarioSpec
 
     spec = ScenarioSpec.load(path)
     compiled = compile_scenario(net, spec)
@@ -170,7 +157,7 @@ def _obs_net(args: argparse.Namespace, *, observed: bool = True):
     _apply_scenario(args, net)
     stats = None
     if observed and getattr(args, "stats", False):
-        from .obs import LiveStats
+        from .obs.live import LiveStats
 
         stats = LiveStats().install(net)
     return net, stats
@@ -178,7 +165,7 @@ def _obs_net(args: argparse.Namespace, *, observed: bool = True):
 
 def _monitor_spec(value: str) -> str:
     """argparse type for ``--monitor``: validate names at parse time."""
-    from .obs import MONITOR_NAMES
+    from .obs.monitors import MONITOR_NAMES
 
     names = {part.strip() for part in value.split(",") if part.strip()}
     unknown = sorted(names - set(MONITOR_NAMES) - {"all"})
@@ -212,7 +199,7 @@ def _arm_flight_recorder(args: argparse.Namespace, net):
     path = getattr(args, "flight_recorder", None)
     if not path:
         return None
-    from .obs import FlightRecorder
+    from .obs.recorder import FlightRecorder
 
     recorder = FlightRecorder(
         net, capacity=getattr(args, "flight_capacity", 512), path=path
@@ -244,7 +231,7 @@ def _attach_monitors(
     spec = getattr(args, "monitor", None)
     if not spec:
         return None
-    from .obs import MonitorHost, monitors_from_spec
+    from .obs.monitors import MonitorHost, monitors_from_spec
 
     monitors, notes = monitors_from_spec(net, spec, command=command, scheme=scheme)
     for note in notes:
@@ -262,7 +249,7 @@ def _finish_monitors(host) -> int:
     """Finish + render monitors; exit code 1 if any violation fired."""
     if host is None:
         return 0
-    from .obs import render_alerts
+    from .obs.monitors import render_alerts
 
     alerts = host.finish()
     print()
@@ -283,13 +270,15 @@ def _obs_finish(
     """Write the requested exports and print the live statistics."""
     if net is None or not _obs_requested(args):
         return
-    from .obs import RunManifest, build_spans, records_to_jsonl, write_chrome_trace
-
     if getattr(args, "trace_out", None):
+        from .obs.exporters import records_to_jsonl
+
         path = records_to_jsonl(net.trace, args.trace_out)
         dropped = f", {net.trace.dropped} dropped" if net.trace.dropped else ""
         print(f"trace written to {path} ({len(net.trace)} records{dropped})")
     if getattr(args, "chrome_trace", None):
+        from .obs.exporters import write_chrome_trace
+        from .obs.spans import build_spans
         from .sim.trace import TraceKind
 
         spans = build_spans(net.trace)
@@ -313,6 +302,8 @@ def _obs_finish(
         anchor = Path(getattr(args, "chrome_trace", None) or args.trace_out)
         manifest_out = anchor.with_suffix(".manifest.json")
     if manifest_out is not None:
+        from .obs.manifest import RunManifest
+
         for key in ("link_rate", "link_buffer"):
             value = getattr(args, key, None)
             if value is not None:
@@ -333,11 +324,14 @@ def _obs_finish(
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_broadcast(args: argparse.Namespace) -> int:
+    from .core.broadcast import run_standalone_broadcast
+
     if args.show_plan:
         from .analysis.render import render_labelled_tree, render_paths
-        from .network import bfs_tree
 
         net = _net(args.topology, args.C, args.P)
+        if args.root not in net.nodes:
+            raise UnknownNodeError(f"no node {args.root!r} in the network")
         tree = bfs_tree(net.adjacency(), args.root)
         print("spanning tree with Section 3.1 labels:")
         print(render_labelled_tree(tree))
@@ -376,8 +370,12 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
 
 
 def cmd_election(args: argparse.Namespace) -> int:
+    from .core.election import LeaderElection
+
     contenders = [("new (Cidon-Gopal-Kutten)", lambda api: LeaderElection(api))]
     if args.baselines:
+        from .core.election_baselines import ChangRoberts, HirschbergSinclair
+
         contenders += [
             ("Chang-Roberts", lambda api: ChangRoberts(api)),
             ("Chang-Roberts worst", lambda api: ChangRoberts(api, direction=-1)),
@@ -426,6 +424,8 @@ def _is_ring(net) -> bool:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
+    from .core.topology_maintenance import attach_topology_maintenance, converge_by_rounds
+
     net, stats = _obs_net(args)
     host = _attach_monitors(args, net, command="converge")
     attach_topology_maintenance(net, strategy=args.strategy, scope=args.scope)
@@ -457,6 +457,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
 
 def cmd_globalfn(args: argparse.Namespace) -> int:
     from .analysis.sweeps import tradeoff_sweep
+    from .core.opt_tree import OptTreeBuilder
 
     builder = OptTreeBuilder(args.P, args.C)
     t_opt, tree = builder.optimal_tree_for(args.n)
@@ -479,6 +480,9 @@ def cmd_globalfn(args: argparse.Namespace) -> int:
 
 
 def cmd_lowerbound(args: argparse.Namespace) -> int:
+    from .core.lowerbound import coverage_rounds, greedy_schedule, theorem3_lower_bound
+    from .core.paths import decompose_paths, max_chain_depth
+
     rows = []
     for depth in range(1, args.max_depth + 1):
         adjacency = topologies.complete_binary_tree(depth).adjacency()
@@ -498,6 +502,8 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def cmd_multicast(args: argparse.Namespace) -> int:
+    from .core.group_multicast import run_group_multicast
+
     net, stats = _obs_net(args)
     host = _attach_monitors(args, net, command="multicast")
     run = run_group_multicast(net, args.root, bodies=list(range(args.messages)))
@@ -539,14 +545,11 @@ def _alert_summary(records) -> str:
 
 def cmd_observe(args: argparse.Namespace) -> int:
     """Run one workload fully instrumented and render its timeline."""
-    from .obs import LiveStats, build_spans, render_timeline, span_summary_table
+    from .obs.spans import build_spans
+    from .obs.timeline import render_congestion_heatmap, render_timeline, span_summary_table
 
     if args.from_trace:
-        from .obs import (
-            TraceLoadError,
-            records_from_jsonl,
-            render_congestion_heatmap,
-        )
+        from .obs.exporters import TraceLoadError, records_from_jsonl
         from .sim.trace import TraceKind
 
         try:
@@ -585,10 +588,14 @@ def cmd_observe(args: argparse.Namespace) -> int:
     )
     _apply_flow_control(args, net)
     _apply_scenario(args, net)
-    stats = LiveStats().install(net) if args.stats else None
+    stats = None
+    if args.stats:
+        from .obs.live import LiveStats
+
+        stats = LiveStats().install(net)
     probe = None
     if args.congestion:
-        from .obs import CongestionProbe
+        from .obs.congestion import CongestionProbe
 
         probe = CongestionProbe(net, to_trace=True).install()
     host = _attach_monitors(
@@ -596,6 +603,8 @@ def cmd_observe(args: argparse.Namespace) -> int:
         scheme=args.scheme if args.workload == "broadcast" else None,
     )
     if args.workload == "broadcast":
+        from .core.broadcast import run_standalone_broadcast
+
         run = run_standalone_broadcast(
             net, _broadcast_factory(args.scheme, net, args.root), args.root
         )
@@ -605,6 +614,8 @@ def cmd_observe(args: argparse.Namespace) -> int:
             f"calls, completed at t={run.completion_time():g}"
         )
     else:
+        from .core.election import LeaderElection
+
         net.attach(lambda api: LeaderElection(api))
         net.start()
         net.run_to_quiescence(max_events=10_000_000)
@@ -626,8 +637,6 @@ def cmd_observe(args: argparse.Namespace) -> int:
             title=f"timeline ({args.workload} on {args.topology})",
         ))
     if probe is not None:
-        from .obs import render_congestion_heatmap
-
         print()
         print(render_congestion_heatmap(
             probe.records(),
@@ -733,8 +742,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     deterministic metrics as they are; ``--profile`` (cProfile) inflates
     the wall metrics.
     """
-    from .obs import PerfCounters, SamplingProfiler, benchmark_names
-    from .obs import render_metrics, run_benchmark
+    from .obs.bench import benchmark_names, render_metrics, run_benchmark
+    from .obs.perf import PerfCounters, SamplingProfiler
 
     registered = benchmark_names()
     if args.name is None:
@@ -781,7 +790,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _scenario_spec(args: argparse.Namespace):
     """Load ``--spec FILE`` or generate the seeded churn preset."""
-    from .scenario import ScenarioSpec, churn_scenario
+    from .scenario.spec import ScenarioSpec, churn_scenario
 
     if args.spec:
         spec = ScenarioSpec.load(args.spec)
@@ -802,8 +811,6 @@ def _scenario_spec(args: argparse.Namespace):
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     """Run one scenario spec, or search its adversarial delay space."""
-    from .scenario import run_delay_search, run_scenario
-
     try:
         spec = _scenario_spec(args)
     except (ValueError, OSError) as exc:
@@ -811,6 +818,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 2
 
     if args.action == "run":
+        from .scenario.runner import run_scenario
+
         # The spec owns the substrate: its topology and (C, P) override
         # the command-line flags so a saved spec replays exactly.
         args.topology, args.C, args.P = spec.topology, spec.C, spec.P
@@ -838,6 +847,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
     # action == "search": explore delay assignments via the campaign.
     import json
+
+    from .scenario.search import run_delay_search
 
     def announce(result) -> None:
         status = "cache" if result.status == "cached" else result.status
@@ -903,7 +914,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         path.write_text(json.dumps(rows_doc, indent=2, sort_keys=True) + "\n")
         print(f"rows written to {path}")
     if args.manifest_out:
-        from .obs import CampaignManifest
+        from .obs.manifest import CampaignManifest
 
         manifest = CampaignManifest.from_outcome(
             outcome, command="scenario-search", scenario=spec.name,
@@ -978,7 +989,7 @@ def _campaign_specs(args: argparse.Namespace) -> tuple[list, dict]:
     file header; it names the grid, never the execution (no job count,
     no cache state), so rows files compare byte-identical across runs.
     """
-    from .exec import TaskSpec
+    from .exec.task import TaskSpec
 
     if args.workload == "tradeoff":
         from fractions import Fraction
@@ -1023,7 +1034,7 @@ def _campaign_specs(args: argparse.Namespace) -> tuple[list, dict]:
             params = {"seeds": args.seeds, "root_seed": args.root_seed,
                       "n": args.n, "edge_prob": args.edge_prob}
     else:  # bench
-        from .obs import benchmark_names
+        from .obs.bench import benchmark_names
 
         names = ([part.strip() for part in args.names.split(",") if part.strip()]
                  if args.names else list(benchmark_names()))
@@ -1043,8 +1054,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     """Run one sharded, cached campaign; see docs/TUTORIAL.md §8."""
     import json
 
-    from .exec import run_campaign
-    from .obs import CampaignManifest
+    from .exec.engine import run_campaign
+    from .obs.manifest import CampaignManifest
 
     try:
         specs, params = _campaign_specs(args)
@@ -1091,7 +1102,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.perf:
         merged = outcome.merged_perf()
         if merged is not None:
-            from .obs import PerfCounters
+            from .obs.perf import PerfCounters
 
             print()
             print(PerfCounters.from_dict(merged).render(
@@ -1229,14 +1240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("bpaths", "flood", "dfs"),
                    default="bpaths")
     p.add_argument("--scope", choices=("local", "full"), default="full")
-    p.add_argument("--fail", type=int, default=0,
+    p.add_argument("--fail", type=_at_least(0), default=0,
                    help="random link failures to inject after convergence")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=int, default=64)
+    p.add_argument("--max-rounds", type=_at_least(1), default=64)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("globalfn", help="optimal aggregation trees (E7-E10)")
-    p.add_argument("--n", type=int, default=64)
+    p.add_argument("--n", type=_at_least(1), default=64)
     p.add_argument("--P", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -1245,7 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_globalfn)
 
     p = sub.add_parser("lowerbound", help="one-way broadcast bounds (E3)")
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-depth", type=_at_least(1), default=10)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser(
@@ -1258,7 +1269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multicast", help="hardware multicast groups (E12)")
     common(p)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--messages", type=int, default=3)
+    p.add_argument("--messages", type=_at_least(0), default=3)
     p.set_defaults(func=cmd_multicast)
 
     p = sub.add_parser(
@@ -1477,7 +1488,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TopologySpecError as exc:
+    except (TopologySpecError, UnknownNodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -10,39 +10,21 @@ byte-identical rows to ``--jobs 1``.  See ``docs/API.md`` § Campaign
 execution.
 """
 
-from .cache import DEFAULT_CACHE_DIR, CacheEntry, ResultCache
-from .engine import (
-    STATUSES,
-    CampaignError,
-    CampaignOutcome,
-    TaskResult,
-    run_campaign,
-)
-from .substrate import SubstratePool, worker_pool
-from .task import (
-    SpecError,
-    TaskSpec,
-    canonical_json,
-    code_fingerprint,
-    fn_path,
-    resolve_fn,
-)
+from .. import _lazy
 
-__all__ = [
-    "CampaignError",
-    "CampaignOutcome",
-    "CacheEntry",
-    "DEFAULT_CACHE_DIR",
-    "ResultCache",
-    "STATUSES",
-    "SpecError",
-    "SubstratePool",
-    "TaskResult",
-    "TaskSpec",
-    "canonical_json",
-    "code_fingerprint",
-    "fn_path",
-    "resolve_fn",
-    "run_campaign",
-    "worker_pool",
-]
+#: Every public name and the submodule that defines it, imported when
+#: first read.
+_EXPORTS = {
+    **dict.fromkeys(["DEFAULT_CACHE_DIR", "CacheEntry", "ResultCache"], "cache"),
+    **dict.fromkeys(
+        ["STATUSES", "CampaignError", "CampaignOutcome", "TaskResult", "run_campaign"],
+        "engine",
+    ),
+    **dict.fromkeys(["SubstratePool", "worker_pool"], "substrate"),
+    **dict.fromkeys([
+        "SpecError", "TaskSpec", "canonical_json", "code_fingerprint", "fn_path", "resolve_fn",
+    ], "task"),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.hooks(__name__, _EXPORTS)

@@ -107,9 +107,12 @@ class CampaignOutcome:
         task carried perf data (campaign ran without ``perf=True``, or
         everything was cached).
         """
+        perfs = [r.perf for r in self.results if r.perf]
+        if not perfs:
+            return None
         from ..obs.perf import merge_perf_dicts
 
-        return merge_perf_dicts([r.perf for r in self.results if r.perf])
+        return merge_perf_dicts(perfs)
 
     def values(self, *, strict: bool = True) -> list[Any]:
         """Task values in spec order.

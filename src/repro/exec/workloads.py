@@ -54,7 +54,7 @@ def election_calls_per_node(
     repeat seeds reset-and-reuse one substrate instead of rebuilding.
     ``n``/``edge_prob`` are ignored when ``topology`` is given.
     """
-    from ..core import LeaderElection
+    from ..core.election import LeaderElection
     from ..sim import RandomDelays
 
     delays = RandomDelays(hardware=0.3, software=1.0, seed=seed)

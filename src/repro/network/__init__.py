@@ -16,7 +16,7 @@ from .builder import (
     graph_from_spec,
     topology_from_spec,
 )
-from .network import Network
+from .network import Network, UnknownNodeError
 from .protocol import Protocol, ProtocolFactory
 from .spanning import Tree, bfs_tree, tree_from_parent
 from .topologies import Topology
@@ -35,6 +35,7 @@ __all__ = [
     "Topology",
     "TopologySpecError",
     "Tree",
+    "UnknownNodeError",
     "bfs_tree",
     "flapping_link",
     "random_link_failures",

@@ -43,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
 
 
+class UnknownNodeError(ValueError):
+    """A node ID that names no node of the network; the message names it."""
+
+
 class Network:
     """A simulated fast network with SS/NCU nodes."""
 
@@ -428,16 +432,24 @@ class Network:
     ) -> None:
         """Deliver START signals (each one is an NCU job, hence a system
         call) to the given nodes — all nodes by default — at time ``at``
-        (default: the current simulated time)."""
+        (default: the current simulated time).  An ID that names no node
+        raises :class:`UnknownNodeError` before any START is scheduled."""
         if at is None:
             at = self.scheduler.now
-        targets = list(self.nodes) if node_ids is None else list(node_ids)
+        nodes = self.nodes
+        if node_ids is None:
+            targets = list(nodes)
+        else:
+            targets = list(node_ids)
+            for node_id in targets:
+                if node_id not in nodes:
+                    raise UnknownNodeError(f"no node {node_id!r} in the network")
         for node_id in targets:
             # Long-lived bound method + args, not a per-node closure —
             # the convention every hot scheduling site follows.
             self.scheduler.schedule_at(
                 at,
-                self.nodes[node_id].ncu.enqueue,
+                nodes[node_id].ncu.enqueue,
                 priority=2,
                 tag="start",
                 args=(Job(kind=JobKind.START, payload=payload),),

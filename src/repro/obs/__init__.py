@@ -7,95 +7,37 @@ touching the hot path (whose only concession is one ``is not None``
 check per hook site — see ``benchmarks/bench_obs_overhead.py``).
 """
 
-from .bench import (
-    BENCHMARKS,
-    Benchmark,
-    benchmark_names,
-    render_metrics,
-    run_benchmark,
-)
-from .exporters import (
-    TraceLoadError,
-    chrome_trace_document,
-    record_from_dict,
-    record_to_dict,
-    records_from_jsonl,
-    records_to_jsonl,
-    write_chrome_trace,
-)
-from .congestion import CongestionProbe
-from .live import Histogram, LiveStats
-from .manifest import CampaignManifest, RunManifest, git_revision
-from .perf import PerfCounters, SamplingProfiler, merge_perf_dicts
-from .recorder import FlightRecorder
-from .monitors import (
-    MONITOR_NAMES,
-    Alert,
-    Budget,
-    BudgetMonitor,
-    ChurnMonitor,
-    InvariantMonitor,
-    Monitor,
-    MonitorHost,
-    NetCalcMonitor,
-    ProgressWatchdog,
-    broadcast_budgets,
-    budgets_for,
-    election_budgets,
-    monitors_from_spec,
-    render_alerts,
-)
-from .spans import Span, build_spans, children_index, makespan, span_counts
-from .timeline import (
-    render_congestion_heatmap,
-    render_timeline,
-    span_summary_table,
-)
+from .. import _lazy
 
-__all__ = [
-    "Alert",
-    "BENCHMARKS",
-    "Benchmark",
-    "Budget",
-    "BudgetMonitor",
-    "CampaignManifest",
-    "ChurnMonitor",
-    "CongestionProbe",
-    "FlightRecorder",
-    "Histogram",
-    "InvariantMonitor",
-    "LiveStats",
-    "MONITOR_NAMES",
-    "Monitor",
-    "MonitorHost",
-    "NetCalcMonitor",
-    "PerfCounters",
-    "ProgressWatchdog",
-    "RunManifest",
-    "SamplingProfiler",
-    "Span",
-    "TraceLoadError",
-    "benchmark_names",
-    "broadcast_budgets",
-    "budgets_for",
-    "build_spans",
-    "children_index",
-    "chrome_trace_document",
-    "election_budgets",
-    "git_revision",
-    "makespan",
-    "merge_perf_dicts",
-    "monitors_from_spec",
-    "record_from_dict",
-    "record_to_dict",
-    "records_from_jsonl",
-    "records_to_jsonl",
-    "render_alerts",
-    "render_congestion_heatmap",
-    "render_metrics",
-    "render_timeline",
-    "run_benchmark",
-    "span_counts",
-    "span_summary_table",
-    "write_chrome_trace",
-]
+#: Every public name and the submodule that defines it, imported when
+#: first read.
+_EXPORTS = {
+    **dict.fromkeys(
+        ["BENCHMARKS", "Benchmark", "benchmark_names", "render_metrics", "run_benchmark"],
+        "bench",
+    ),
+    **dict.fromkeys(["CongestionProbe"], "congestion"),
+    **dict.fromkeys([
+        "TraceLoadError", "chrome_trace_document", "record_from_dict", "record_to_dict",
+        "records_from_jsonl", "records_to_jsonl", "write_chrome_trace",
+    ], "exporters"),
+    **dict.fromkeys(["Histogram", "LiveStats"], "live"),
+    **dict.fromkeys(["CampaignManifest", "RunManifest", "git_revision"], "manifest"),
+    **dict.fromkeys([
+        "MONITOR_NAMES", "Alert", "Budget", "BudgetMonitor", "ChurnMonitor",
+        "InvariantMonitor", "Monitor", "MonitorHost", "NetCalcMonitor", "ProgressWatchdog",
+        "broadcast_budgets", "budgets_for", "election_budgets", "monitors_from_spec",
+        "render_alerts",
+    ], "monitors"),
+    **dict.fromkeys(["PerfCounters", "SamplingProfiler", "merge_perf_dicts"], "perf"),
+    **dict.fromkeys(["FlightRecorder"], "recorder"),
+    **dict.fromkeys(
+        ["Span", "build_spans", "children_index", "makespan", "span_counts"], "spans"
+    ),
+    **dict.fromkeys(
+        ["render_congestion_heatmap", "render_timeline", "span_summary_table"], "timeline"
+    ),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.hooks(__name__, _EXPORTS)

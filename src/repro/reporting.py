@@ -18,27 +18,20 @@ from typing import Any, Sequence
 from .analysis.causality import CausalityRecorder, last_causal_tree, message_counts
 from .analysis.export import rows_to_csv, slugify
 from .analysis.sweeps import size_growth, tradeoff_sweep
-from .core import (
-    BranchingPathsBroadcast,
-    ChangRoberts,
-    DirectBroadcast,
-    FloodingBroadcast,
-    HirschbergSinclair,
-    LeaderElection,
+from .core.broadcast import BranchingPathsBroadcast, DirectBroadcast, run_standalone_broadcast
+from .core.election import LeaderElection
+from .core.election_baselines import ChangRoberts, HirschbergSinclair
+from .core.flooding import FloodingBroadcast
+from .core.globalfn import (
+    ChattyTreeAggregation,
     TreeAggregation,
-    attach_topology_maintenance,
-    converge_by_rounds,
-    coverage_rounds,
-    decompose_paths,
-    greedy_schedule,
-    max_chain_depth,
     optimal_spanning_tree,
-    run_group_multicast,
-    run_standalone_broadcast,
     run_tree_aggregation,
-    theorem3_lower_bound,
 )
-from .core.globalfn import ChattyTreeAggregation
+from .core.group_multicast import run_group_multicast
+from .core.lowerbound import coverage_rounds, greedy_schedule, theorem3_lower_bound
+from .core.paths import decompose_paths, max_chain_depth
+from .core.topology_maintenance import attach_topology_maintenance, converge_by_rounds
 from .metrics import format_table
 from .network import Network, bfs_tree, topologies
 from .sim import FixedDelays, NotConvergedError

@@ -10,36 +10,23 @@ task; and the search driver explores adversarial delay assignments
 within (C, P) bounds against the closed-form bounds.
 """
 
-from .compiler import CompiledScenario, compile_scenario, schedule_failure_actions
-from .runner import attach_protocol, run_scenario, scenario_metrics
-from .search import (
-    delay_search_specs,
-    election_rounds,
-    run_delay_search,
-    search_report,
-)
-from .spec import (
-    OPS,
-    PROTOCOLS,
-    ScenarioEvent,
-    ScenarioSpec,
-    churn_scenario,
-)
+from .. import _lazy
 
-__all__ = [
-    "OPS",
-    "PROTOCOLS",
-    "CompiledScenario",
-    "ScenarioEvent",
-    "ScenarioSpec",
-    "attach_protocol",
-    "churn_scenario",
-    "compile_scenario",
-    "delay_search_specs",
-    "election_rounds",
-    "run_delay_search",
-    "run_scenario",
-    "scenario_metrics",
-    "schedule_failure_actions",
-    "search_report",
-]
+#: Every public name and the submodule that defines it, imported when
+#: first read.
+_EXPORTS = {
+    **dict.fromkeys(
+        ["CompiledScenario", "compile_scenario", "schedule_failure_actions"], "compiler"
+    ),
+    **dict.fromkeys(["attach_protocol", "run_scenario", "scenario_metrics"], "runner"),
+    **dict.fromkeys(
+        ["delay_search_specs", "election_rounds", "run_delay_search", "search_report"],
+        "search",
+    ),
+    **dict.fromkeys(
+        ["OPS", "PROTOCOLS", "ScenarioEvent", "ScenarioSpec", "churn_scenario"], "spec"
+    ),
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy.hooks(__name__, _EXPORTS)

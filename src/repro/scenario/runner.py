@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 def attach_protocol(net: "Network", spec: ScenarioSpec) -> None:
     """Attach the spec's protocol to ``net`` (no-op for ``"none"``)."""
     if spec.protocol == "election":
-        from ..core import LeaderElection
+        from ..core.election import LeaderElection
 
         net.attach(LeaderElection)
     else:

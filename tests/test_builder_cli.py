@@ -212,6 +212,46 @@ def test_topology_from_spec_raises_one_error_type(spec):
         topology_from_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["broadcast", "--root", "999"],
+        ["broadcast", "--root", "999", "--compare"],
+        ["broadcast", "--root", "999", "--show-plan"],
+        ["observe", "--root", "999"],
+        ["multicast", "--root", "999"],
+        ["election", "--starters", "999"],
+    ],
+    ids=" ".join,
+)
+def test_cli_unknown_node_is_one_error_line(argv, capsys):
+    assert main([*argv, "--topology", "grid:3,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: no node 999 in the network"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["globalfn", "--n", "0"],
+        ["globalfn", "--n", "-3"],
+        ["converge", "--max-rounds", "0"],
+        ["converge", "--fail", "-1"],
+        ["multicast", "--messages", "-2"],
+        ["lowerbound", "--max-depth", "0"],
+        ["lowerbound", "--max-depth", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_count_flag_below_its_minimum_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: must be >= " in err and f"got {argv[2]}" in err
+
+
 def test_cli_election_baselines_skip_non_rings(capsys):
     assert main(["election", "--topology", "grid:3,3", "--baselines"]) == 0
     assert "(needs a ring)" in capsys.readouterr().out
@@ -398,13 +438,18 @@ def test_net_graph_is_built_on_first_read_and_never_aliases():
 #: ``multiprocessing`` behind ``concurrent.futures``.
 CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
 
+#: The paper's election and its domain state, which neither a broadcast
+#: nor topology maintenance runs.
+ELECTION = ("repro.core.election", "repro.core.election_state")
+
 
 @pytest.mark.parametrize(
     "argv,blocked",
     [
         pytest.param(
             ["broadcast", "--topology", "fat_tree:4", "--scheme", "flood"],
-            ("networkx", *CAMPAIGN_ONLY),
+            ("networkx", *CAMPAIGN_ONLY, *ELECTION, "repro.core.topology_maintenance",
+             "repro.core.globalfn"),
             id="flood",
         ),
         pytest.param(
@@ -415,7 +460,8 @@ CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
         pytest.param(
             ["converge", "--topology", "torus:4,4", "--fail", "2",
              "--link-rate", "1", "--link-buffer", "2"],
-            ("networkx", *CAMPAIGN_ONLY),
+            ("networkx", *CAMPAIGN_ONLY, *ELECTION, "repro.core.election_baselines",
+             "repro.core.flooding"),
             id="converge",
         ),
         pytest.param(
@@ -425,15 +471,19 @@ CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
         ),
         # A churn story derives its seeds from strings, and a campaign
         # hashes its specs and forks workers (which inherit the block).
+        # The churn monitor needs `analysis.closed_forms` and
+        # `analysis.invariants`, not the rest of `analysis` or `obs`.
         pytest.param(
             ["scenario", "run", "--topology", "clos:8,4,2", "--churn-seed", "1"],
-            ("networkx",),
+            ("networkx", "repro.obs.perf", "repro.obs.bench", "repro.analysis.render",
+             "repro.core.flooding"),
             id="scenario",
         ),
         pytest.param(
             ["campaign", "montecarlo", "--seeds", "4", "--topology", "random:24,3",
              "--jobs", "2", "--no-cache"],
-            ("networkx",),
+            ("networkx", "repro.analysis", "repro.scenario", "repro.obs.monitors",
+             "repro.core.flooding"),
             id="campaign",
         ),
         # The paper's own shapes and the commands that only print.
@@ -454,11 +504,12 @@ CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
                 "report": ["report", "--out", "report"],
             }.items()
         ),
-        # No command: the CLI's own import loads no optional subpackage.
+        # No command: the CLI's own import loads no algorithm and no
+        # optional subpackage.
         pytest.param(
             None,
             ("networkx", *CAMPAIGN_ONLY,
-             "repro.analysis", "repro.scenario", "repro.exec", "repro.obs"),
+             "repro.analysis", "repro.core", "repro.scenario", "repro.exec", "repro.obs"),
             id="import-cli",
         ),
     ],

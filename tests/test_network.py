@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from conftest import attach_recorders, limiting_net
-from repro.network import Network, from_edges, topologies
+from repro.network import Network, UnknownNodeError, from_edges, topologies
 from repro.sim import FixedDelays, ProtocolError
 
 
@@ -25,6 +25,16 @@ def test_default_dmax_is_linear():
 def test_rejects_empty_graph():
     with pytest.raises(ValueError):
         Network(nx.Graph())
+
+
+def test_start_names_an_unknown_node_and_schedules_nothing():
+    net = limiting_net(topologies.line(3))
+    with pytest.raises(ValueError, match="no node 999 in the network") as exc:
+        net.start([0, 999])
+    assert isinstance(exc.value, UnknownNodeError)
+    assert net.scheduler.pending_live == 0
+    net.start([0])
+    assert net.scheduler.pending_live == 1
 
 
 def test_rejects_self_loops():
