@@ -190,6 +190,18 @@ def _at_least(minimum: int):
     return parse
 
 
+def _starters(value: str) -> str:
+    """argparse type: ``all`` or one node id, kept as given."""
+    if value != "all":
+        try:
+            int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be 'all' or a node id, got {value!r}"
+            ) from None
+    return value
+
+
 def _arm_flight_recorder(args: argparse.Namespace, net):
     """Arm ``--flight-recorder`` on ``net``; returns the recorder or None.
 
@@ -1231,7 +1243,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--baselines", action="store_true",
                    help="also run the ring classics (ring topologies only)")
-    p.add_argument("--starters", default="all",
+    p.add_argument("--starters", type=_starters, default="all",
                    help="'all' or a single initiating node id")
     p.set_defaults(func=cmd_election)
 
@@ -1250,7 +1262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=64)
     p.add_argument("--P", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                    help="shard the trade-off sweep across N processes "
                         "(default %(default)s; rows are identical for any N)")
     p.set_defaults(func=cmd_globalfn)
@@ -1397,7 +1409,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--bias", type=float, default=0.5,
                         help="probability a delay pins at its bound "
                              "(default %(default)s)")
-    search.add_argument("--jobs", type=int, default=1, metavar="N",
+    search.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                         help="worker processes (default %(default)s); rows "
                              "are byte-identical for any N)")
     search.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
@@ -1420,7 +1432,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", choices=CAMPAIGN_WORKLOADS,
                    help="which task family to run")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
                    help="worker processes (default %(default)s); rows are "
                         "byte-identical for any N")
     p.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",

@@ -22,7 +22,9 @@ INOUT tree and, toward an OUT node, one last hop from its recorded IN
 neighbour; so link IDs are kept for tree edges only, and each OUT node
 keeps one flat record of the link that attaches it.  Every captured
 origin keeps its frozen copy for the rest of the run, so this state is
-the largest share of what an election retains.
+the largest share of what an election retains.  Most captured origins
+are frozen as singletons, so the state is slotted and a singleton's one
+node maps to the shared :data:`NO_EDGES` rather than an empty set.
 """
 
 from __future__ import annotations
@@ -56,7 +58,13 @@ class Level:
         return self.size.bit_length() - 1
 
 
-@dataclass
+#: The INOUT adjacency of a node with no tree edge yet.  Every singleton
+#: domain shares it; a merge gives a node its own set the first time it
+#: gains a tree edge.
+NO_EDGES: frozenset[Any] = frozenset()
+
+
+@dataclass(slots=True)
 class DomainState:
     """One origin's IN/OUT sets and INOUT tree."""
 
@@ -68,7 +76,7 @@ class DomainState:
     #: here; a merge that pulls o into the tree reads both ends.
     out_info: dict[Any, tuple[Any, int, int, int, int]] = field(default_factory=dict)
     #: Adjacency of the INOUT tree (IN nodes only; edges are real links).
-    inout_adj: dict[Any, set[Any]] = field(default_factory=dict)
+    inout_adj: dict[Any, set[Any] | frozenset[Any]] = field(default_factory=dict)
     #: (a, b) -> (normal, copy) IDs at a of the real link a-b, for the
     #: INOUT tree edges only, in both directions: every in-domain route
     #: and the leader's announce plan follow tree edges, and nothing
@@ -85,7 +93,7 @@ class DomainState:
         """The singleton domain a node creates when it starts."""
         state = cls(origin=node_id)
         state.in_set = {node_id}
-        state.inout_adj = {node_id: set()}
+        state.inout_adj = {node_id: NO_EDGES}
         for info in links:
             if not info.active:
                 continue
@@ -239,13 +247,14 @@ class DomainState:
 
         # Copy the captured INOUT tree (it stays frozen at the captured
         # origin for future passing tours, so never share mutable sets).
+        # Every copied node gains a tree edge by the end of this merge.
         for node, neighbors in other.inout_adj.items():
-            self.inout_adj.setdefault(node, set()).update(neighbors)
+            self._own_edges(node).update(neighbors)
         self.link_ids.update(other.link_ids)
 
         # Join the trees through the (w, o) link.
-        self.inout_adj.setdefault(w, set()).add(attach_out_node)
-        self.inout_adj.setdefault(attach_out_node, set()).add(w)
+        self._own_edges(w).add(attach_out_node)
+        self._own_edges(attach_out_node).add(w)
         self.link_ids[(w, attach_out_node)] = (normal_w, copy_w)
         self.link_ids[(attach_out_node, w)] = (normal_o, copy_o)
 
@@ -258,6 +267,13 @@ class DomainState:
             self.out_info.pop(absorbed, None)
 
         self.size += other.size
+
+    def _own_edges(self, node: Any) -> set[Any]:
+        """``node``'s tree neighbours as a set this domain may mutate."""
+        neighbors = self.inout_adj.get(node, NO_EDGES)
+        if neighbors is NO_EDGES:
+            neighbors = self.inout_adj[node] = set()
+        return neighbors
 
     def snapshot(self) -> "DomainState":
         """Deep-enough copy shipped inside a capture's return token."""

@@ -47,10 +47,10 @@ class ResultCache:
 
     def key_for(self, spec: TaskSpec) -> str:
         """Content address of ``spec`` under the current code."""
-        import hashlib
+        from .._digest import sha256
 
         material = spec.spec_hash + code_fingerprint(spec.fn)
-        return hashlib.sha256(material.encode()).hexdigest()
+        return sha256(material.encode()).hexdigest()
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

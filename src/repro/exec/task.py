@@ -107,7 +107,7 @@ def code_fingerprint(path: str) -> str:
     functions; results from unrelated modules survive.  Falls back to
     hashing the path itself for modules without a source file.
     """
-    import hashlib
+    from .._digest import sha256
 
     module_name = path.partition(":")[0]
     cached = _fingerprints.get(module_name)
@@ -119,7 +119,7 @@ def code_fingerprint(path: str) -> str:
         origin = spec.origin if spec else None
     except (ImportError, ValueError):
         origin = None
-    digest = hashlib.sha256()
+    digest = sha256()
     if origin and origin != "built-in":
         try:
             digest.update(Path(origin).read_bytes())
@@ -188,11 +188,9 @@ class TaskSpec:
         """SHA-256 over the canonical JSON — the task's identity."""
         digest = object.__getattribute__(self, "_hash")
         if not digest:
-            import hashlib
+            from .._digest import sha256
 
-            digest = hashlib.sha256(
-                canonical_json(self.canonical()).encode()
-            ).hexdigest()
+            digest = sha256(canonical_json(self.canonical()).encode()).hexdigest()
             object.__setattr__(self, "_hash", digest)
         return digest
 

@@ -39,13 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from ..analysis.closed_forms import (
-    broadcast_system_calls,
-    broadcast_time_bound_general,
-    election_message_bound,
-    flooding_system_calls_bounds,
-)
-from ..analysis.invariants import ElectionInvariantChecker
 from ..metrics.report import format_table
 from ..sim.errors import ProtocolError
 from ..sim.trace import TraceKind
@@ -238,6 +231,12 @@ def broadcast_budgets(net: "Network", scheme: str = "bpaths") -> list[Budget]:
     dfs) return an empty list.  The START trigger is excluded from the
     call counts, matching the benchmarks' per-broadcast accounting.
     """
+    from ..analysis.closed_forms import (
+        broadcast_system_calls,
+        broadcast_time_bound_general,
+        flooding_system_calls_bounds,
+    )
+
     metrics = net.metrics
 
     def message_calls() -> float:
@@ -277,6 +276,8 @@ def broadcast_budgets(net: "Network", scheme: str = "bpaths") -> list[Budget]:
 
 def election_budgets(net: "Network") -> list[Budget]:
     """Theorem 5's budget: at most ``6n`` tour + return system calls."""
+    from ..analysis.closed_forms import election_message_bound
+
     bound = election_message_bound(net.n)
     metrics = net.metrics
     return [
@@ -321,6 +322,8 @@ class InvariantMonitor(Monitor):
     def __init__(self, net: "Network", *, every: int = 64) -> None:
         if every < 1:
             raise ValueError("check cadence must be >= 1")
+        from ..analysis.invariants import ElectionInvariantChecker
+
         self.net = net
         self.every = every
         self.checker = ElectionInvariantChecker(net)

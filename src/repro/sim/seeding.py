@@ -42,9 +42,9 @@ def _component(part: int | str) -> int:
     if isinstance(part, int):
         return part & _MASK64
     if isinstance(part, str):
-        import hashlib
+        from .._digest import sha256
 
-        digest = hashlib.sha256(part.encode("utf-8")).digest()
+        digest = sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
     raise TypeError(
         f"seed path components must be int or str, not {type(part).__name__}"

@@ -236,20 +236,37 @@ def test_cli_unknown_node_is_one_error_line(argv, capsys):
     [
         ["globalfn", "--n", "0"],
         ["globalfn", "--n", "-3"],
+        ["globalfn", "--jobs", "0"],
         ["converge", "--max-rounds", "0"],
         ["converge", "--fail", "-1"],
         ["multicast", "--messages", "-2"],
         ["lowerbound", "--max-depth", "0"],
         ["lowerbound", "--max-depth", "-1"],
+        ["campaign", "montecarlo", "--jobs", "0"],
+        ["campaign", "montecarlo", "--jobs", "-2"],
+        ["scenario", "search", "--jobs", "0"],
     ],
     ids=" ".join,
 )
 def test_cli_count_flag_below_its_minimum_is_a_usage_error(argv, capsys):
+    flag, value = argv[-2:]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert f"argument {argv[1]}: must be >= " in err and f"got {argv[2]}" in err
+    assert err.startswith("usage: ")
+    assert f"argument {flag}: must be >= " in err and f"got {value}" in err
+
+
+def test_cli_starters_is_all_or_a_node_id(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["election", "--topology", "ring:4", "--starters", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --starters: must be 'all' or a node id, got 'abc'" in err
+    for starters in ("all", "2"):
+        assert main(["election", "--topology", "ring:4", "--starters", starters]) == 0
 
 
 def test_cli_election_baselines_skip_non_rings(capsys):
@@ -433,10 +450,14 @@ def test_net_graph_is_built_on_first_read_and_never_aliases():
     assert net.active_graph().number_of_edges() == 5
 
 
-#: What only campaigns (hashed task specs, a process pool) and string
-#: seeds need: OpenSSL's libcrypto behind ``_hashlib``, and
-#: ``multiprocessing`` behind ``concurrent.futures``.
-CAMPAIGN_ONLY = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures")
+#: OpenSSL's libcrypto behind ``_hashlib``, which no command loads: the
+#: SHA-256 of string seeds, task-spec hashes and cache keys comes from
+#: the interpreter's built-in module.
+OPENSSL = ("hashlib", "_hashlib")
+
+#: What only a campaign's process pool needs: ``multiprocessing``
+#: behind ``concurrent.futures``.
+CAMPAIGN_ONLY = ("multiprocessing", "concurrent.futures")
 
 #: The paper's election and its domain state, which neither a broadcast
 #: nor topology maintenance runs.
@@ -448,42 +469,48 @@ ELECTION = ("repro.core.election", "repro.core.election_state")
     [
         pytest.param(
             ["broadcast", "--topology", "fat_tree:4", "--scheme", "flood"],
-            ("networkx", *CAMPAIGN_ONLY, *ELECTION, "repro.core.topology_maintenance",
+            ("networkx", *OPENSSL, *CAMPAIGN_ONLY, *ELECTION, "repro.core.topology_maintenance",
              "repro.core.globalfn"),
             id="flood",
         ),
         pytest.param(
             ["broadcast", "--topology", "fat_tree:4", "--scheme", "bpaths"],
-            ("networkx", *CAMPAIGN_ONLY),
+            ("networkx", *OPENSSL, *CAMPAIGN_ONLY),
             id="bpaths",
+        ),
+        # Theorem 2's budgets need the closed forms, not the election.
+        pytest.param(
+            ["broadcast", "--topology", "fat_tree:4", "--monitor", "budgets"],
+            ("networkx", *OPENSSL, *CAMPAIGN_ONLY, *ELECTION,
+             "repro.analysis.invariants"),
+            id="broadcast-budgets",
         ),
         pytest.param(
             ["converge", "--topology", "torus:4,4", "--fail", "2",
              "--link-rate", "1", "--link-buffer", "2"],
-            ("networkx", *CAMPAIGN_ONLY, *ELECTION, "repro.core.election_baselines",
+            ("networkx", *OPENSSL, *CAMPAIGN_ONLY, *ELECTION, "repro.core.election_baselines",
              "repro.core.flooding"),
             id="converge",
         ),
         pytest.param(
             ["bench", "--name", "hotpath_forwarding"],
-            ("networkx", *CAMPAIGN_ONLY),
+            ("networkx", *OPENSSL, *CAMPAIGN_ONLY),
             id="bench",
         ),
         # A churn story derives its seeds from strings, and a campaign
         # hashes its specs and forks workers (which inherit the block).
-        # The churn monitor needs `analysis.closed_forms` and
-        # `analysis.invariants`, not the rest of `analysis` or `obs`.
+        # The churn monitor reads no closed form and no `analysis`.
         pytest.param(
             ["scenario", "run", "--topology", "clos:8,4,2", "--churn-seed", "1"],
-            ("networkx", "repro.obs.perf", "repro.obs.bench", "repro.analysis.render",
-             "repro.core.flooding"),
+            ("networkx", *OPENSSL, "repro.analysis", "fractions", "decimal",
+             "repro.obs.perf", "repro.obs.bench", "repro.core.flooding"),
             id="scenario",
         ),
         pytest.param(
             ["campaign", "montecarlo", "--seeds", "4", "--topology", "random:24,3",
              "--jobs", "2", "--no-cache"],
-            ("networkx", "repro.analysis", "repro.scenario", "repro.obs.monitors",
-             "repro.core.flooding"),
+            ("networkx", *OPENSSL, "repro.analysis", "repro.scenario",
+             "repro.obs.monitors", "repro.core.flooding"),
             id="campaign",
         ),
         # The paper's own shapes and the commands that only print.
@@ -508,7 +535,7 @@ ELECTION = ("repro.core.election", "repro.core.election_state")
         # optional subpackage.
         pytest.param(
             None,
-            ("networkx", *CAMPAIGN_ONLY,
+            ("networkx", *OPENSSL, *CAMPAIGN_ONLY,
              "repro.analysis", "repro.core", "repro.scenario", "repro.exec", "repro.obs"),
             id="import-cli",
         ),

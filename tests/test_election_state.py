@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import limiting_net
 from repro.core import DomainState, LeaderElection, Level
+from repro.core.election_state import NO_EDGES
 from repro.network import Network, topologies
-from repro.sim import ProtocolError, RandomDelays, RoutingError
+from repro.network.builder import from_spec
+from repro.scenario import churn_scenario, run_scenario
+from repro.sim import FixedDelays, ProtocolError, RandomDelays, RoutingError
 
 
 def make_domain(net, node_id):
@@ -241,3 +244,30 @@ def test_absorb_out_work_is_bounded_by_the_captured_domain(monkeypatch):
         assert captures
         for ops, captured_in, captured_out in captures:
             assert ops <= 2 + captured_in + captured_out, captures
+
+
+def test_frozen_singletons_share_one_empty_adjacency():
+    # After a churn story most captured origins still hold the singleton
+    # domain they were captured with.  No domain has an instance dict;
+    # a singleton's one node maps to the shared immutable empty
+    # adjacency, and every node of a merged domain owns a non-empty set.
+    spec = churn_scenario("clos:8,4,2", seed=1, crashes=2)
+    net = from_spec(spec.topology, delays=FixedDelays(spec.C, spec.P))
+    row = run_scenario(net, spec)
+    assert row["violations"] == 0 and len(row["leaders"]) == 1
+    domains = [node.protocol.domain for node in net.nodes.values()
+               if node.protocol is not None and node.protocol.domain is not None]
+    assert len(domains) == net.n
+    assert NO_EDGES == frozenset()
+    singletons = 0
+    for domain in domains:
+        assert not hasattr(domain, "__dict__")
+        if domain.size == 1:
+            singletons += 1
+            assert domain.in_set == {domain.origin}
+            assert domain.inout_adj == {domain.origin: NO_EDGES}
+            assert domain.inout_adj[domain.origin] is NO_EDGES
+            assert not domain.link_ids
+        else:
+            assert all(type(adj) is set and adj for adj in domain.inout_adj.values())
+    assert 0 < singletons < net.n
