@@ -58,27 +58,27 @@ from typing import Sequence
 from .metrics import format_table
 from .network import bfs_tree, random_link_failures, topologies
 from .network.builder import TopologySpecError, from_spec, topology_from_spec
-from .network.network import UnknownNodeError
+from .network.network import Network, UnknownNodeError
 from .sim import FixedDelays
 
 BROADCAST_SCHEMES = ("bpaths", "flood", "direct", "dfs")
 
 
-def _net(spec: str, C: float, P: float, **kwargs):
-    return from_spec(spec, delays=FixedDelays(C, P), **kwargs)
-
-
-def _broadcast_factory(scheme: str, net, root):
-    """Protocol factory for one broadcast scheme on ``net``.
+def _broadcast(scheme: str, net, root):
+    """Run one broadcast scheme on ``net`` from ``root``.
 
     Flooding needs no topology knowledge; the other schemes get the
     omniscient adjacency and ID lookup, computed only for them.  Only
     the scheme's own module is imported.
     """
+    from .core.broadcast import run_standalone_broadcast
+
     if scheme == "flood":
         from .core.flooding import FloodingBroadcast
 
-        return lambda api: FloodingBroadcast(api, root=root)
+        return run_standalone_broadcast(
+            net, lambda api: FloodingBroadcast(api, root=root), root
+        )
     if scheme == "dfs":
         from .core.dfs_broadcast import DfsBroadcast as protocol
     else:
@@ -86,83 +86,170 @@ def _broadcast_factory(scheme: str, net, root):
 
         protocol = BranchingPathsBroadcast if scheme == "bpaths" else DirectBroadcast
     adjacency = net.adjacency()
-    return lambda api: protocol(api, root=root, adjacency=adjacency, ids=net.id_lookup)
+    return run_standalone_broadcast(
+        net, lambda api: protocol(api, root=root, adjacency=adjacency, ids=net.id_lookup), root
+    )
+
+
+def _elect(net, factory, starters=None):
+    """Run one leader election to quiescence; the leader, or ``-``."""
+    net.attach(factory)
+    net.start(starters)
+    net.run_to_quiescence(max_events=10_000_000)
+    winners = [v for v, f in net.outputs_for_key("is_leader").items() if f]
+    return winners[0] if winners else "-"
 
 
 # ----------------------------------------------------------------------
-# Observability wiring
+# Run context
 # ----------------------------------------------------------------------
-def _obs_requested(args: argparse.Namespace) -> bool:
-    """Whether any observability output was asked for."""
-    return bool(
-        getattr(args, "trace_out", None)
-        or getattr(args, "chrome_trace", None)
-        or getattr(args, "stats", False)
-        or getattr(args, "manifest_out", None)
-        or getattr(args, "monitor", None)
-        or getattr(args, "flight_recorder", None)
-    )
+class _RunContext:
+    """One run command's networks and the observability its flags ask for.
 
-
-def _obs_needs_trace(args: argparse.Namespace) -> bool:
-    """Whether the observed run must record a full trace."""
-    return bool(getattr(args, "trace_out", None) or getattr(args, "chrome_trace", None))
-
-
-def _apply_flow_control(args: argparse.Namespace, net) -> None:
-    """Enable credit-based link flow control when the flags ask for it."""
-    rate = getattr(args, "link_rate", None)
-    buffer = getattr(args, "link_buffer", None)
-    if rate is None and buffer is None:
-        return
-    net.set_flow_control(rate=rate, buffer=buffer)
-
-
-def _apply_scenario(args: argparse.Namespace, net) -> None:
-    """Compile a ``--scenario FILE`` spec onto ``net`` (events only).
-
-    Run commands keep their own ``--topology``/``--C``/``--P``; the
-    file contributes just the churn schedule, so any workload can be
-    replayed under any failure story.  Use ``repro scenario run`` to
-    execute a spec with its own substrate settings.
+    :meth:`network` builds each network the command needs, with its
+    delays, flow control and ``--scenario`` events.  On the observed
+    network it also installs, in this order, live stats, the congestion
+    probe (``observe --congestion``), the flight recorder and the
+    monitors, which judge it as a ``command`` run of ``scheme``.  The
+    recorder must see an event before a monitor alerts on it, since the
+    alert dumps the ring, and the probe's QUEUE records precede the
+    monitors' ALERT records in the trace.  :meth:`finish` renders the
+    alerts, writes the exports and the manifest, and returns the exit
+    code.  Each flag's hook installs nothing when the flag is absent.
     """
-    path = getattr(args, "scenario", None)
-    if not path:
-        return
-    from .scenario.compiler import compile_scenario
-    from .scenario.spec import ScenarioSpec
 
-    spec = ScenarioSpec.load(path)
-    compiled = compile_scenario(net, spec)
-    print(
-        f"scenario {compiled.name!r}: {compiled.events} event(s) scheduled "
-        f"through t={compiled.last_event_time:g}"
-    )
+    def __init__(self, args: argparse.Namespace, command: str,
+                 scheme: str | None = None, *, trace: bool = False) -> None:
+        self.args, self.command, self.scheme = args, command, scheme
+        self.trace = trace or bool(args.trace_out or args.chrome_trace)
+        self.net = self.stats = self.probe = self.host = None
+
+    def network(self, *, observed: bool = True):
+        args = self.args
+        net = from_spec(
+            args.topology,
+            delays=FixedDelays(args.C, args.P),
+            trace=observed and self.trace,
+            trace_capacity=args.trace_capacity,
+        )
+        if args.link_rate is not None or args.link_buffer is not None:
+            net.set_flow_control(rate=args.link_rate, buffer=args.link_buffer)
+        if args.scenario:
+            # Events only: the command keeps its own topology and delays,
+            # so any workload replays under any failure story.
+            from .scenario.compiler import compile_scenario
+            from .scenario.spec import ScenarioSpec
+
+            compiled = compile_scenario(net, ScenarioSpec.load(args.scenario))
+            print(
+                f"scenario {compiled.name!r}: {compiled.events} event(s) scheduled "
+                f"through t={compiled.last_event_time:g}"
+            )
+        if not observed:
+            return net
+        self.net = net
+        if args.stats:
+            from .obs.live import LiveStats
+
+            self.stats = LiveStats().install(net)
+        if getattr(args, "congestion", False):
+            from .obs.congestion import CongestionProbe
+
+            self.probe = CongestionProbe(net, to_trace=True).install()
+        recorder = None
+        if args.flight_recorder:
+            from .obs.recorder import FlightRecorder
+
+            recorder = FlightRecorder(
+                net, capacity=args.flight_capacity, path=args.flight_recorder
+            ).install()
+            signals = "alert, uncaught exception"
+            if recorder.install_signal():
+                signals += ", or SIGUSR1"
+            print(
+                f"flight recorder armed: last {recorder.capacity} scheduler "
+                f"events -> {args.flight_recorder} on {signals}"
+            )
+            args._recorder = recorder  # main() dumps it on a crash
+        if args.monitor:
+            from .obs.monitors import MonitorHost, monitors_from_spec
+
+            monitors, notes = monitors_from_spec(
+                net, args.monitor, command=self.command, scheme=self.scheme
+            )
+            for note in notes:
+                print(note)
+
+            def announce(alert) -> None:
+                # Announced as it fires: before the run's summary table.
+                print(f"ALERT [{alert.monitor}] t={alert.time:g}: {alert.message}")
+                if recorder is not None:
+                    recorder.note_alert(alert)
+
+            self.host = MonitorHost(net, monitors, on_alert=announce).install()
+        return net
+
+    def finish(self, command: str, **extra) -> int:
+        """Render the alerts, write the exports, print the live stats and
+        write the manifest; exit code 1 if a monitor saw a violation."""
+        args, net, code = self.args, self.net, 0
+        if self.host is not None:
+            from .obs.monitors import render_alerts
+
+            print()
+            print(render_alerts(self.host.finish()))
+            code = 1 if self.host.violations else 0
+            extra.update(alerts=len(self.host.alerts),
+                         violations=len(self.host.violations))
+        if args.trace_out:
+            from .obs.exporters import records_to_jsonl
+
+            path = records_to_jsonl(net.trace, args.trace_out)
+            dropped = f", {net.trace.dropped} dropped" if net.trace.dropped else ""
+            print(f"trace written to {path} ({len(net.trace)} records{dropped})")
+        if args.chrome_trace:
+            from .obs.exporters import write_chrome_trace
+            from .obs.spans import build_spans
+            from .sim.trace import TraceKind
+
+            spans = build_spans(net.trace)
+            ncu_spans = sum(1 for s in spans if s.category == "ncu")
+            queue_records = [r for r in net.trace if r.kind is TraceKind.QUEUE]
+            path = write_chrome_trace(args.chrome_trace, spans,
+                                      counters=queue_records)
+            queues = (f"; {len(queue_records)} queue counter samples"
+                      if queue_records else "")
+            print(
+                f"chrome trace written to {path} ({len(spans)} spans; "
+                f"{ncu_spans} ncu-job spans = {net.metrics.system_calls} "
+                f"system calls total{queues})"
+            )
+        if self.stats is not None:
+            self.stats.uninstall()
+            print()
+            print(self.stats.render())
+        manifest_out = args.manifest_out
+        if manifest_out is None and (args.trace_out or args.chrome_trace):
+            anchor = Path(args.chrome_trace or args.trace_out)
+            manifest_out = anchor.with_suffix(".manifest.json")
+        if manifest_out is not None:
+            from .obs.manifest import RunManifest
+
+            if args.link_rate is not None:
+                extra.setdefault("link_rate", args.link_rate)
+            if args.link_buffer is not None:
+                extra.setdefault("link_buffer", args.link_buffer)
+            manifest = RunManifest.collect(
+                net, command=command, topology=args.topology, C=args.C, P=args.P,
+                seed=getattr(args, "seed", None), **extra,
+            )
+            print(f"run manifest written to {manifest.write(manifest_out)}")
+        return code
 
 
-def _obs_net(args: argparse.Namespace, *, observed: bool = True):
-    """Build the command's network, traced/instrumented as requested.
-
-    Returns ``(net, stats)`` where ``stats`` is an installed
-    :class:`~repro.obs.live.LiveStats` or ``None``.
-    """
-    net = _net(
-        args.topology,
-        args.C,
-        args.P,
-        trace=observed and _obs_needs_trace(args),
-        trace_capacity=getattr(args, "trace_capacity", None),
-    )
-    _apply_flow_control(args, net)
-    _apply_scenario(args, net)
-    stats = None
-    if observed and getattr(args, "stats", False):
-        from .obs.live import LiveStats
-
-        stats = LiveStats().install(net)
-    return net, stats
-
-
+# ----------------------------------------------------------------------
+# Argument types
+# ----------------------------------------------------------------------
 def _monitor_spec(value: str) -> str:
     """argparse type for ``--monitor``: validate names at parse time."""
     from .obs.monitors import MONITOR_NAMES
@@ -177,16 +264,38 @@ def _monitor_spec(value: str) -> str:
     return value
 
 
-def _at_least(minimum: int):
-    """argparse type: an int no smaller than ``minimum``."""
+def _fraction(value: str):
+    """An exact fraction such as ``1/3``.  An integer stays an ``int``,
+    so parsing ``campaign --P``'s default imports no ``fractions`` (which
+    loads ``decimal``) into a campaign that never reads it."""
+    try:
+        return int(value)
+    except ValueError:
+        pass
+    from fractions import Fraction
 
-    def parse(value: str) -> int:
-        number = int(value)
-        if number < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {number}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def _bounded(kind, minimum=None, *, above=None, maximum=None):
+    """argparse type: a ``kind`` number (int, float or fraction) that is
+    ``>= minimum``, ``> above`` and ``<= maximum``, where given.  NaN
+    fails every bound."""
+
+    def parse(value: str):
+        number = kind(value)
+        if minimum is not None and not number >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if above is not None and not number > above:
+            raise argparse.ArgumentTypeError(f"must be > {above}, got {value}")
+        if maximum is not None and not number <= maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return number
 
-    parse.__name__ = "int"  # argparse's "invalid int value" message
+    parse.__name__ = kind.__name__.lstrip("_")  # argparse's "invalid int value"
     return parse
 
 
@@ -202,146 +311,14 @@ def _starters(value: str) -> str:
     return value
 
 
-def _arm_flight_recorder(args: argparse.Namespace, net):
-    """Arm ``--flight-recorder`` on ``net``; returns the recorder or None.
-
-    The recorder is stashed on the args namespace so :func:`main` can
-    dump it when a command dies with an uncaught exception.
-    """
-    path = getattr(args, "flight_recorder", None)
-    if not path:
-        return None
-    from .obs.recorder import FlightRecorder
-
-    recorder = FlightRecorder(
-        net, capacity=getattr(args, "flight_capacity", 512), path=path
-    ).install()
-    signals = "alert, uncaught exception"
-    if recorder.install_signal():
-        signals += ", or SIGUSR1"
-    print(
-        f"flight recorder armed: last {recorder.capacity} scheduler "
-        f"events -> {path} on {signals}"
-    )
-    args._recorder = recorder
-    return recorder
-
-
-def _attach_monitors(
-    args: argparse.Namespace, net, *, command: str, scheme: str | None = None
-):
-    """Install the requested conformance monitors on ``net``.
-
-    Returns the installed :class:`~repro.obs.monitors.MonitorHost` or
-    ``None`` when ``--monitor`` was not given.  Alerts are announced
-    the moment they fire, so a breached budget is visible *before* the
-    run's summary table.  Also arms the flight recorder (which dumps on
-    those same alerts) so every observed command gets both from one
-    call.
-    """
-    recorder = _arm_flight_recorder(args, net)
-    spec = getattr(args, "monitor", None)
-    if not spec:
-        return None
-    from .obs.monitors import MonitorHost, monitors_from_spec
-
-    monitors, notes = monitors_from_spec(net, spec, command=command, scheme=scheme)
-    for note in notes:
-        print(note)
-
-    def announce(alert) -> None:
-        print(f"ALERT [{alert.monitor}] t={alert.time:g}: {alert.message}")
-        if recorder is not None:
-            recorder.note_alert(alert)
-
-    return MonitorHost(net, monitors, on_alert=announce).install()
-
-
-def _finish_monitors(host) -> int:
-    """Finish + render monitors; exit code 1 if any violation fired."""
-    if host is None:
-        return 0
-    from .obs.monitors import render_alerts
-
-    alerts = host.finish()
-    print()
-    print(render_alerts(alerts))
-    return 1 if host.violations else 0
-
-
-def _monitor_extra(host) -> dict:
-    """Manifest ``extra`` entries summarising a monitored run."""
-    if host is None:
-        return {}
-    return {"alerts": len(host.alerts), "violations": len(host.violations)}
-
-
-def _obs_finish(
-    args: argparse.Namespace, net, stats, *, command: str, **extra
-) -> None:
-    """Write the requested exports and print the live statistics."""
-    if net is None or not _obs_requested(args):
-        return
-    if getattr(args, "trace_out", None):
-        from .obs.exporters import records_to_jsonl
-
-        path = records_to_jsonl(net.trace, args.trace_out)
-        dropped = f", {net.trace.dropped} dropped" if net.trace.dropped else ""
-        print(f"trace written to {path} ({len(net.trace)} records{dropped})")
-    if getattr(args, "chrome_trace", None):
-        from .obs.exporters import write_chrome_trace
-        from .obs.spans import build_spans
-        from .sim.trace import TraceKind
-
-        spans = build_spans(net.trace)
-        ncu_spans = sum(1 for s in spans if s.category == "ncu")
-        queue_records = [r for r in net.trace if r.kind is TraceKind.QUEUE]
-        path = write_chrome_trace(args.chrome_trace, spans,
-                                  counters=queue_records)
-        queues = (f"; {len(queue_records)} queue counter samples"
-                  if queue_records else "")
-        print(
-            f"chrome trace written to {path} ({len(spans)} spans; "
-            f"{ncu_spans} ncu-job spans = {net.metrics.system_calls} "
-            f"system calls total{queues})"
-        )
-    if stats is not None:
-        stats.uninstall()
-        print()
-        print(stats.render())
-    manifest_out = getattr(args, "manifest_out", None)
-    if manifest_out is None and _obs_needs_trace(args):
-        anchor = Path(getattr(args, "chrome_trace", None) or args.trace_out)
-        manifest_out = anchor.with_suffix(".manifest.json")
-    if manifest_out is not None:
-        from .obs.manifest import RunManifest
-
-        for key in ("link_rate", "link_buffer"):
-            value = getattr(args, key, None)
-            if value is not None:
-                extra.setdefault(key, value)
-        manifest = RunManifest.collect(
-            net,
-            command=command,
-            topology=getattr(args, "topology", None),
-            C=getattr(args, "C", None),
-            P=getattr(args, "P", None),
-            seed=getattr(args, "seed", None),
-            **extra,
-        )
-        print(f"run manifest written to {manifest.write(manifest_out)}")
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_broadcast(args: argparse.Namespace) -> int:
-    from .core.broadcast import run_standalone_broadcast
-
     if args.show_plan:
         from .analysis.render import render_labelled_tree, render_paths
 
-        net = _net(args.topology, args.C, args.P)
+        net = from_spec(args.topology, delays=FixedDelays(args.C, args.P))
         if args.root not in net.nodes:
             raise UnknownNodeError(f"no node {args.root!r} in the network")
         tree = bfs_tree(net.adjacency(), args.root)
@@ -350,18 +327,11 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
         print("\npath decomposition (broadcast waves):")
         print(render_paths(tree))
         print()
-    schemes = BROADCAST_SCHEMES if args.compare else (args.scheme,)
+    ctx = _RunContext(args, "broadcast", args.scheme)
     rows = []
-    observed_net, observed_stats, host = None, None, None
-    for scheme in schemes:
-        observed = _obs_requested(args) and scheme == args.scheme
-        net, stats = _obs_net(args, observed=observed)
-        if observed:
-            observed_net, observed_stats = net, stats
-            host = _attach_monitors(args, net, command="broadcast", scheme=scheme)
-        run = run_standalone_broadcast(
-            net, _broadcast_factory(scheme, net, args.root), args.root
-        )
+    for scheme in BROADCAST_SCHEMES if args.compare else (args.scheme,):
+        net = ctx.network(observed=scheme == args.scheme)
+        run = _broadcast(scheme, net, args.root)
         rows.append(
             [scheme, net.n, net.m, run.coverage, run.system_calls,
              run.completion_time(), run.metrics.hops]
@@ -372,13 +342,7 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
         title=f"broadcast from node {args.root} on {args.topology} "
               f"(C={args.C}, P={args.P})",
     ))
-    code = _finish_monitors(host)
-    _obs_finish(
-        args, observed_net, observed_stats,
-        command="broadcast", scheme=args.scheme, root=args.root,
-        **_monitor_extra(host),
-    )
-    return code
+    return ctx.finish("broadcast", scheme=args.scheme, root=args.root)
 
 
 def cmd_election(args: argparse.Namespace) -> int:
@@ -393,28 +357,20 @@ def cmd_election(args: argparse.Namespace) -> int:
             ("Chang-Roberts worst", lambda api: ChangRoberts(api, direction=-1)),
             ("Hirschberg-Sinclair", lambda api: HirschbergSinclair(api)),
         ]
+    ctx = _RunContext(args, "election")
     rows = []
-    observed_net, observed_stats, host = None, None, None
     for name, factory in contenders:
         # Exports cover the paper's algorithm (the first contender).
-        observed = _obs_requested(args) and name == contenders[0][0]
-        net, stats = _obs_net(args, observed=observed)
-        if observed:
-            observed_net, observed_stats = net, stats
-            host = _attach_monitors(args, net, command="election")
+        net = ctx.network(observed=name == contenders[0][0])
         if args.baselines and name != contenders[0][0] and not _is_ring(net):
             rows.append([name, net.n, "-", "-", "-", "(needs a ring)"])
             continue
-        net.attach(factory)
-        starters = None if args.starters == "all" else [int(args.starters)]
-        net.start(starters)
-        net.run_to_quiescence(max_events=10_000_000)
-        winners = [v for v, f in net.outputs_for_key("is_leader").items() if f]
+        leader = _elect(net, factory,
+                        None if args.starters == "all" else [int(args.starters)])
         snap = net.metrics.snapshot()
         tours = snap.system_calls_by_kind.get("tour", 0) + snap.system_calls_by_kind.get("return", 0)
         rows.append(
-            [name, net.n, winners[0] if winners else "-",
-             tours or "-", snap.system_calls, net.scheduler.now]
+            [name, net.n, leader, tours or "-", snap.system_calls, net.scheduler.now]
         )
     print(format_table(
         ["algorithm", "n", "leader", "tour+return", "total_sc", "time"],
@@ -422,13 +378,7 @@ def cmd_election(args: argparse.Namespace) -> int:
         title=f"leader election on {args.topology} "
               f"(Theorem 5 bound: 6n = {6 * rows[0][1]})",
     ))
-    code = _finish_monitors(host)
-    _obs_finish(
-        args, observed_net, observed_stats,
-        command="election", starters=args.starters,
-        **_monitor_extra(host),
-    )
-    return code
+    return ctx.finish("election", starters=args.starters)
 
 
 def _is_ring(net) -> bool:
@@ -438,8 +388,8 @@ def _is_ring(net) -> bool:
 def cmd_converge(args: argparse.Namespace) -> int:
     from .core.topology_maintenance import attach_topology_maintenance, converge_by_rounds
 
-    net, stats = _obs_net(args)
-    host = _attach_monitors(args, net, command="converge")
+    ctx = _RunContext(args, "converge")
+    net = ctx.network()
     attach_topology_maintenance(net, strategy=args.strategy, scope=args.scope)
     rows = []
     result = converge_by_rounds(net, max_rounds=args.max_rounds)
@@ -458,13 +408,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
         title=f"topology maintenance on {args.topology} "
               f"(strategy={args.strategy}, scope={args.scope})",
     ))
-    code = _finish_monitors(host)
-    _obs_finish(
-        args, net, stats,
-        command="converge", strategy=args.strategy, scope=args.scope,
-        failures=args.fail, **_monitor_extra(host),
-    )
-    return code
+    return ctx.finish("converge", strategy=args.strategy, scope=args.scope,
+                      failures=args.fail)
 
 
 def cmd_globalfn(args: argparse.Namespace) -> int:
@@ -516,21 +461,15 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 def cmd_multicast(args: argparse.Namespace) -> int:
     from .core.group_multicast import run_group_multicast
 
-    net, stats = _obs_net(args)
-    host = _attach_monitors(args, net, command="multicast")
+    ctx = _RunContext(args, "multicast")
+    net = ctx.network()
     run = run_group_multicast(net, args.root, bodies=list(range(args.messages)))
     print(f"hardware multicast group on {args.topology}:")
     print(f"  setup: {run.setup_calls} system calls, {run.setup_time} time")
     print(f"  per message: {run.per_message_calls[0] if run.per_message_calls else '-'} "
           f"system calls, {run.per_message_time[0] if run.per_message_time else '-'} time")
     print(f"  coverage: {run.coverage}/{net.n - 1} non-root nodes")
-    code = _finish_monitors(host)
-    _obs_finish(
-        args, net, stats,
-        command="multicast", root=args.root, messages=args.messages,
-        **_monitor_extra(host),
-    )
-    return code
+    return ctx.finish("multicast", root=args.root, messages=args.messages)
 
 
 def _alert_summary(records) -> str:
@@ -555,10 +494,38 @@ def _alert_summary(records) -> str:
     )
 
 
+def _render_observation(args: argparse.Namespace, spans, queue_records,
+                        footer: str | None, label: str) -> None:
+    """The span summary, timeline and queue heatmap of one run, live or
+    replayed; ``queue_records`` is None when nothing sampled queues."""
+    from .obs.timeline import render_congestion_heatmap, render_timeline, span_summary_table
+
+    print()
+    print(span_summary_table(spans, title="reconstructed spans"))
+    if args.timeline:
+        print()
+        print(render_timeline(
+            spans,
+            width=args.timeline_width,
+            limit=args.limit,
+            title=f"timeline ({label})",
+        ))
+    if queue_records is not None:
+        print()
+        print(render_congestion_heatmap(
+            queue_records,
+            width=args.timeline_width,
+            limit=args.heat_limit or None,
+            title=f"queue occupancy ({label})",
+        ))
+    if footer is not None:
+        print()
+        print(footer)
+
+
 def cmd_observe(args: argparse.Namespace) -> int:
     """Run one workload fully instrumented and render its timeline."""
     from .obs.spans import build_spans
-    from .obs.timeline import render_congestion_heatmap, render_timeline, span_summary_table
 
     if args.from_trace:
         from .obs.exporters import TraceLoadError, records_from_jsonl
@@ -569,57 +536,17 @@ def cmd_observe(args: argparse.Namespace) -> int:
         except TraceLoadError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        spans = build_spans(records)
         print(f"loaded {len(records)} trace records from {args.from_trace}")
-        print()
-        print(span_summary_table(spans, title="reconstructed spans"))
-        if args.timeline:
-            print()
-            print(render_timeline(
-                spans,
-                width=args.timeline_width,
-                limit=args.limit,
-                title=f"timeline ({args.from_trace})",
-            ))
         queue_records = [r for r in records if r.kind is TraceKind.QUEUE]
-        if queue_records:
-            print()
-            print(render_congestion_heatmap(
-                queue_records,
-                width=args.timeline_width,
-                limit=args.heat_limit or None,
-                title=f"queue occupancy ({args.from_trace})",
-            ))
-        print()
-        print(_alert_summary(records))
+        _render_observation(args, build_spans(records), queue_records or None,
+                            _alert_summary(records), args.from_trace)
         return 0
 
-    net = _net(
-        args.topology, args.C, args.P,
-        trace=True, trace_capacity=args.trace_capacity,
-    )
-    _apply_flow_control(args, net)
-    _apply_scenario(args, net)
-    stats = None
-    if args.stats:
-        from .obs.live import LiveStats
-
-        stats = LiveStats().install(net)
-    probe = None
-    if args.congestion:
-        from .obs.congestion import CongestionProbe
-
-        probe = CongestionProbe(net, to_trace=True).install()
-    host = _attach_monitors(
-        args, net, command=args.workload,
-        scheme=args.scheme if args.workload == "broadcast" else None,
-    )
+    scheme = args.scheme if args.workload == "broadcast" else None
+    ctx = _RunContext(args, args.workload, scheme, trace=True)
+    net = ctx.network()
     if args.workload == "broadcast":
-        from .core.broadcast import run_standalone_broadcast
-
-        run = run_standalone_broadcast(
-            net, _broadcast_factory(args.scheme, net, args.root), args.root
-        )
+        run = _broadcast(args.scheme, net, args.root)
         print(
             f"{args.scheme} broadcast on {args.topology}: "
             f"covered {run.coverage}/{net.n}, {run.system_calls} system "
@@ -628,53 +555,24 @@ def cmd_observe(args: argparse.Namespace) -> int:
     else:
         from .core.election import LeaderElection
 
-        net.attach(lambda api: LeaderElection(api))
-        net.start()
-        net.run_to_quiescence(max_events=10_000_000)
-        winners = [v for v, f in net.outputs_for_key("is_leader").items() if f]
+        leader = _elect(net, lambda api: LeaderElection(api))
         print(
-            f"election on {args.topology}: leader "
-            f"{winners[0] if winners else '-'}, "
+            f"election on {args.topology}: leader {leader}, "
             f"{net.metrics.system_calls} system calls, t={net.scheduler.now:g}"
         )
-    spans = build_spans(net.trace)
-    print()
-    print(span_summary_table(spans, title="reconstructed spans"))
-    if args.timeline:
-        print()
-        print(render_timeline(
-            spans,
-            width=args.timeline_width,
-            limit=args.limit,
-            title=f"timeline ({args.workload} on {args.topology})",
-        ))
-    if probe is not None:
-        print()
-        print(render_congestion_heatmap(
-            probe.records(),
-            width=args.timeline_width,
-            limit=args.heat_limit or None,
-            title=f"queue occupancy ({args.workload} on {args.topology})",
-        ))
-        print()
-        print(probe.render_summary())
-    code = _finish_monitors(host)
-    _obs_finish(
-        args, net, stats,
-        command="observe", workload=args.workload,
-        scheme=args.scheme if args.workload == "broadcast" else None,
-        **_monitor_extra(host),
+    # An empty probe is falsy (it has a length): test it against None.
+    probe = ctx.probe
+    _render_observation(
+        args, build_spans(net.trace),
+        None if probe is None else probe.records(),
+        None if probe is None else probe.render_summary(),
+        f"{args.workload} on {args.topology}",
     )
-    return code
+    return ctx.finish("observe", workload=args.workload, scheme=scheme)
 
 
 def cmd_topology_info(args: argparse.Namespace) -> int:
     """Shape summary of a topology spec, without running anything."""
-    from .metrics import format_table
-    from .network.builder import topology_from_spec
-    from .network.network import Network
-    from .network.topologies import diameter, pseudo_diameter
-
     try:
         topology = topology_from_spec(args.spec)
     except ValueError as exc:
@@ -693,9 +591,9 @@ def cmd_topology_info(args: argparse.Namespace) -> int:
         ["degree max", max(degrees, default=0)],
     ]
     if args.exact_diameter:
-        rows.append(["diameter (exact)", diameter(adjacency)])
+        rows.append(["diameter (exact)", topologies.diameter(adjacency)])
     else:
-        rows.append(["diameter (two-sweep bound)", pseudo_diameter(adjacency)])
+        rows.append(["diameter (two-sweep bound)", topologies.pseudo_diameter(adjacency)])
 
     if args.build_memory:
         from .obs.perf import PerfCounters
@@ -800,31 +698,26 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_spec(args: argparse.Namespace):
-    """Load ``--spec FILE`` or generate the seeded churn preset."""
+def cmd_scenario(args: argparse.Namespace) -> int:
+    """Run one scenario spec (``--spec FILE`` or the seeded churn preset),
+    or search its adversarial delay space."""
     from .scenario.spec import ScenarioSpec, churn_scenario
 
-    if args.spec:
-        spec = ScenarioSpec.load(args.spec)
-    else:
-        spec = churn_scenario(
-            args.topology,
-            seed=args.churn_seed,
-            C=args.C,
-            P=args.P,
-            crashes=args.crashes,
-            partition=args.partition,
-            spacing=args.spacing,
-        )
-    if args.spec_out:
-        print(f"scenario spec written to {spec.save(args.spec_out)}")
-    return spec
-
-
-def cmd_scenario(args: argparse.Namespace) -> int:
-    """Run one scenario spec, or search its adversarial delay space."""
     try:
-        spec = _scenario_spec(args)
+        if args.spec:
+            spec = ScenarioSpec.load(args.spec)
+        else:
+            spec = churn_scenario(
+                args.topology,
+                seed=args.churn_seed,
+                C=args.C,
+                P=args.P,
+                crashes=args.crashes,
+                partition=args.partition,
+                spacing=args.spacing,
+            )
+        if args.spec_out:
+            print(f"scenario spec written to {spec.save(args.spec_out)}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -837,9 +730,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         args.topology, args.C, args.P = spec.topology, spec.C, spec.P
         if args.monitor is None:
             args.monitor = "churn"
-        net, stats = _obs_net(args)
-        host = _attach_monitors(args, net, command="scenario")
-        row = run_scenario(net, spec, monitor=False)
+        ctx = _RunContext(args, "scenario")
+        row = run_scenario(ctx.network(), spec, monitor=False)
         print(format_table(
             ["scenario", "final_time", "system_calls", "tour+return",
              "drops", "leader(s)", "components"],
@@ -849,17 +741,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             title=f"scenario on {spec.topology} (C={spec.C:g}, P={spec.P:g}, "
                   f"{len(spec.events)} events)",
         ))
-        code = _finish_monitors(host)
-        _obs_finish(
-            args, net, stats,
-            command="scenario", scenario=spec.name,
-            events=len(spec.events), **_monitor_extra(host),
-        )
-        return code
+        return ctx.finish("scenario", scenario=spec.name, events=len(spec.events))
 
     # action == "search": explore delay assignments via the campaign.
-    import json
-
     from .scenario.search import run_delay_search
 
     def announce(result) -> None:
@@ -883,17 +767,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
           len(outcome.failures), outcome.skipped]],
         title=f"delay search on {spec.name!r} at --jobs {args.jobs}",
     ))
-    if outcome.failures:
-        first = outcome.failures[0]
-        print(f"error: {len(outcome.failures)} task(s) failed "
-              f"(first: {first.spec.label}: {first.error})", file=sys.stderr)
-        return 1
-    if outcome.interrupted:
-        print(f"interrupted after {outcome.executed} execution(s); "
-              f"{outcome.skipped} task(s) pending — re-run to resume "
-              "from the cache")
-        return 3
-    assert report is not None
+    code = _campaign_exit(outcome)
+    if code:
+        return code
     bound = report["calls_bound"]
     print()
     print(format_table(
@@ -913,27 +789,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         title=f"adversarial-delay search: {report['trials']} trials on "
               f"n={report['n']} ({report['violations']} churn violations)",
     ))
-    if args.rows_out:
-        rows_doc = {
-            "workload": "scenario-search",
-            "params": {"scenario": spec.to_dict(), "trials": args.trials,
-                       "root_seed": args.root_seed, "bias": args.bias},
-            "report": report,
-            "rows": outcome.values(),
-        }
-        path = Path(args.rows_out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(rows_doc, indent=2, sort_keys=True) + "\n")
-        print(f"rows written to {path}")
-    if args.manifest_out:
-        from .obs.manifest import CampaignManifest
-
-        manifest = CampaignManifest.from_outcome(
-            outcome, command="scenario-search", scenario=spec.name,
-            trials=args.trials, root_seed=args.root_seed,
-        )
-        print(f"campaign manifest written to "
-              f"{manifest.write(args.manifest_out)}")
+    rows_doc = {
+        "workload": "scenario-search",
+        "params": {"scenario": spec.to_dict(), "trials": args.trials,
+                   "root_seed": args.root_seed, "bias": args.bias},
+        "report": report,
+        "rows": outcome.values(),
+    }
+    _campaign_files(args, outcome, rows_doc, command="scenario-search",
+                    scenario=spec.name, trials=args.trials, root_seed=args.root_seed)
     if report["violations"]:
         print(f"error: {report['violations']} churn invariant violation(s) "
               "across the search", file=sys.stderr)
@@ -942,6 +806,44 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print(f"error: worst-found tour+return calls {report['worst_calls']} "
               f"exceed the closed-form bound {bound:g}", file=sys.stderr)
         return 1
+    return 0
+
+
+def _campaign_files(args: argparse.Namespace, outcome, rows_doc: dict,
+                    **manifest_fields) -> None:
+    """Write ``--rows-out`` (only for a complete campaign) and
+    ``--manifest-out``."""
+    if args.rows_out:
+        if all(r.ok for r in outcome.results):
+            import json
+
+            path = Path(args.rows_out)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(rows_doc, indent=2, sort_keys=True) + "\n")
+            print(f"rows written to {path}")
+        else:
+            print(f"rows NOT written to {args.rows_out} "
+                  "(campaign incomplete; resume to finish)")
+    if args.manifest_out:
+        from .obs.manifest import CampaignManifest
+
+        manifest = CampaignManifest.from_outcome(outcome, **manifest_fields)
+        print(f"campaign manifest written to {manifest.write(args.manifest_out)}")
+
+
+def _campaign_exit(outcome) -> int:
+    """0 for a finished campaign, 1 if a task failed, 3 if ``--max-tasks``
+    interrupted it (re-running resumes from the cache)."""
+    if outcome.failures:
+        first = outcome.failures[0]
+        print(f"error: {len(outcome.failures)} task(s) failed "
+              f"(first: {first.spec.label}: {first.error})", file=sys.stderr)
+        return 1
+    if outcome.interrupted:
+        print(f"interrupted after {outcome.executed} execution(s); "
+              f"{outcome.skipped} task(s) pending — re-run to resume "
+              "from the cache")
+        return 3
     return 0
 
 
@@ -1004,15 +906,13 @@ def _campaign_specs(args: argparse.Namespace) -> tuple[list, dict]:
     from .exec.task import TaskSpec
 
     if args.workload == "tradeoff":
-        from fractions import Fraction
-
         from .analysis.sweeps import tradeoff_specs
 
-        ratios = [Fraction(part.strip())
+        ratios = [_fraction(part.strip())
                   for part in args.ratios.split(",") if part.strip()]
-        specs = tradeoff_specs(args.n, ratios, P=Fraction(args.P))
+        specs = tradeoff_specs(args.n, ratios, P=args.P)
         params = {"n": args.n, "ratios": [str(r) for r in ratios],
-                  "P": str(Fraction(args.P))}
+                  "P": str(args.P)}
     elif args.workload == "montecarlo":
         from .sim import derive_seed
 
@@ -1021,30 +921,19 @@ def _campaign_specs(args: argparse.Namespace) -> tuple[list, dict]:
             # every worker serves the campaign from its substrate pool.
             # A bad spec fails here, before any task runs.
             topology_from_spec(args.topology)
-            specs = [
-                TaskSpec.make(
-                    "repro.exec.workloads:election_calls_per_node",
-                    seed=derive_seed(args.root_seed, "montecarlo", i),
-                    topology=args.topology,
-                    label=f"mc[{i}]({args.topology})",
-                )
-                for i in range(args.seeds)
-            ]
-            params = {"seeds": args.seeds, "root_seed": args.root_seed,
-                      "topology": args.topology}
+            graph, name = {"topology": args.topology}, args.topology
         else:
-            specs = [
-                TaskSpec.make(
-                    "repro.exec.workloads:election_calls_per_node",
-                    seed=derive_seed(args.root_seed, "montecarlo", i),
-                    n=args.n,
-                    edge_prob=args.edge_prob,
-                    label=f"mc[{i}](n={args.n})",
-                )
-                for i in range(args.seeds)
-            ]
-            params = {"seeds": args.seeds, "root_seed": args.root_seed,
-                      "n": args.n, "edge_prob": args.edge_prob}
+            graph, name = {"n": args.n, "edge_prob": args.edge_prob}, f"n={args.n}"
+        specs = [
+            TaskSpec.make(
+                "repro.exec.workloads:election_calls_per_node",
+                seed=derive_seed(args.root_seed, "montecarlo", i),
+                **graph,
+                label=f"mc[{i}]({name})",
+            )
+            for i in range(args.seeds)
+        ]
+        params = {"seeds": args.seeds, "root_seed": args.root_seed, **graph}
     else:  # bench
         from .obs.bench import benchmark_names
 
@@ -1064,10 +953,7 @@ def _campaign_specs(args: argparse.Namespace) -> tuple[list, dict]:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run one sharded, cached campaign; see docs/TUTORIAL.md §8."""
-    import json
-
     from .exec.engine import run_campaign
-    from .obs.manifest import CampaignManifest
 
     try:
         specs, params = _campaign_specs(args)
@@ -1123,41 +1009,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         else:
             print("no perf data collected (every task came from the cache)")
 
-    complete = all(r.ok for r in outcome.results)
-    if args.rows_out:
-        if complete:
-            rows_doc = {
-                "workload": args.workload,
-                "params": params,
-                "rows": [r.value for r in outcome.results],
-            }
-            path = Path(args.rows_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(
-                json.dumps(rows_doc, indent=2, sort_keys=True) + "\n"
-            )
-            print(f"rows written to {path}")
-        else:
-            print(f"rows NOT written to {args.rows_out} "
-                  "(campaign incomplete; resume to finish)")
-    if args.manifest_out:
-        manifest = CampaignManifest.from_outcome(
-            outcome, command="campaign", workload=args.workload, **params
-        )
-        print(f"campaign manifest written to "
-              f"{manifest.write(args.manifest_out)}")
-
-    if outcome.failures:
-        first = outcome.failures[0]
-        print(f"error: {len(outcome.failures)} task(s) failed "
-              f"(first: {first.spec.label}: {first.error})", file=sys.stderr)
-        return 1
-    if outcome.interrupted:
-        print(f"interrupted after {outcome.executed} execution(s); "
-              f"{outcome.skipped} task(s) pending — re-run to resume "
-              "from the cache")
-        return 3
-    return 0
+    rows_doc = {
+        "workload": args.workload,
+        "params": params,
+        "rows": [r.value for r in outcome.results],
+    }
+    _campaign_files(args, outcome, rows_doc, command="campaign",
+                    workload=args.workload, **params)
+    return _campaign_exit(outcome)
 
 
 # ----------------------------------------------------------------------
@@ -1184,9 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--topology", default="random:64,0",
                        help="e.g. ring:64, grid:6,8, random:128,7 (default %(default)s)")
-        p.add_argument("--C", type=float, default=0.0,
+        p.add_argument("--C", type=_bounded(float, 0), default=0.0,
                        help="hardware delay bound (default %(default)s)")
-        p.add_argument("--P", type=float, default=1.0,
+        p.add_argument("--P", type=_bounded(float, 0), default=1.0,
                        help="software delay bound (default %(default)s)")
         obs = p.add_argument_group("observability")
         obs.add_argument("--trace-out", metavar="PATH", default=None,
@@ -1197,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="stream bounded live statistics and print them")
         obs.add_argument("--manifest-out", metavar="PATH", default=None,
                          help="run-manifest path (default: next to a trace export)")
-        obs.add_argument("--trace-capacity", type=_at_least(0), default=None,
+        obs.add_argument("--trace-capacity", type=_bounded(int, 0), default=None,
                          metavar="N",
                          help="cap retained trace records (excess is counted, "
                               "not stored)")
@@ -1212,11 +1071,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "onto this run (the command keeps its own "
                             "topology and delays; see 'repro scenario')")
         fc = p.add_argument_group("flow control")
-        fc.add_argument("--link-rate", type=float, default=None, metavar="R",
+        fc.add_argument("--link-rate", type=_bounded(float, above=0), default=None, metavar="R",
                         help="per-link bandwidth in packets per time unit; "
                              "enables credit-based flow control "
                              "(default: unlimited)")
-        fc.add_argument("--link-buffer", type=int, default=None, metavar="B",
+        fc.add_argument("--link-buffer", type=_bounded(int, 1), default=None, metavar="B",
                         help="per-link buffer in packets; senders stall "
                              "while the downstream buffer is full "
                              "(default: unbounded)")
@@ -1224,10 +1083,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="keep a bounded ring of the last scheduler "
                               "events; dump it as replayable JSONL on "
                               "monitor alert, uncaught exception or SIGUSR1")
-        obs.add_argument("--flight-capacity", type=_at_least(1), default=512,
+        obs.add_argument("--flight-capacity", type=_bounded(int, 1), default=512,
                          metavar="N",
                          help="flight-recorder ring size "
                               "(default %(default)s events)")
+
+    def pool(g) -> None:
+        """The campaign engine's execution flags; results never depend on them."""
+        g.add_argument("--jobs", type=_bounded(int, 1), default=1, metavar="N",
+                       help="worker processes (default %(default)s); rows are "
+                            "byte-identical for any N")
+        g.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
+                       help="content-addressed result cache "
+                            "(default %(default)s)")
+        g.add_argument("--no-cache", action="store_true",
+                       help="recompute everything; do not read or write the cache")
 
     p = sub.add_parser("broadcast", help="one topology broadcast (E1/E2)")
     common(p)
@@ -1252,23 +1122,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("bpaths", "flood", "dfs"),
                    default="bpaths")
     p.add_argument("--scope", choices=("local", "full"), default="full")
-    p.add_argument("--fail", type=_at_least(0), default=0,
+    p.add_argument("--fail", type=_bounded(int, 0), default=0,
                    help="random link failures to inject after convergence")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rounds", type=_at_least(1), default=64)
+    p.add_argument("--max-rounds", type=_bounded(int, 1), default=64)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("globalfn", help="optimal aggregation trees (E7-E10)")
-    p.add_argument("--n", type=_at_least(1), default=64)
-    p.add_argument("--P", type=float, default=1.0)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
+    p.add_argument("--n", type=_bounded(int, 1), default=64)
+    p.add_argument("--P", type=_bounded(float, above=0), default=1.0)
+    p.add_argument("--C", type=_bounded(float, 0), default=1.0)
+    p.add_argument("--jobs", type=_bounded(int, 1), default=1, metavar="N",
                    help="shard the trade-off sweep across N processes "
                         "(default %(default)s; rows are identical for any N)")
     p.set_defaults(func=cmd_globalfn)
 
     p = sub.add_parser("lowerbound", help="one-way broadcast bounds (E3)")
-    p.add_argument("--max-depth", type=_at_least(1), default=10)
+    p.add_argument("--max-depth", type=_bounded(int, 1), default=10)
     p.set_defaults(func=cmd_lowerbound)
 
     p = sub.add_parser(
@@ -1281,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multicast", help="hardware multicast groups (E12)")
     common(p)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument("--messages", type=_at_least(0), default=3)
+    p.add_argument("--messages", type=_bounded(int, 0), default=3)
     p.set_defaults(func=cmd_multicast)
 
     p = sub.add_parser(
@@ -1296,8 +1166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--timeline", action=argparse.BooleanOptionalAction,
                    default=True, help="render the text timeline")
-    p.add_argument("--timeline-width", type=int, default=56)
-    p.add_argument("--limit", type=int, default=40,
+    p.add_argument("--timeline-width", type=_bounded(int, 1), default=56)
+    p.add_argument("--limit", type=_bounded(int, 0), default=40,
                    help="max timeline rows (default %(default)s)")
     p.add_argument("--from-trace", metavar="PATH", default=None,
                    help="skip simulating: rebuild spans from a JSONL trace "
@@ -1306,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample per-link queue occupancy during the run and "
                         "render a congestion heatmap + per-link stall "
                         "summary (pairs with --link-rate/--link-buffer)")
-    p.add_argument("--heat-limit", type=int, default=40, metavar="N",
+    p.add_argument("--heat-limit", type=_bounded(int, 0), default=40, metavar="N",
                    help="max heatmap rows: only the N hottest link "
                         "directions are shown, the rest are summarised "
                         "in a footer (default %(default)s; 0 = no limit)")
@@ -1355,7 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "PROFILE_<name>.pstats into --out-dir and print a "
                         "top-N cumulative table (wall metrics include "
                         "profiler overhead)")
-    p.add_argument("--profile-top", type=int, default=15, metavar="N",
+    p.add_argument("--profile-top", type=_bounded(int, 1), default=15, metavar="N",
                    help="rows in the --profile table (default %(default)s)")
     p.add_argument("--perf", action="store_true",
                    help="collect per-subsystem perf counters and print the "
@@ -1364,8 +1234,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sample each benchmark's stack and write "
                         "FLAME_<name>.collapsed.txt + .speedscope.json "
                         "into --out-dir")
-    p.add_argument("--flamegraph-hz", type=float, default=251.0,
-                   metavar="HZ",
+    p.add_argument("--flamegraph-hz", type=_bounded(float, above=0),
+                   default=251.0, metavar="HZ",
                    help="sampling rate for --flamegraph "
                         "(default %(default)s)")
     p.set_defaults(func=cmd_bench)
@@ -1390,34 +1260,28 @@ def build_parser() -> argparse.ArgumentParser:
     preset.add_argument("--churn-seed", type=int, default=0,
                         help="seed for the generated churn story "
                              "(default %(default)s)")
-    preset.add_argument("--crashes", type=int, default=1,
+    preset.add_argument("--crashes", type=_bounded(int, 1), default=1,
                         help="nodes to crash mid-partition "
                              "(default %(default)s)")
     preset.add_argument("--partition", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="include the partition/heal phase")
-    preset.add_argument("--spacing", type=float, default=200.0,
+    preset.add_argument("--spacing", type=_bounded(float, above=0),
+                        default=200.0,
                         help="time between scenario phases "
                              "(default %(default)s)")
     search = p.add_argument_group("delay search (action 'search')")
-    search.add_argument("--trials", type=int, default=20,
+    search.add_argument("--trials", type=_bounded(int, 0), default=20,
                         help="seeded adversarial assignments to try, plus "
                              "the at-bounds run (default %(default)s)")
     search.add_argument("--root-seed", type=int, default=0,
                         help="root for trial-seed derivation "
                              "(default %(default)s)")
-    search.add_argument("--bias", type=float, default=0.5,
+    search.add_argument("--bias", type=_bounded(float, 0, maximum=1), default=0.5,
                         help="probability a delay pins at its bound "
                              "(default %(default)s)")
-    search.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
-                        help="worker processes (default %(default)s); rows "
-                             "are byte-identical for any N)")
-    search.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
-                        help="content-addressed result cache "
-                             "(default %(default)s)")
-    search.add_argument("--no-cache", action="store_true",
-                        help="recompute everything; do not touch the cache")
-    search.add_argument("--max-tasks", type=int, default=None, metavar="K",
+    pool(search)
+    search.add_argument("--max-tasks", type=_bounded(int, 0), default=None, metavar="K",
                         help="execute at most K fresh tasks then stop "
                              "(exit 3); re-running resumes from the cache")
     search.add_argument("--rows-out", default=None, metavar="PATH",
@@ -1432,21 +1296,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("workload", choices=CAMPAIGN_WORKLOADS,
                    help="which task family to run")
-    p.add_argument("--jobs", type=_at_least(1), default=1, metavar="N",
-                   help="worker processes (default %(default)s); rows are "
-                        "byte-identical for any N")
-    p.add_argument("--cache-dir", default=".repro-cache", metavar="DIR",
-                   help="content-addressed result cache "
-                        "(default %(default)s)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="recompute everything; do not read or write the cache")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    pool(p)
+    p.add_argument("--timeout", type=_bounded(float, above=0), default=None,
+                   metavar="SECONDS",
                    help="per-task wall-clock limit (worker is killed; "
                         "needs --jobs >= 2)")
-    p.add_argument("--retries", type=int, default=2, metavar="K",
+    p.add_argument("--retries", type=_bounded(int, 0), default=2, metavar="K",
                    help="extra attempts per task after a worker crash "
                         "(default %(default)s)")
-    p.add_argument("--max-tasks", type=int, default=None, metavar="K",
+    p.add_argument("--max-tasks", type=_bounded(int, 0), default=None, metavar="K",
                    help="execute at most K fresh tasks then stop (exit 3); "
                         "re-running resumes from the cache")
     p.add_argument("--rows-out", default=None, metavar="PATH",
@@ -1464,22 +1322,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "merge them campaign-wide, print the attribution "
                         "table and record it in the manifest")
     grid = p.add_argument_group("workload parameters")
-    grid.add_argument("--n", type=int, default=32,
+    grid.add_argument("--n", type=_bounded(int, 1), default=32,
                       help="problem size: tradeoff tree size / montecarlo "
                            "graph size (default %(default)s)")
     grid.add_argument("--ratios", default="0,1,2,4,8,16", metavar="LIST",
                       help="tradeoff: comma list of C/P ratios, exact "
                            "fractions allowed (default %(default)s)")
-    grid.add_argument("--P", default="1", metavar="FRACTION",
+    grid.add_argument("--P", type=_bounded(_fraction, above=0), default="1",
+                      metavar="FRACTION",
                       help="tradeoff: software delay bound "
                            "(default %(default)s)")
-    grid.add_argument("--seeds", type=int, default=16,
+    grid.add_argument("--seeds", type=_bounded(int, 1), default=16,
                       help="montecarlo: number of derived seeds "
                            "(default %(default)s)")
     grid.add_argument("--root-seed", type=int, default=0,
                       help="montecarlo: root for seed derivation "
                            "(default %(default)s)")
-    grid.add_argument("--edge-prob", type=float, default=0.18,
+    grid.add_argument("--edge-prob", type=_bounded(float, 0, maximum=1), default=0.18,
                       help="montecarlo: random-graph edge probability "
                            "(default %(default)s)")
     grid.add_argument("--topology", default=None, metavar="SPEC",

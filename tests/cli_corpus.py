@@ -292,13 +292,17 @@ def parser_snapshot() -> str:
             choices = action.choices
             if isinstance(choices, dict):
                 choices = list(choices)
+            help_text = action.help
+            if isinstance(action, argparse.BooleanOptionalAction) and help_text:
+                # Python 3.10 appends this to the help it is given; 3.11+ do not.
+                help_text = help_text.removesuffix(" (default: %(default)s)")
             actions.append({
                 "option_strings": action.option_strings,
                 "dest": action.dest,
                 "default": action.default,
                 "choices": choices,
                 "metavar": action.metavar,
-                "help": action.help,
+                "help": help_text,
             })
             if isinstance(action, argparse._SubParsersAction):
                 for sub in action.choices.values():
@@ -330,7 +334,7 @@ def check(rendered: dict[str, str]) -> list[str]:
         if not path.exists():
             problems.append(f"{name}: not committed (run regen)")
             continue
-        expected = path.read_text()
+        expected = path.read_text(encoding="utf-8")
         if expected != text:
             diff = difflib.unified_diff(
                 expected.splitlines(), text.splitlines(),
@@ -346,7 +350,7 @@ def regen(rendered: dict[str, str]) -> None:
         if path.is_file() and path.name not in rendered:
             path.unlink()
     for name, text in rendered.items():
-        (GOLDEN / name).write_text(text)
+        (GOLDEN / name).write_text(text, encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -245,6 +248,32 @@ def test_cli_unknown_node_is_one_error_line(argv, capsys):
         ["campaign", "montecarlo", "--jobs", "0"],
         ["campaign", "montecarlo", "--jobs", "-2"],
         ["scenario", "search", "--jobs", "0"],
+        # Tracebacks from a library ValueError without a bound.
+        ["broadcast", "--link-rate", "0"],
+        ["converge", "--link-rate", "-1"],
+        ["election", "--link-buffer", "0"],
+        ["broadcast", "--C", "-1"],
+        ["multicast", "--P", "-1"],
+        ["globalfn", "--P", "0"],
+        ["globalfn", "--C", "-1"],
+        ["campaign", "montecarlo", "--retries", "-1"],
+        ["bench", "--flamegraph-hz", "0"],
+        # Values accepted without a bound, run on nonsense.
+        ["campaign", "montecarlo", "--max-tasks", "-1"],
+        ["scenario", "search", "--max-tasks", "-1"],
+        ["scenario", "search", "--trials", "-1"],
+        ["scenario", "search", "--bias", "2"],
+        ["scenario", "search", "--bias", "-1"],
+        ["campaign", "montecarlo", "--timeout", "0"],
+        ["campaign", "montecarlo", "--timeout", "-1"],
+        ["campaign", "montecarlo", "--edge-prob", "2"],
+        ["campaign", "montecarlo", "--n", "0"],
+        ["campaign", "tradeoff", "--P", "-1"],
+        ["observe", "--timeline-width", "-5"],
+        ["observe", "--limit", "-1"],
+        ["observe", "--heat-limit", "-1"],
+        ["bench", "--profile-top", "-1"],
+        ["scenario", "run", "--bias", "nan"],
     ],
     ids=" ".join,
 )
@@ -255,7 +284,38 @@ def test_cli_count_flag_below_its_minimum_is_a_usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
-    assert f"argument {flag}: must be >= " in err and f"got {value}" in err
+    assert re.search(rf"argument {flag}: must be (>=|>|<=) \S+, got {value}$", err, re.M)
+
+
+#: Numeric flags where every integer names something: a node or a seed.
+UNBOUNDED_NUMERIC_FLAGS = {"--root", "--seed", "--churn-seed", "--root-seed"}
+
+
+def test_every_numeric_flag_states_its_bound():
+    def actions(parser):
+        for action in parser._actions:
+            yield parser.prog, action
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from actions(sub)
+
+    bare = [f"{prog} {action.option_strings[0]}"
+            for prog, action in actions(build_parser())
+            if action.type in (int, float)
+            and not set(action.option_strings) & UNBOUNDED_NUMERIC_FLAGS]
+    assert bare == []
+
+
+@pytest.mark.parametrize("argv", [["campaign", "tradeoff", "--ratios", "1,1/0"],
+                                  ["campaign", "tradeoff", "--P", "1/0"]], ids=" ".join)
+def test_cli_campaign_zero_denominator_exits_2_without_traceback(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1/0" in err
 
 
 def test_cli_starters_is_all_or_a_node_id(capsys):
