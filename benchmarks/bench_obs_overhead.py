@@ -194,13 +194,13 @@ FWD_REPEATS = 7
 
 
 def _complete_noperf(self, job):
-    net = self._node.net
-    assert self.handler is not None
+    node = self._node
+    net = node.net
     ports = net.call_ports
     ports.clear()
     self.ports_used_this_call = ports
     try:
-        self.handler(self._node.api, job)
+        node.protocol.dispatch(node.api, job)
     finally:
         self.ports_used_this_call = None
         trace = net.trace
@@ -208,7 +208,7 @@ def _complete_noperf(self, job):
             trace.record(
                 net.scheduler.now,
                 TraceKind.NCU_JOB_END,
-                self._node.node_id,
+                node.node_id,
                 job=job.accounting_kind,
             )
         self._busy = False
@@ -247,7 +247,7 @@ def _forward_nofc(self, packet, link):
 
     now = net.scheduler.now
     delay = net.delays.hardware_delay(link.key, packet.seq)
-    arrival = link.fifo_arrival(me, now + delay)
+    arrival = link.fifo_arrival(me, now + delay if delay else now)
     if link.node_u is node:
         far, receiving_normal = link.node_v, link._normal_v
     else:

@@ -102,6 +102,8 @@ class _RecordingApi:
 class _RecordingProtocol(Protocol):
     """Wraps an inner protocol, logging one event per involvement."""
 
+    __slots__ = ("_log", "_proxy", "_inner")
+
     def __init__(self, api: NodeApi, inner_factory: ProtocolFactory,
                  log: CausalLog) -> None:
         super().__init__(api)

@@ -116,12 +116,16 @@ class _RunContext:
     monitors' ALERT records in the trace.  :meth:`finish` renders the
     alerts, writes the exports and the manifest, and returns the exit
     code.  Each flag's hook installs nothing when the flag is absent.
+    ``story`` is the scenario the command replays itself (``scenario
+    run``); a ``--scenario`` file sets it when a network is built.
     """
 
     def __init__(self, args: argparse.Namespace, command: str,
-                 scheme: str | None = None, *, trace: bool = False) -> None:
+                 scheme: str | None = None, *, trace: bool = False,
+                 story=None) -> None:
         self.args, self.command, self.scheme = args, command, scheme
         self.trace = trace or bool(args.trace_out or args.chrome_trace)
+        self.story = story
         self.net = self.stats = self.probe = self.host = None
 
     def network(self, *, observed: bool = True):
@@ -140,7 +144,8 @@ class _RunContext:
             from .scenario.compiler import compile_scenario
             from .scenario.spec import ScenarioSpec
 
-            compiled = compile_scenario(net, ScenarioSpec.load(args.scenario))
+            self.story = ScenarioSpec.load(args.scenario)
+            compiled = compile_scenario(net, self.story)
             print(
                 f"scenario {compiled.name!r}: {compiled.events} event(s) scheduled "
                 f"through t={compiled.last_event_time:g}"
@@ -175,7 +180,8 @@ class _RunContext:
             from .obs.monitors import MonitorHost, monitors_from_spec
 
             monitors, notes = monitors_from_spec(
-                net, args.monitor, command=self.command, scheme=self.scheme
+                net, args.monitor, command=self.command, scheme=self.scheme,
+                churn=self.story is not None and self.story.churns,
             )
             for note in notes:
                 print(note)
@@ -730,7 +736,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         args.topology, args.C, args.P = spec.topology, spec.C, spec.P
         if args.monitor is None:
             args.monitor = "churn"
-        ctx = _RunContext(args, "scenario")
+        ctx = _RunContext(args, "scenario", story=spec)
         row = run_scenario(ctx.network(), spec, monitor=False)
         print(format_table(
             ["scenario", "final_time", "system_calls", "tour+return",
@@ -767,9 +773,12 @@ def cmd_scenario(args: argparse.Namespace) -> int:
           len(outcome.failures), outcome.skipped]],
         title=f"delay search on {spec.name!r} at --jobs {args.jobs}",
     ))
-    code = _campaign_exit(outcome)
-    if code:
-        return code
+    manifest_fields = dict(command="scenario-search", scenario=spec.name,
+                           trials=args.trials, root_seed=args.root_seed)
+    if report is None:
+        # Failed or interrupted: no report, and the tail campaign prints.
+        _campaign_files(args, outcome, None, **manifest_fields)
+        return _campaign_exit(outcome)
     bound = report["calls_bound"]
     print()
     print(format_table(
@@ -796,8 +805,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         "report": report,
         "rows": outcome.values(),
     }
-    _campaign_files(args, outcome, rows_doc, command="scenario-search",
-                    scenario=spec.name, trials=args.trials, root_seed=args.root_seed)
+    _campaign_files(args, outcome, rows_doc, **manifest_fields)
     if report["violations"]:
         print(f"error: {report['violations']} churn invariant violation(s) "
               "across the search", file=sys.stderr)
@@ -809,10 +817,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_files(args: argparse.Namespace, outcome, rows_doc: dict,
+def _campaign_files(args: argparse.Namespace, outcome, rows_doc: dict | None,
                     **manifest_fields) -> None:
-    """Write ``--rows-out`` (only for a complete campaign) and
-    ``--manifest-out``."""
+    """Write ``--rows-out`` (only for a complete campaign, whose
+    ``rows_doc`` is not ``None``) and ``--manifest-out``."""
     if args.rows_out:
         if all(r.ok for r in outcome.results):
             import json

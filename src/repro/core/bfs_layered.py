@@ -100,6 +100,8 @@ class LayeredBfsBroadcast(Protocol):
     itself the point the footnote makes.
     """
 
+    __slots__ = ("_root", "_adjacency", "_ids", "_body")
+
     def __init__(
         self,
         api: NodeApi,

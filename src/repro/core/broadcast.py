@@ -149,6 +149,8 @@ class BranchingPathsBroadcast(Protocol):
     delays.
     """
 
+    __slots__ = ("_root", "_adjacency", "_ids", "_body", "_received")
+
     def __init__(
         self,
         api: NodeApi,
@@ -201,6 +203,8 @@ class DirectBroadcast(Protocol):
     accounting for this scheme — ``O(n)`` system calls *and* ``O(n)``
     time, all of it serialized at the root's NCU.
     """
+
+    __slots__ = ("_root", "_adjacency", "_ids", "_body", "_pending")
 
     def __init__(
         self,

@@ -93,6 +93,8 @@ class CallManager(Protocol):
     on selective copies.
     """
 
+    __slots__ = ("_ids", "calls", "_originated")
+
     def __init__(self, api: NodeApi, *, ids: IdLookup) -> None:
         super().__init__(api)
         self._ids = ids

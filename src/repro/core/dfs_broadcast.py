@@ -95,6 +95,8 @@ def dfs_broadcast_header(
 class DfsBroadcast(Protocol):
     """Standalone one-shot DFS broadcast from a designated root."""
 
+    __slots__ = ("_root", "_adjacency", "_ids", "_body", "_child_order")
+
     def __init__(
         self,
         api: NodeApi,

@@ -105,6 +105,11 @@ class Announce:
 class LeaderElection(Protocol):
     """The Section 4 election protocol (one instance per node)."""
 
+    __slots__ = (
+        "announce", "phase_cap", "tour_policy", "_tour_rng", "status",
+        "domain", "parent_anr", "waiting", "_outbox", "stats",
+    )
+
     def __init__(
         self,
         api: NodeApi,

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from ..hardware.ids import NCU_ID
+from ..hardware.anr import one_hop_anr
 from ..hardware.ncu import NodeApi
 from ..hardware.packet import Packet
 from ..network.protocol import Protocol
@@ -37,7 +37,7 @@ from ..network.protocol import Protocol
 def _ring_headers(api: NodeApi) -> dict[Any, tuple[int, ...]]:
     """Single-hop headers to each ring neighbour, keyed by neighbour id."""
     return {
-        info.v: (info.normal_at_u, NCU_ID) for info in api.active_links()
+        info.v: one_hop_anr(info.normal_at_u) for info in api.active_links()
     }
 
 
@@ -66,6 +66,8 @@ class ChangRoberts(Protocol):
     ``direction=-1`` sends along descending ids — the Θ(n²) worst case
     (token k travels k+1 hops before meeting a larger id).
     """
+
+    __slots__ = ("_direction", "_priority", "_participating", "_done")
 
     def __init__(
         self,
@@ -161,6 +163,8 @@ class HSElected:
 
 class HirschbergSinclair(Protocol):
     """Bidirectional doubling election on a ring of ints 0..n-1."""
+
+    __slots__ = ("_priority", "_candidate", "_phase", "_replies", "_done")
 
     def __init__(self, api: NodeApi, *, priority: Any = None) -> None:
         super().__init__(api)

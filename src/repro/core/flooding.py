@@ -1,7 +1,7 @@
 """ARPANET-style flooding broadcast — the paper's baseline (Section 3).
 
-Every node that sees a new (origin, seq) pair records it and forwards
-the message over all its links except the one it arrived on.  Each
+Every node that receives the message for the first time records it and
+forwards it over all its links except the one it arrived on.  Each
 arrival is an NCU involvement, so the per-broadcast system-call
 complexity is the number of message arrivals, which is Θ(m): every
 link carries the message at least once (in at least one direction) and
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..hardware.ids import NCU_ID
+from ..hardware.anr import one_hop_anr
 from ..hardware.ncu import NodeApi
 from ..hardware.packet import Packet
 from ..network.protocol import Protocol
@@ -36,19 +36,29 @@ class FloodMessage:
 
 
 class FloodingBroadcast(Protocol):
-    """Standalone single-shot flooding from a designated root."""
+    """Standalone single-shot flooding from a designated root.
+
+    One flood per run: the root floods ``(root, 0)``, the only
+    :class:`FloodMessage` this protocol makes, so a node keeps one
+    ``_received`` flag (as ``BranchingPathsBroadcast`` does) instead of
+    a set of ``(origin, seq)`` keys.  A second flood key is ignored: a
+    message arriving after the first, under any key, is a duplicate
+    like any other, which costs its system call and is not forwarded.
+    """
+
+    __slots__ = ("_root", "_body", "_received")
 
     def __init__(self, api: NodeApi, *, root: Any, body: Any = None) -> None:
         super().__init__(api)
         self._root = root
         self._body = body
-        self._seen: set[tuple[Any, int]] = set()
+        self._received = False
 
     def on_start(self, payload: Any) -> None:
         if self.api.node_id != self._root:
             return
         message = FloodMessage(origin=self._root, seq=0, body=self._body)
-        self._seen.add((message.origin, message.seq))
+        self._received = True
         self.api.report("received_at", self.api.now)
         self._forward(message, arrived_on=None)
 
@@ -56,10 +66,9 @@ class FloodingBroadcast(Protocol):
         message = packet.payload
         if not isinstance(message, FloodMessage):
             return
-        key = (message.origin, message.seq)
-        if key in self._seen:
+        if self._received:
             return  # duplicate arrival: one system call, no forwarding
-        self._seen.add(key)
+        self._received = True
         self.api.report("received_at", self.api.now)
         self.api.report("body", message.body)
         arrived_on = packet.reverse_anr[0] if packet.reverse_anr else None
@@ -70,9 +79,10 @@ class FloodingBroadcast(Protocol):
 
         All transmissions happen in this single system call — one packet
         per distinct outgoing link, which the multicast primitive
-        permits.
+        permits.  Every packet sent over one port carries that port's
+        shared one-hop header (:func:`~repro.hardware.anr.one_hop_anr`).
         """
         for info in self.api.active_links():
             if info.normal_at_u == arrived_on:
                 continue
-            self.api.send((info.normal_at_u, NCU_ID), message)
+            self.api.send(one_hop_anr(info.normal_at_u), message)

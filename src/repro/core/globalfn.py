@@ -51,6 +51,10 @@ class TreeAggregation(Protocol):
     that is simply each node's local topology).
     """
 
+    __slots__ = (
+        "_tree", "_op", "_ids", "_value", "_pending", "_started", "_done",
+    )
+
     def __init__(
         self,
         api: NodeApi,
@@ -122,6 +126,8 @@ class ChattyTreeAggregation(TreeAggregation):
     so none of them is causal, and the extracted last-causal tree is
     the underlying aggregation tree (see the causality tests).
     """
+
+    __slots__ = ()
 
     def on_packet(self, packet: Packet) -> None:
         message = packet.payload

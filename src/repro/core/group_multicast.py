@@ -64,6 +64,10 @@ class GroupMulticast(Protocol):
     group-addressed packet.  Non-root nodes ignore STARTs.
     """
 
+    __slots__ = (
+        "_root", "_adjacency", "_ids", "_group_id", "_installed", "_seq",
+    )
+
     def __init__(
         self,
         api: NodeApi,

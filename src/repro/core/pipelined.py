@@ -60,6 +60,11 @@ class PipelinedBroadcast(Protocol):
     messages); the run driver below aggregates the stream's makespan.
     """
 
+    __slots__ = (
+        "_root", "_adjacency", "_ids", "_bodies", "_plan", "_next_index",
+        "_received",
+    )
+
     def __init__(
         self,
         api: NodeApi,

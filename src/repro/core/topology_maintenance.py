@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from ..hardware.ids import NCU_ID
+from ..hardware.anr import one_hop_anr
 from ..hardware.link import LinkInfo
 from ..hardware.ncu import NodeApi
 from ..hardware.packet import Packet
@@ -85,6 +85,11 @@ class TopologyMaintenance(Protocol):
     this to step "rounds" deterministically), by the optional periodic
     timer, and optionally by local link-state changes.
     """
+
+    __slots__ = (
+        "strategy", "scope", "period", "broadcast_on_change",
+        "dfs_child_order", "db", "own_seq", "broadcasts_sent", "_seen_floods",
+    )
 
     def __init__(
         self,
@@ -194,7 +199,7 @@ class TopologyMaintenance(Protocol):
         for info in self.api.active_links():
             if info.normal_at_u == arrived_on:
                 continue
-            self.api.send((info.normal_at_u, NCU_ID), message)
+            self.api.send(one_hop_anr(info.normal_at_u), message)
 
     # ------------------------------------------------------------------
     # Reception

@@ -111,6 +111,8 @@ def _ping_pong_factory(header: tuple[int, ...], origin: Any) -> Any:
     from ..network.protocol import Protocol
 
     class _PingPong(Protocol):
+        __slots__ = ()
+
         def on_start(self, payload: Any) -> None:
             if self.api.node_id == origin:
                 self.api.send(header, {"kind": "ping", "sent_at": self.api.now})

@@ -1,6 +1,13 @@
 """The SS/NCU hardware substrate of the paper's model (Section 2)."""
 
-from .anr import IdLookup, build_anr, concat_anr, path_broadcast_anr, reply_route
+from .anr import (
+    IdLookup,
+    build_anr,
+    concat_anr,
+    one_hop_anr,
+    path_broadcast_anr,
+    reply_route,
+)
 from .ids import (
     NCU_ID,
     LinkIdSpace,
@@ -34,6 +41,7 @@ __all__ = [
     "header_from_bits",
     "header_to_bits",
     "id_bits",
+    "one_hop_anr",
     "path_broadcast_anr",
     "reply_route",
 ]

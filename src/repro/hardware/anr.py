@@ -25,6 +25,24 @@ from .packet import Packet
 IdLookup = Callable[[Any, Any], tuple[int, int]]
 
 
+#: One shared ``(normal_id, NCU_ID)`` header per normal ID; see
+#: :func:`one_hop_anr`.  Normal IDs run 1..max degree, so it stays tiny.
+_ONE_HOP: dict[int, tuple[int, int]] = {}
+
+
+def one_hop_anr(normal_id: int) -> tuple[int, int]:
+    """Header delivering to the neighbour across the link ``normal_id``.
+
+    The same tuple object every time for the same ID: a flood sends
+    one such header per link, and the packets it leaves queued share
+    their port's header instead of each holding a copy.
+    """
+    header = _ONE_HOP.get(normal_id)
+    if header is None:
+        header = _ONE_HOP[normal_id] = (normal_id, NCU_ID)
+    return header
+
+
 def build_anr(
     route: Sequence[Any],
     ids: IdLookup,

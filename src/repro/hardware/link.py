@@ -351,7 +351,8 @@ class Link:
             if state.busy_until > depart:
                 depart = state.busy_until
             state.busy_until = depart + state.interval
-        arrival = self.fifo_arrival(sender_id, depart + delay)
+        # ``depart`` itself when the hop is free (see ``SS._forward``).
+        arrival = self.fifo_arrival(sender_id, depart + delay if delay else depart)
         state.in_flight += 1
         state.xmits += 1
         occupancy = len(state.pending) + state.in_flight

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from time import perf_counter as _perf_counter
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from ..sim.errors import ProtocolError
 from ..sim.events import Event
@@ -236,7 +236,6 @@ class NCU:
         "_queue",
         "_busy",
         "_job_seq",
-        "handler",
         "crashed",
         "incarnation",
         "_service_event",
@@ -255,12 +254,11 @@ class NCU:
         self._queue: deque[Job | Packet] | None = None
         self._busy = False
         self._job_seq = 0
-        #: Set by the network when a protocol is attached.
-        self.handler: Callable[[NodeApi, Job], None] | None = None
         #: Whether this NCU is down after a :meth:`crash` (churn
         #: scenarios).  While crashed, arriving jobs are *dropped* —
         #: a down processor loses work — instead of raising the
-        #: no-protocol error a never-attached NCU raises.
+        #: no-protocol error an NCU whose node has no ``protocol``
+        #: raises.
         self.crashed = False
         #: Restart generation.  Timers capture the incarnation they
         #: were set in and are discarded on fire when it no longer
@@ -292,16 +290,14 @@ class NCU:
     def reset(self) -> None:
         """Restore the pristine pre-``attach()`` state.
 
-        Drops queued jobs, clears the handler, zeroes the system-call
-        count and restarts the job sequence so a reused substrate draws
-        the same software delays as a freshly built one.  Part of the
-        substrate-reuse contract (see
-        :meth:`repro.network.network.Network.reset`).
+        Drops queued jobs, zeroes the system-call count and restarts
+        the job sequence so a reused substrate draws the same software
+        delays as a freshly built one.  Part of the substrate-reuse
+        contract (see :meth:`repro.network.network.Network.reset`).
         """
         self._queue = None
         self._busy = False
         self._job_seq = 0
-        self.handler = None
         self.crashed = False
         self.incarnation = 0
         self._service_event = None
@@ -313,10 +309,10 @@ class NCU:
         """Take the NCU down with total state loss.
 
         The job in service is abandoned (its completion event is
-        cancelled), the queue is emptied, and the handler — which holds
-        all protocol state through its bound instance — is detached.
-        Pending timers die lazily: their stored incarnation no longer
-        matches after the next :meth:`restart`.
+        cancelled) and the queue is emptied; :meth:`Node.crash` drops
+        the protocol instance, which holds all protocol state.  Pending
+        timers die lazily: their stored incarnation no longer matches
+        after the next :meth:`restart`.
         """
         if self._service_event is not None:
             self._service_event.cancel()
@@ -324,12 +320,12 @@ class NCU:
         self._queue = None
         self._busy = False
         self._job_seq = 0
-        self.handler = None
         self.ports_used_this_call = None
         self.crashed = True
 
-    def restart(self, handler: Callable[[NodeApi, Job], None]) -> None:
-        """Bring a crashed NCU back up with a fresh handler.
+    def restart(self) -> None:
+        """Bring a crashed NCU back up (:meth:`Node.restart` attaches
+        the fresh protocol instance first).
 
         Bumps the incarnation so timers armed before the crash are
         discarded when they fire — the restarted protocol starts from
@@ -337,7 +333,6 @@ class NCU:
         """
         self.crashed = False
         self.incarnation += 1
-        self.handler = handler
 
     @property
     def busy(self) -> bool:
@@ -363,7 +358,7 @@ class NCU:
 
     def enqueue(self, job: Job | Packet) -> None:
         """Queue one job or delivered packet; begins service at once if the NCU is idle."""
-        if self.handler is None:
+        if self._node.protocol is None:
             if self.crashed:
                 # A down processor loses arriving work silently.
                 self._node.net.metrics.count_drop("ncu_crashed")
@@ -437,15 +432,18 @@ class NCU:
         )
 
     def _complete(self, job: Job) -> None:
-        net = self._node.net
-        assert self.handler is not None
+        node = self._node
+        net = node.net
         ports = net.call_ports
         ports.clear()
         self.ports_used_this_call = ports
         perf = net.perf
         t0 = _perf_counter() if perf is not None else 0.0
         try:
-            self.handler(self._node.api, job)
+            # Looked up on the attached instance at every job: no NCU
+            # keeps a bound method, and a ``dispatch`` replaced on the
+            # class takes effect at once.
+            node.protocol.dispatch(node.api, job)
         finally:
             if perf is not None:
                 dt = _perf_counter() - t0
@@ -458,7 +456,7 @@ class NCU:
                 trace.record(
                     net.scheduler.now,
                     TraceKind.NCU_JOB_END,
-                    self._node.node_id,
+                    node.node_id,
                     job=job.accounting_kind,
                 )
             self._busy = False

@@ -34,7 +34,9 @@ class Node:
         self.ss = SwitchingSubsystem(self, id_space)
         self.ncu = NCU(self)
         self.api = NodeApi(self)
-        #: The protocol instance attached to this node (if any).
+        #: The protocol instance attached to this node, or ``None``: the
+        #: node's one reference to it.  The NCU dispatches each job to
+        #: ``protocol.dispatch`` and checks this slot for "attached".
         self.protocol: Any = None
 
     @property
@@ -79,9 +81,8 @@ class Node:
         The new instance starts from its constructor state — nothing
         from before the crash survives.
         """
-        protocol = factory(self.api)
-        self.protocol = protocol
-        self.ncu.restart(protocol.dispatch)
+        self.protocol = factory(self.api)
+        self.ncu.restart()
         self.net.crashed_nodes.discard(self.node_id)
 
     def link_to(self, neighbor_id: Any) -> Link:

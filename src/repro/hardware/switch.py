@@ -35,6 +35,9 @@ the per-hop cycle and must be allocation-free in steady state:
 * the hop is counted once, on the link (``Link.hops``, through the
   metrics layer): perf counters and live stats read that count instead
   of hooking the hop themselves;
+* a zero hardware delay (the limiting model, and the CLI's ``--C 0``)
+  proposes ``now`` itself as the arrival, so a free hop allocates no
+  time of its own;
 * capacity limits are opt-in: the free-hardware path pays one
   ``link.fc is not None`` check per hop, and flow-controlled links
   divert to :meth:`repro.hardware.link.Link.fc_forward`.
@@ -267,7 +270,10 @@ class SwitchingSubsystem:
 
         now = net.scheduler.now
         delay = net.delays.hardware_delay(link.key, packet.seq)
-        arrival = link.fifo_arrival(me, now + delay)
+        # A free hop arrives at ``now`` itself: the same value as
+        # ``now + 0.0``, without a fresh float for the heap entry and
+        # the link's watermark to keep.
+        arrival = link.fifo_arrival(me, now + delay if delay else now)
         if link.node_u is node:
             far, receiving_normal = link.node_v, link._normal_v
         else:

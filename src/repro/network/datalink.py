@@ -55,7 +55,7 @@ class DataLinkMonitor:
             if self._epoch.get(link.key) != epoch or link.active != state:
                 return  # the link changed again; this report is stale
             for node in (link.node_u, link.node_v):
-                if node.ncu.handler is None:
+                if node.protocol is None:
                     continue  # no protocol attached yet
                 node.ncu.enqueue(
                     Job(kind=JobKind.LINK_EVENT, payload=link.info_at(node.node_id))

@@ -366,7 +366,7 @@ class Network:
         fresh :class:`Scheduler` (time 0, sequence 0), fresh
         :class:`MetricsCollector` and :class:`Trace` (same
         ``enabled``/``capacity`` configuration), empty outputs, no
-        protocol/handler on any node, empty NCU queues and zero
+        protocol on any node, empty NCU queues and zero
         ``NCU.system_calls``, no installed multicast groups, all links
         active with FIFO watermarks and ``Link.hops`` at 0,
         restarted packet/group sequences, a cleared data-link monitor,
@@ -416,12 +416,10 @@ class Network:
     # Protocol lifecycle
     # ------------------------------------------------------------------
     def attach(self, factory: ProtocolFactory) -> None:
-        """Instantiate the protocol on every node and wire the NCUs."""
+        """Instantiate the protocol on every node (``Node.protocol``)."""
         self._protocol_factory = factory
         for node in self.nodes.values():
-            protocol = factory(node.api)
-            node.protocol = protocol
-            node.ncu.handler = protocol.dispatch
+            node.protocol = factory(node.api)
 
     def start(
         self,

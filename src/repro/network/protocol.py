@@ -27,7 +27,14 @@ class Protocol:
     Subclasses override any of :meth:`on_start`, :meth:`on_packet`,
     :meth:`on_timer`, :meth:`on_link_change`.  The ``api`` attribute is
     the node facade (:class:`repro.hardware.ncu.NodeApi`).
+
+    A subclass declares ``__slots__`` for its own per-node fields: one
+    instance lives on every node, and a slotted instance carries no
+    ``__dict__``.  A subclass without ``__slots__`` still works (Python
+    gives it a ``__dict__``); it only costs that dict per node.
     """
+
+    __slots__ = ("api",)
 
     def __init__(self, api: NodeApi) -> None:
         self.api = api

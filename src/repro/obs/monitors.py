@@ -823,7 +823,7 @@ class ChurnMonitor(Monitor):
                 node_id
                 for node_id in component
                 if not net.nodes[node_id].ncu.crashed
-                and net.nodes[node_id].ncu.handler is not None
+                and net.nodes[node_id].protocol is not None
             ]
             if not up:
                 continue
@@ -858,12 +858,15 @@ def monitors_from_spec(
     *,
     command: str,
     scheme: str | None = None,
+    churn: bool = False,
 ) -> tuple[list[Monitor], list[str]]:
     """Build monitors from a ``--monitor`` comma list.
 
     Returns ``(monitors, notes)`` where notes explain any requested
     monitor that does not apply (e.g. no closed-form budgets for the
-    command).  Raises :class:`ValueError` on unknown names.
+    command, or Section 4's failure-free invariants on a run that
+    replays crash, restart or reelect events: ``churn``).  Raises
+    :class:`ValueError` on unknown names.
     """
     names = [part.strip() for part in spec.split(",") if part.strip()]
     netcalc_explicit = "netcalc" in names
@@ -888,7 +891,13 @@ def monitors_from_spec(
                     f"(no closed-form budgets for {what}; budget monitor skipped)"
                 )
         elif name == "invariants":
-            monitors.append(InvariantMonitor(net))
+            if churn:
+                notes.append(
+                    "(scenario crashes or restarts nodes; invariants monitor "
+                    "skipped — the churn monitor checks this run)"
+                )
+            else:
+                monitors.append(InvariantMonitor(net))
         elif name == "watchdog":
             monitors.append(ProgressWatchdog(net))
         elif name == "churn":

@@ -120,6 +120,17 @@ class ScenarioSpec:
         """Time of the latest scheduled event (0.0 when empty)."""
         return max((event.at for event in self.events), default=0.0)
 
+    @property
+    def churns(self) -> bool:
+        """Whether an event crashes, restarts or re-elects nodes.
+
+        Each takes protocol state away or starts it afresh, after which
+        a node can sit in two live domains at once by design: Section
+        4's failure-free invariants do not apply to such a story, and
+        ``--monitor churn`` checks it instead.
+        """
+        return any(e.op in ("crash", "restart", "reelect") for e in self.events)
+
     def ops(self) -> tuple[str, ...]:
         """The ops in schedule order (diagnostics and bound accounting)."""
         return tuple(event.op for event in sorted(self.events, key=lambda e: e.at))

@@ -87,13 +87,15 @@ CASES: tuple[tuple[str, list[str]], ...] = (
                                       "--timeline-width", "24"]),
     ("observe-from-trace-missing", ["observe", "--from-trace", "obs/missing.jsonl"]),
     # Scenario: the churn preset, a monitor alert that dumps the flight
-    # recorder, replays of the saved spec, the delay search.
+    # recorder (links too slow for the story's traffic: netcalc), replays
+    # of the saved spec, the delay search.
     ("scenario-run", ["scenario", "run", "--topology", "grid:4,4", "--churn-seed", "7",
                       "--spec-out", "churn.json", "--trace-out", "obs/sc.jsonl",
                       "--trace-capacity", "50"]),
     ("scenario-run-alert", ["scenario", "run", "--topology", "grid:4,4", "--churn-seed",
                             "3", "--monitor", "all", "--flight-recorder", "obs/fr.jsonl",
-                            "--flight-capacity", "16"]),
+                            "--flight-capacity", "16", "--link-rate", "0.5",
+                            "--link-buffer", "1"]),
     ("observe-from-flight-recorder", ["observe", "--from-trace", "obs/fr.jsonl"]),
     ("scenario-run-spec", ["scenario", "run", "--spec", "churn.json", "--stats",
                            "--manifest-out", "sc-manifest.json"]),

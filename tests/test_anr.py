@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware import NCU_ID, build_anr, concat_anr, path_broadcast_anr
+from repro.hardware import NCU_ID, build_anr, concat_anr, one_hop_anr, path_broadcast_anr
 from repro.sim import RoutingError
 
 
@@ -81,3 +81,9 @@ def test_concat_anr_joins_fragments():
 def test_concat_anr_rejects_interior_delivery():
     with pytest.raises(RoutingError):
         concat_anr((1, NCU_ID), (2, NCU_ID))
+
+
+def test_one_hop_anr_is_one_shared_tuple_per_id():
+    assert one_hop_anr(3) == (3, NCU_ID)
+    assert one_hop_anr(3) is one_hop_anr(3)
+    assert one_hop_anr(4) is not one_hop_anr(3)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from conftest import limiting_net
-from repro.core import FloodingBroadcast, run_standalone_broadcast
+from repro.core import FloodingBroadcast, FloodMessage, run_standalone_broadcast
+from repro.hardware import NodeApi, one_hop_anr
 from repro.network import topologies
 from repro.sim import RandomDelays
 from repro.network import Network
@@ -62,3 +63,35 @@ def test_flooding_correct_under_random_delays():
     run = run_standalone_broadcast(net, flood_factory(), 0)
     assert run.coverage == net.n
     assert net.m <= run.system_calls <= 2 * net.m
+
+
+def test_flood_packets_over_one_port_share_one_header(monkeypatch):
+    sent = []
+    send = NodeApi.send
+
+    def record(self, header, payload):
+        sent.append(header)
+        return send(self, header, payload)
+
+    monkeypatch.setattr(NodeApi, "send", record)
+    net = limiting_net(topologies.grid(4, 4))
+    run_standalone_broadcast(net, flood_factory(), 0)
+    assert len(sent) == net.metrics.packets_injected > net.n
+    by_port = {}
+    for header in sent:
+        assert by_port.setdefault(header[0], header) is header
+    assert by_port == {port: one_hop_anr(port) for port in by_port}
+
+
+def test_flood_forwards_only_its_first_key():
+    # Single-shot: once a node has the root's flood, a message under any
+    # other (origin, seq) key is a duplicate, charged and not forwarded.
+    net = limiting_net(topologies.grid(3, 3))
+    run_standalone_broadcast(net, flood_factory("first"), 0)
+    calls, hops = net.metrics.system_calls, net.metrics.hops
+    other = FloodMessage(origin=4, seq=1, body="second")
+    net.node(1).inject(one_hop_anr(net.id_lookup(1, 4)[0]), other)
+    net.run_to_quiescence()
+    assert net.metrics.system_calls == calls + 1
+    assert net.metrics.hops == hops + 1
+    assert net.outputs_for_key("body") == dict.fromkeys(range(1, 9), "first")

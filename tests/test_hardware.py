@@ -128,6 +128,28 @@ def test_fifo_order_preserved_per_link():
     assert [p.payload for p in recorders[1].packets] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("buffer", [None, 2], ids=["free", "flow-controlled"])
+def test_free_hop_arrives_at_the_send_time_itself(buffer):
+    # C = 0: the arrival proposed for a hop is the scheduler's ``now``
+    # object, not a fresh ``now + 0.0``; the link's watermark keeps it.
+    net = limiting_net(topologies.line(2))
+    attach_recorders(net)
+    if buffer is not None:
+        net.set_flow_control(buffer=buffer)
+    link = net.link(0, 1)
+    header = build_anr([0, 1], net.id_lookup)
+    sent_at = []
+
+    def send() -> None:
+        sent_at.append(net.scheduler.now)
+        net.node(0).inject(header, "x")
+
+    net.scheduler.schedule_at(2.5, send)
+    net.run_to_quiescence()
+    watermark = link._arrival_u if link.node_u is net.node(0) else link._arrival_v
+    assert watermark == 2.5 and watermark is sent_at[0]
+
+
 def test_ncu_serves_jobs_sequentially():
     # Two packets arriving together are served P apart.
     net = limiting_net(topologies.star(3))

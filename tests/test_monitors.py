@@ -333,6 +333,15 @@ def test_monitors_from_spec_selects_and_rejects():
         monitors_from_spec(net, "budgets,nope", command="election")
 
 
+def test_monitors_from_spec_skips_invariants_under_churn():
+    # Crash, restart and reelect break Section 4's failure-free
+    # invariants by design; the churn monitor is the check there.
+    net = limiting(topologies.ring(8))
+    monitors, notes = monitors_from_spec(net, "all", command="election", churn=True)
+    assert {m.name for m in monitors} == {"budgets", "watchdog", "churn"}
+    assert len(notes) == 1 and "invariants monitor skipped" in notes[0]
+
+
 def test_render_alerts_table_and_empty():
     assert "no alerts" in render_alerts([])
     out = render_alerts(

@@ -62,6 +62,20 @@ def test_spec_rejects_bad_events():
         ScenarioSpec(name="x", topology="ring:4", protocol="paxos")
 
 
+def test_spec_churns_on_crash_restart_or_reelect():
+    assert churn_spec().churns
+    links_only = ScenarioSpec(
+        name="links", topology="ring:4",
+        events=(ScenarioEvent(at=1.0, op="fail_link", target=(0, 1)),
+                ScenarioEvent(at=2.0, op="restore_link", target=(0, 1))),
+    )
+    assert not links_only.churns
+    for op in ("crash", "restart", "reelect"):
+        target = None if op == "reelect" else 0
+        event = ScenarioEvent(at=3.0, op=op, target=target)
+        assert ScenarioSpec(name=op, topology="ring:4", events=(event,)).churns
+
+
 def test_spec_events_sorted_and_last_time():
     spec = ScenarioSpec(
         name="x",
@@ -95,7 +109,7 @@ def test_crash_clears_ncu_and_drops_arrivals():
 
     net.crash_node(1)
     node = net.node(1)
-    assert node.ncu.crashed and node.ncu.handler is None
+    assert node.ncu.crashed and node.protocol is None
     assert not node.ncu.queued and not node.ncu.busy
     # Jobs that arrive while crashed are dropped and accounted.
     before = net.metrics.drops
@@ -334,6 +348,22 @@ def test_delay_search_stays_within_election_bound():
     assert report["worst_time_row"] < len(outcome.results)
     if report["worst_time_row"] > 0:
         assert report["worst_time_seed"] is not None
+
+
+def test_interrupted_search_writes_its_manifest_and_no_rows(tmp_path, capsys):
+    from repro.cli import main
+
+    spec = churn_spec().save(tmp_path / "churn.json")
+    rows, manifest = tmp_path / "r.json", tmp_path / "m.json"
+    assert main([
+        "scenario", "search", "--spec", str(spec), "--trials", "3",
+        "--max-tasks", "2", "--no-cache", "--rows-out", str(rows),
+        "--manifest-out", str(manifest),
+    ]) == 3
+    out = capsys.readouterr().out
+    assert manifest.exists() and not rows.exists()
+    assert "(campaign incomplete; resume to finish)" in out
+    assert json.loads(manifest.read_text())["command"] == "scenario-search"
 
 
 def test_delay_search_specs_are_stable():

@@ -14,15 +14,55 @@ from collections import Counter
 
 import pytest
 
-from repro.core import FloodingBroadcast, run_standalone_broadcast
+from repro.analysis.causality import _RecordingProtocol
+from repro.core import (
+    BranchingPathsBroadcast,
+    CallManager,
+    ChangRoberts,
+    ChattyTreeAggregation,
+    DfsBroadcast,
+    DirectBroadcast,
+    FloodingBroadcast,
+    GroupMulticast,
+    HirschbergSinclair,
+    LayeredBfsBroadcast,
+    LeaderElection,
+    PipelinedBroadcast,
+    TopologyMaintenance,
+    TreeAggregation,
+    run_standalone_broadcast,
+)
+from repro.exec.workloads import _ping_pong_factory
 from repro.hardware.link import Link, LinkFlowState
 from repro.hardware.ncu import NCU, Job, NodeApi
 from repro.hardware.node import Node
 from repro.hardware.packet import Packet
 from repro.hardware.switch import SwitchingSubsystem
-from repro.network import Network, from_spec, topology_from_spec
+from repro.network import Network, Protocol, from_spec, topology_from_spec
 from repro.sim import FixedDelays
 from repro.sim.events import Event
+
+#: The protocol classes under ``src/``: one instance lives on every
+#: node, so each is as hot as the node itself.
+PROTOCOL_CLASSES = [
+    Protocol,
+    FloodingBroadcast,
+    BranchingPathsBroadcast,
+    DirectBroadcast,
+    DfsBroadcast,
+    LayeredBfsBroadcast,
+    PipelinedBroadcast,
+    GroupMulticast,
+    CallManager,
+    LeaderElection,
+    ChangRoberts,
+    HirschbergSinclair,
+    TopologyMaintenance,
+    TreeAggregation,
+    ChattyTreeAggregation,
+    _RecordingProtocol,
+    _ping_pong_factory((1, 0), 0),
+]
 
 #: Every class whose instances scale with the network or event count.
 #: Each must declare ``__slots__`` in its own body and its instances
@@ -37,6 +77,7 @@ HOT_CLASSES = [
     LinkFlowState,
     Packet,
     Event,
+    *PROTOCOL_CLASSES,
 ]
 
 
@@ -55,10 +96,33 @@ def test_hot_class_has_no_instance_dict(cls):
         )
 
 
+def test_protocol_classes_cover_every_src_protocol():
+    # A protocol added under src/ without __slots__ would give every
+    # node a __dict__ again; importing every module finds them all.
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    found, stack = set(), [Protocol]
+    while stack:
+        cls = stack.pop()
+        if cls.__module__.startswith("repro."):
+            found.add((cls.__module__, cls.__qualname__))
+        stack += cls.__subclasses__()
+    listed = {(cls.__module__, cls.__qualname__) for cls in PROTOCOL_CLASSES}
+    assert found == listed
+
+
 def test_hot_instances_reject_stray_attributes():
     net = from_spec("line:3", trace=False)
     node = net.nodes[0]
-    for obj in (node, node.ss, node.ncu, node.api, next(iter(net.links.values()))):
+    net.attach(lambda api: FloodingBroadcast(api, root=0))
+    for obj in (node, node.ss, node.ncu, node.api, node.protocol,
+                next(iter(net.links.values()))):
         with pytest.raises(AttributeError):
             obj.__not_a_slot__ = 1  # type: ignore[attr-defined]
 
@@ -142,3 +206,56 @@ def test_perf_shadow_classes_keep_dict(cls):
     assert "__slots__" not in cls.__dict__
     has_dict = any("__dict__" in base.__dict__ for base in cls.__mro__[:-1])
     assert has_dict, f"{cls.__name__} unexpectedly lost its instance __dict__"
+
+
+def test_attach_holds_no_bound_method_in_a_node_or_ncu():
+    # The protocol is the node's one attachment: the NCU dispatches
+    # through ``node.protocol`` and keeps no bound ``dispatch``.
+    import types
+
+    net = from_spec("grid:3,3", trace=False)
+    net.attach(lambda api: FloodingBroadcast(api, root=0))
+    for node in net.nodes.values():
+        for obj, cls in ((node, Node), (node.ncu, NCU)):
+            for slot in cls.__slots__:
+                value = getattr(obj, slot, None)
+                assert not isinstance(value, types.MethodType), (cls.__name__, slot)
+
+
+def test_attach_tracks_one_object_per_node():
+    # A slotted flood protocol is one tracked object per node: no
+    # __dict__, no set of seen keys, no bound method on the NCU.
+    import gc
+
+    net = from_spec("fat_tree:8", trace=False)
+    gc.collect()
+    before = len(gc.get_objects())
+    net.attach(lambda api: FloodingBroadcast(api, root=0))
+    gc.collect()
+    assert len(gc.get_objects()) - before <= net.n + 16
+
+
+def test_flood_protocol_state_and_run_peak_per_node():
+    # fat_tree:16 (1,344 nodes) flooded at C = 0.  Protocol state after
+    # attach reads 64 B/node on Python 3.11 (386 with a __dict__, a
+    # seen-key set and a bound dispatch per node); the traced run peak
+    # above the build reads 1,063 (1,630 with those, a tuple header per
+    # send and a fresh float per free hop).
+    import gc
+    import tracemalloc
+
+    net = from_spec("fat_tree:16", delays=FixedDelays(0.0, 1.0), trace=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net.attach(lambda api: FloodingBroadcast(api, root=0))
+        attached, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        net.start([0])
+        net.run_to_quiescence()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert net.metrics.system_calls == 4802
+    assert attached / net.n <= 100, f"{attached / net.n:.0f} B/node"
+    assert peak / net.n <= 1250, f"{peak / net.n:.0f} B/node"

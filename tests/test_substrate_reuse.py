@@ -73,7 +73,6 @@ def test_reset_restores_pristine_state() -> None:
         assert link.active
     for node in net.nodes.values():
         assert node.protocol is None
-        assert node.ncu.handler is None
         assert not node.ncu.busy
         assert node.ncu.queued == 0
         assert node.ss._groups == {}
@@ -174,7 +173,7 @@ def test_pool_acquire_hands_out_pristine_networks() -> None:
     assert again is net
     assert again.metrics.system_calls == 0
     assert again.scheduler.now == 0.0
-    assert all(node.ncu.handler is None for node in again.nodes.values())
+    assert all(node.protocol is None for node in again.nodes.values())
 
 
 def test_pool_eviction_is_bounded() -> None:
