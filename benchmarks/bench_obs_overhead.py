@@ -1,114 +1,61 @@
-"""E16 — the zero-overhead guarantee for dormant observability hooks.
+"""E16 — dormant observability hooks cost nothing measurable.
 
-PR 1 added three instrumentation surfaces to the hot path:
+Three hook sites stay on the hot path, each behind one guard that
+reads ``None`` (or an empty tuple) when nothing is installed:
 
-* the scheduler's observer hook (one truthiness check per fired event),
-* the scheduler's live-event accounting (an ``on_cancel`` slot set at
-  push time so ``pending_live`` is O(1)),
-* the network probe checks in the NCU and SS (one ``is not None`` per
-  system call / hop).
+* E16: the scheduler's observers, checked once per fired event in
+  ``Scheduler.run``;
+* E16c: credit flow control, checked once per hop in
+  ``SwitchingSubsystem._forward`` (``link.fc``);
+* E16d: the network probe, checked once per system call in
+  ``NCU._serve``.
 
-This bench proves the guarantee the instrumentation was designed
-around: with nothing installed, the event loop stays within noise
-(≤ 5%) of the seed scheduler loop.  ``SeedScheduler`` below is a
-faithful replica of the seed repo's run loop — same heap, same Event
-objects, no hooks — so the comparison isolates exactly the code added
-for observability.  A third measurement with a live observer installed
-reports (but does not bound) the enabled cost.
+Each gate row names a live method, the names its hook reads and a
+workload.  The comparison variant is generated from the live
+function's own source: an AST pass drops every statement that names a
+hook, the result is compiled in the defining module's globals, and it
+is swapped in on the class for the baseline runs.  So a gate times the
+real code path against itself minus exactly the hook, and no copy of
+a hot function has to follow the code it measures.  The PerfCounters
+handler timer has no row: it wraps ``Protocol.dispatch`` only while a
+registry is active, so a dormant run holds none of its code.
 
-Methodology: the workload is 64 self-rescheduling event chains (the
-shape real protocol runs produce) driven to ~40k events; variants are
-interleaved across repeats and the per-variant minimum is compared,
-which cancels machine-load drift.
+Methodology: variants are interleaved across repeats and the
+per-variant minimum is compared, which cancels machine-load drift.
+``tests/test_overhead_gates.py`` checks the rows without timing.
 """
 
 from __future__ import annotations
 
+import __future__
 import ast
-import difflib
-import heapq
 import inspect
 import textwrap
 import timeit
 from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 import pytest
-from conftest import emit
 
 from repro.hardware.ncu import NCU
-from repro.hardware.switch import SwitchingSubsystem, _deliver
-from repro.sim.events import Event
+from repro.hardware.switch import SwitchingSubsystem
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import TraceKind
 
 CHAINS = 64
 EVENTS_PER_CHAIN = 600
+FWD_LENGTH = 64
+FWD_PACKETS = 200
+FLOOD_SPEC = "complete:64"
 REPEATS = 7
 TOLERANCE = 1.05
 
 
-class SeedScheduler:
-    """Verbatim replica of the seed repo's scheduler (pre-observability).
-
-    Same heap, same Event objects, same per-event ``until`` /
-    ``max_events`` / ``stop_when`` checks and ``_drop_cancelled`` method
-    call the seed's run loop performed — but none of the hooks — so the
-    comparison isolates exactly the code added for observability.
-    """
-
-    def __init__(self) -> None:
-        self._queue: list[Event] = []
-        self._now = 0.0
-        self._seq = 0
-        self._events_processed = 0
-        self._running = False
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    def schedule(self, delay, action, *, priority=0, tag=""):
-        # The seq counter keeps FIFO order among equal (time, priority)
-        # events, as the seed's module-global event counter did.
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time=self._now + delay, priority=priority, seq=seq,
-                      action=action, tag=tag)
-        heapq.heappush(self._queue, event)
-        return event
-
-    def run(self, *, until=None, max_events=None, stop_when=None):
-        self._running = True
-        fired = 0
-        try:
-            while True:
-                self._drop_cancelled()
-                if not self._queue:
-                    break
-                event = self._queue[0]
-                if until is not None and event.time > until:
-                    self._now = max(self._now, until)
-                    break
-                heapq.heappop(self._queue)
-                self._now = event.time
-                event.action()
-                self._events_processed += 1
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    raise RuntimeError(f"exceeded max_events={max_events}")
-                if stop_when is not None and stop_when():
-                    break
-        finally:
-            self._running = False
-        return self._now
-
-    def _drop_cancelled(self) -> None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-
-
-def drive(scheduler) -> int:
-    """Run the chain workload on one scheduler; returns events fired."""
+# ----------------------------------------------------------------------
+# Workloads: each runs once and returns the events it fired
+# ----------------------------------------------------------------------
+def chains_workload() -> int:
+    """64 self-rescheduling event chains (the shape protocol runs make)."""
+    scheduler = Scheduler()
     remaining = [EVENTS_PER_CHAIN] * CHAINS
 
     def make_step(chain: int):
@@ -121,220 +68,11 @@ def drive(scheduler) -> int:
     for chain in range(CHAINS):
         scheduler.schedule(float(chain % 5), make_step(chain))
     scheduler.run()
-    return CHAINS * EVENTS_PER_CHAIN
-
-
-def measure(factory) -> float:
-    """Seconds for one workload run (fresh scheduler per call)."""
-    return timeit.timeit(lambda: drive(factory()), number=1)
-
-
-def hooked_disabled() -> Scheduler:
-    return Scheduler()
-
-
-def hooked_enabled() -> Scheduler:
-    sched = Scheduler()
-    counters = {"events": 0}
-
-    def observer(event: Event) -> None:
-        counters["events"] += 1
-
-    sched.add_observer(observer)
-    return sched
-
-
-def test_disabled_hooks_within_noise_of_seed_loop(capsys):
-    variants = {
-        "seed loop (replica)": SeedScheduler,
-        "hooks present, disabled": hooked_disabled,
-        "observer installed": hooked_enabled,
-    }
-    # Warm-up (bytecode, allocator, branch caches) before timing.
-    for factory in variants.values():
-        measure(factory)
-    best = {name: float("inf") for name in variants}
-    for _ in range(REPEATS):
-        for name, factory in variants.items():
-            best[name] = min(best[name], measure(factory))
-
-    events = CHAINS * EVENTS_PER_CHAIN
-    seed = best["seed loop (replica)"]
-    rows = [
-        [name, seconds * 1e9 / events, seconds / seed]
-        for name, seconds in best.items()
-    ]
-    emit(
-        capsys,
-        "E16: observability hook overhead on the scheduler loop "
-        f"({events} events, best of {REPEATS})",
-        ["variant", "ns_per_event", "vs_seed"],
-        rows,
-    )
-    ratio = best["hooks present, disabled"] / seed
-    assert ratio <= TOLERANCE, (
-        f"dormant observability hooks cost {ratio:.3f}x the seed loop "
-        f"(budget {TOLERANCE}x); the zero-overhead guarantee is broken"
-    )
-
-
-# ----------------------------------------------------------------------
-# E16b — the dormant NCU handler timer on the forwarding hot path
-# ----------------------------------------------------------------------
-# Scheduler, trace and hop counts reach ``PerfCounters`` through the
-# cold fold in ``Network.run``, so the one perf hook left on this path
-# is the handler timer in ``NCU._complete``.  ``_complete_noperf`` is
-# that function with exactly the timer lines removed — the same
-# methodology as SeedScheduler above, applied per function so the gate
-# isolates precisely the hook.
-
-FWD_LENGTH = 64
-FWD_PACKETS = 200
-FWD_REPEATS = 7
-
-
-def _complete_noperf(self, job):
-    node = self._node
-    net = node.net
-    ports = net.call_ports
-    ports.clear()
-    self.ports_used_this_call = ports
-    try:
-        node.protocol.dispatch(node.api, job)
-    finally:
-        self.ports_used_this_call = None
-        trace = net.trace
-        if trace.enabled:
-            trace.record(
-                net.scheduler.now,
-                TraceKind.NCU_JOB_END,
-                node.node_id,
-                job=job.accounting_kind,
-            )
-        self._busy = False
-        self._service_event = None
-        if self._queue:
-            self._begin_next()
-
-
-# ----------------------------------------------------------------------
-# E16c — dormant flow control on the forwarding hot path
-# ----------------------------------------------------------------------
-# Credit-based flow control on ``Link`` costs the free-hardware
-# forwarding path one ``fc = link.fc`` attribute load plus an
-# ``is not None`` check per hop when no limits are configured (the
-# default).  ``_forward_nofc`` is ``_forward`` with exactly those lines
-# removed, so the gate isolates precisely the flow-control check.
-
-
-def _forward_nofc(self, packet, link):
-    node = self._node
-    net = node.net
-    me = node.node_id
-    if not link.active:
-        net.metrics.count_drop("inactive_link")
-        trace = net.trace
-        if trace.enabled:
-            trace.record(
-                net.scheduler.now,
-                TraceKind.PACKET_DROPPED,
-                me,
-                packet=packet.seq,
-                reason="inactive_link",
-                link=link.key,
-            )
-        return
-
-    now = net.scheduler.now
-    delay = net.delays.hardware_delay(link.key, packet.seq)
-    arrival = link.fifo_arrival(me, now + delay if delay else now)
-    if link.node_u is node:
-        far, receiving_normal = link.node_v, link._normal_v
-    else:
-        far, receiving_normal = link.node_u, link._normal_u
-    packet.hops += 1
-    packet._reverse.append(receiving_normal)
-    net.metrics.count_hop(link)
-    trace = net.trace
-    if trace.enabled:
-        trace.record(
-            now,
-            TraceKind.PACKET_HOP,
-            me,
-            packet=packet.seq,
-            link=link.key,
-            to=far.node_id,
-        )
-    net.scheduler.schedule_at(arrival, _deliver, 0, "hop", (far.ss, packet, link))
-
-
-#: Each replica: the class and method it replaces, and the live lines it
-#: strips, as ``ast.unparse`` renders them.
-REPLICAS = {
-    "E16b": (NCU, "_complete", _complete_noperf, (
-        "perf = net.perf",
-        "t0 = _perf_counter() if perf is not None else 0.0",
-        "if perf is not None:",
-        "dt = _perf_counter() - t0",
-        "perf.ncu_jobs += 1",
-        "perf.ncu_handler_s += dt",
-        "perf.handler_us.add(dt * 1000000.0)",
-    )),
-    "E16c": (SwitchingSubsystem, "_forward", _forward_nofc, (
-        "fc = link.fc",
-        "if fc is not None:",
-        "link.fc_forward(me, packet)",
-        "return",
-    )),
-}
-
-
-def _body_lines(fn) -> list[str]:
-    """``fn``'s body without signature, docstring or comments.
-
-    ``ast.unparse`` normalises layout, so only code differences remain
-    (a keyword argument where the live code passes it by position still
-    shows).  Lines are returned without their indentation.
-    """
-    body = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].body
-    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-        body = body[1:]
-    return [line.strip() for line in ast.unparse(ast.Module(body, [])).splitlines()]
-
-
-@pytest.mark.parametrize("experiment", sorted(REPLICAS))
-def test_replica_is_live_code_minus_the_stripped_lines(experiment):
-    """Timing-free: a replica that drifts from its live function skews its gate."""
-    cls, name, replica, stripped = REPLICAS[experiment]
-    live, copy = _body_lines(cls.__dict__[name]), _body_lines(replica)
-    removed = []
-    matcher = difflib.SequenceMatcher(a=live, b=copy, autojunk=False)
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        assert tag in ("equal", "delete"), (
-            f"{replica.__name__} differs from {cls.__name__}.{name}: "
-            f"{live[i1:i2]} -> {copy[j1:j2]}"
-        )
-        if tag == "delete":
-            removed += live[i1:i2]
-    # Compared as multisets: a stripped line equal to a kept neighbour
-    # (a second ``return``) may align with either copy.
-    assert sorted(removed) == sorted(stripped)
-
-
-@contextmanager
-def _replaced(experiment):
-    """Swap the experiment's live method for its replica in this block."""
-    cls, name, replica, _ = REPLICAS[experiment]
-    live = cls.__dict__[name]
-    setattr(cls, name, replica)
-    try:
-        yield
-    finally:
-        setattr(cls, name, live)
+    return scheduler.events_processed
 
 
 def forwarding_workload() -> int:
-    """The hotpath_forwarding bench shape; returns events processed."""
+    """The hotpath_forwarding shape: 200 packets down a 64-node line."""
     from repro.hardware.anr import build_anr
     from repro.network.builder import from_spec
     from repro.network.protocol import Protocol
@@ -352,59 +90,148 @@ def forwarding_workload() -> int:
     return net.scheduler.events_processed
 
 
-def _measure_forwarding(experiment: str | None) -> float:
-    """Seconds for one forwarding run, with the replica in if named."""
-    if experiment is not None:
-        with _replaced(experiment):
-            return timeit.timeit(forwarding_workload, number=1)
-    return timeit.timeit(forwarding_workload, number=1)
+def flood_workload() -> int:
+    """A flood on a complete graph: 3,970 system calls on 64 nodes."""
+    from repro.core import FloodingBroadcast, run_standalone_broadcast
+    from repro.network.builder import from_spec
+    from repro.sim import FixedDelays
+
+    net = from_spec(FLOOD_SPEC, delays=FixedDelays(0.0, 1.0))
+    run_standalone_broadcast(net, lambda api: FloodingBroadcast(api, root=0), 0)
+    return net.scheduler.events_processed
 
 
-def _forwarding_ratio(capsys, experiment: str, title: str, labels) -> float:
-    """Best-of-``FWD_REPEATS`` live/replica ratio, variants interleaved."""
-    variants = {labels[0]: experiment, labels[1]: None}
-    events = forwarding_workload()  # also serves as warm-up
-    for variant in variants.values():
-        _measure_forwarding(variant)
-    best = {name: float("inf") for name in variants}
-    for _ in range(FWD_REPEATS):
-        for name, variant in variants.items():
-            best[name] = min(best[name], _measure_forwarding(variant))
+class Row(NamedTuple):
+    """One gate: ``cls.method`` timed with and without its ``hooks``."""
 
-    base = best[labels[0]]
-    rows = [
-        [name, seconds * 1e9 / events, seconds / base]
-        for name, seconds in best.items()
-    ]
+    experiment: str
+    cls: type
+    method: str
+    hooks: tuple[str, ...]
+    workload: Callable[[], int]
+
+
+ROWS = (
+    Row("E16", Scheduler, "run", ("observers",), chains_workload),
+    Row("E16c", SwitchingSubsystem, "_forward", ("fc",), forwarding_workload),
+    Row("E16d", NCU, "_serve", ("probe",), flood_workload),
+)
+
+
+# ----------------------------------------------------------------------
+# The generated variant
+# ----------------------------------------------------------------------
+def _names_hook(node: ast.AST, hooks: tuple[str, ...]) -> bool:
+    """Whether ``node``'s own code (not its nested statements) names a hook."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            continue
+        if isinstance(child, ast.Name) and child.id in hooks:
+            return True
+        if _names_hook(child, hooks):
+            return True
+    return False
+
+
+def _strip(node: ast.AST, hooks: tuple[str, ...]) -> int:
+    """Drop from ``node``'s blocks every statement that names a hook.
+
+    A compound statement whose header names one goes whole (``if fc is
+    not None:`` with its body); otherwise the pass recurses into its
+    blocks.  Returns how many statements were dropped.
+    """
+    dropped = 0
+    for field, value in ast.iter_fields(node):
+        if not isinstance(value, list):
+            continue
+        kept = []
+        for child in value:
+            if isinstance(child, ast.stmt) and _names_hook(child, hooks):
+                dropped += 1
+                continue
+            if isinstance(child, ast.AST):
+                dropped += _strip(child, hooks)
+            kept.append(child)
+        if len(kept) < len(value):
+            setattr(node, field, kept or [ast.Pass()])
+    return dropped
+
+
+def stripped_variant(row: Row) -> tuple[Callable, ast.FunctionDef, int]:
+    """``row``'s live method minus every statement naming a hook.
+
+    Returns the compiled function, its AST and the number of statements
+    dropped.  It is compiled in the defining module's globals, with the
+    live source's line numbers.
+    """
+    live = row.cls.__dict__[row.method]
+    if live.__code__.co_freevars:
+        raise TypeError(f"{row.cls.__name__}.{row.method} closes over "
+                        f"{live.__code__.co_freevars}; it cannot be recompiled")
+    tree = ast.parse(textwrap.dedent(inspect.getsource(live)))
+    func = tree.body[0]
+    func.decorator_list = []
+    dropped = _strip(func, row.hooks)
+    ast.fix_missing_locations(tree)  # a block left empty holds a new ``pass``
+    ast.increment_lineno(tree, live.__code__.co_firstlineno - 1)
+    code = compile(tree, inspect.getsourcefile(live), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace: dict = {}
+    exec(code, live.__globals__, namespace)
+    return namespace[row.method], func, dropped
+
+
+@contextmanager
+def swapped(cls: type, name: str, fn: Callable):
+    """``cls.name`` replaced by ``fn`` in this block."""
+    live = cls.__dict__[name]
+    setattr(cls, name, fn)
+    try:
+        yield
+    finally:
+        setattr(cls, name, live)
+
+
+# ----------------------------------------------------------------------
+# The gate
+# ----------------------------------------------------------------------
+def _measure(row: Row, fn: Callable) -> float:
+    """Seconds for one workload run with ``fn`` as the row's method."""
+    with swapped(row.cls, row.method, fn):
+        return timeit.timeit(row.workload, number=1)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.experiment)
+def test_dormant_hook_within_noise(row, capsys):
+    from conftest import emit
+
+    target = f"{row.cls.__name__}.{row.method}"
+    stripped, _, _ = stripped_variant(row)
+    variants = {
+        f"{', '.join(row.hooks)} stripped (generated)": stripped,
+        f"{', '.join(row.hooks)} present, dormant": row.cls.__dict__[row.method],
+    }
+    events = row.workload()
+    for fn in variants.values():  # warm-up
+        _measure(row, fn)
+    best = dict.fromkeys(variants, float("inf"))
+    for _ in range(REPEATS):
+        for label, fn in variants.items():
+            best[label] = min(best[label], _measure(row, fn))
+
+    base, live = best.values()
     emit(
         capsys,
-        f"{experiment}: {title} on hotpath_forwarding "
-        f"({events} events, best of {FWD_REPEATS})",
+        f"{row.experiment}: dormant hook overhead in {target} "
+        f"({events} events, best of {REPEATS})",
         ["variant", "ns_per_event", "vs_stripped"],
-        rows,
+        [[label, seconds * 1e9 / events, seconds / base]
+         for label, seconds in best.items()],
     )
-    return best[labels[1]] / base
-
-
-def test_dormant_perf_counters_within_noise_on_forwarding(capsys):
-    ratio = _forwarding_ratio(
-        capsys, "E16b", "dormant NCU handler-timer overhead",
-        ("handler timer stripped (replica)", "handler timer present, dormant"),
-    )
+    ratio = live / base
     assert ratio <= TOLERANCE, (
-        f"the dormant NCU handler timer costs {ratio:.3f}x the stripped hot "
-        f"path (budget {TOLERANCE}x); the ≤5% attribution guarantee is broken"
-    )
-
-
-def test_dormant_flow_control_within_noise_on_forwarding(capsys):
-    ratio = _forwarding_ratio(
-        capsys, "E16c", "dormant flow-control overhead",
-        ("fc check stripped (replica)", "fc check present, dormant"),
-    )
-    assert ratio <= TOLERANCE, (
-        f"the dormant flow-control check costs {ratio:.3f}x the stripped "
-        f"hot path (budget {TOLERANCE}x); free hardware must stay free"
+        f"{row.experiment}: the dormant {'/'.join(row.hooks)} check costs "
+        f"{ratio:.3f}x {target} without it (budget {TOLERANCE}x)"
     )
 
 

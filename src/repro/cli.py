@@ -1379,6 +1379,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"flight recorder dumped to {path} (uncaught exception)",
                   file=sys.stderr)
         raise
+    finally:
+        # SIGUSR1 goes back: its handler holds the recorder and network.
+        recorder = getattr(args, "_recorder", None)
+        if recorder is not None:
+            recorder.uninstall_signal()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -337,12 +337,8 @@ class Link:
         net = self.node_u.net
         sender_id = state.sender
         if not self.active:
-            net.metrics.count_drop("inactive_link")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(net.scheduler.now, TraceKind.PACKET_DROPPED,
-                             sender_id, packet=packet.seq,
-                             reason="inactive_link", link=self.key)
+            sender = self.node_u if sender_id == self._u_id else self.node_v
+            sender.ss.drop(packet, "inactive_link", link=self.key)
             return
         now = net.scheduler.now
         delay = net.delays.hardware_delay(self.key, packet.seq)

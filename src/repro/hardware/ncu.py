@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from time import perf_counter as _perf_counter
 from typing import TYPE_CHECKING, Any
 
 from ..sim.errors import ProtocolError
@@ -172,7 +171,7 @@ class NodeApi:
         group's member links here.  Installing happens inside the
         current system call — it is the software action that provisions
         hardware state, so it costs nothing extra beyond the call that
-        performs it.
+        makes it.
         """
         node = self._node
         links = tuple(node.link_to(v) for v in child_neighbors)
@@ -437,19 +436,13 @@ class NCU:
         ports = net.call_ports
         ports.clear()
         self.ports_used_this_call = ports
-        perf = net.perf
-        t0 = _perf_counter() if perf is not None else 0.0
         try:
             # Looked up on the attached instance at every job: no NCU
             # keeps a bound method, and a ``dispatch`` replaced on the
-            # class takes effect at once.
+            # class (the handler timer of an active ``PerfCounters``)
+            # takes effect at once.
             node.protocol.dispatch(node.api, job)
         finally:
-            if perf is not None:
-                dt = _perf_counter() - t0
-                perf.ncu_jobs += 1
-                perf.ncu_handler_s += dt
-                perf.handler_us.add(dt * 1e6)
             self.ports_used_this_call = None
             trace = net.trace
             if trace.enabled:

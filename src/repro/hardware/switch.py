@@ -33,8 +33,8 @@ the per-hop cycle and must be allocation-free in steady state:
 * trace records are guarded on ``trace.enabled`` so a disabled trace
   costs one attribute load, not a kwargs dict;
 * the hop is counted once, on the link (``Link.hops``, through the
-  metrics layer): perf counters and live stats read that count instead
-  of hooking the hop themselves;
+  metrics layer): ``PerfCounters`` and live stats read that count
+  instead of hooking the hop themselves;
 * a zero hardware delay (the limiting model, and the CLI's ``--C 0``)
   proposes ``now`` itself as the arrival, so a free hop allocates no
   time of its own;
@@ -45,7 +45,7 @@ the per-hop cycle and must be allocation-free in steady state:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..sim.trace import TraceKind
 from .ids import NCU_ID, LinkIdSpace
@@ -153,16 +153,7 @@ class SwitchingSubsystem:
         # cyclic group drops its packets instead of replicating forever.
         if packet.hops >= self._node.net.dmax:
             if links:
-                net.metrics.count_drop("group_hop_limit")
-                trace = net.trace
-                if trace.enabled:
-                    trace.record(
-                        net.scheduler.now,
-                        TraceKind.PACKET_DROPPED,
-                        me,
-                        packet=packet.seq,
-                        reason="group_hop_limit",
-                    )
+                self.drop(packet, "group_hop_limit")
             return
         remainder = packet.header[packet.header_pos:]
         for link in links:
@@ -186,16 +177,7 @@ class SwitchingSubsystem:
         header = packet.header
         pos = packet.header_pos
         if pos >= len(header):
-            net.metrics.count_drop("header_exhausted")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    me,
-                    packet=packet.seq,
-                    reason="header_exhausted",
-                )
+            self.drop(packet, "header_exhausted")
             return
 
         next_id = header[pos]
@@ -232,17 +214,7 @@ class SwitchingSubsystem:
         if link is not None:
             self._forward(packet, link)
         elif not to_ncu:
-            net.metrics.count_drop("unroutable_id")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    me,
-                    packet=packet.seq,
-                    reason="unroutable_id",
-                    id=next_id,
-                )
+            self.drop(packet, "unroutable_id", id=next_id)
 
     def _forward(self, packet: Packet, link: Link) -> None:
         """Send the packet onward over one link, charging the C delay."""
@@ -250,17 +222,7 @@ class SwitchingSubsystem:
         net = node.net
         me = node.node_id
         if not link.active:
-            net.metrics.count_drop("inactive_link")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    me,
-                    packet=packet.seq,
-                    reason="inactive_link",
-                    link=link.key,
-                )
+            self.drop(packet, "inactive_link", link=link.key)
             return
 
         fc = link.fc
@@ -299,20 +261,28 @@ class SwitchingSubsystem:
         A link that went down while the packet was in flight loses it.
         """
         if not link.active:
-            net = self._node.net
-            net.metrics.count_drop("inactive_link")
-            trace = net.trace
-            if trace.enabled:
-                trace.record(
-                    net.scheduler.now,
-                    TraceKind.PACKET_DROPPED,
-                    self._node.node_id,
-                    packet=packet.seq,
-                    reason="inactive_link",
-                    link=link.key,
-                )
+            self.drop(packet, "inactive_link", link=link.key)
             return
         self.receive(packet, link)
+
+    def drop(self, packet: Packet, reason: str, **detail: Any) -> None:
+        """Lose ``packet`` here: count the drop and trace it.
+
+        The record's detail is ``packet``, ``reason``, then ``detail``
+        (the dead ``link`` or the unroutable ``id``), in that order.
+        """
+        net = self._node.net
+        net.metrics.count_drop(reason)
+        trace = net.trace
+        if trace.enabled:
+            trace.record(
+                net.scheduler.now,
+                TraceKind.PACKET_DROPPED,
+                self._node.node_id,
+                packet=packet.seq,
+                reason=reason,
+                **detail,
+            )
 
 
 #: The hop payload, scheduled with the far SS as its first argument, so

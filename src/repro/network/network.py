@@ -53,8 +53,8 @@ class Network:
     #: Perf-counter registry (see :mod:`repro.obs.perf`).  A class
     #: attribute set by ``PerfCounters.activate()``, so it reaches every
     #: network — including those built inside campaign task functions.
-    #: ``None`` means dormant: the NCU and flow-control hooks then pay
-    #: one attribute load + identity check each.
+    #: Read by :meth:`run`, its fold, the substrate pool and the opt-in
+    #: flow-control path; no hop or system call reads it.
     perf: Any = None
 
     def __init__(

@@ -3,8 +3,10 @@
 Built on top of the :class:`~repro.sim.trace.Trace` flight recorder and
 the substrate's probe hooks.  Everything here is *pull*: the simulator
 never imports this package, so observability can evolve without
-touching the hot path (whose only concession is one ``is not None``
-check per hook site — see ``benchmarks/bench_obs_overhead.py``).
+touching the hot path.  Its only concession is one dormant guard per
+hook site: the scheduler's observers, the NCU's probe and the switch's
+flow-control check, each gated against the same function without it
+in ``benchmarks/bench_obs_overhead.py``.
 """
 
 from .. import _lazy

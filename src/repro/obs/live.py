@@ -19,9 +19,10 @@ Collected measures:
 * hop counts per link (read from the network's metrics, not re-counted),
 * queue occupancy and credit-stall times on flow-controlled links.
 
-When nothing is installed the hooks cost the substrate one attribute
-load and one identity check per event — see ``bench_obs_overhead.py``
-for the proof.
+When nothing is installed the hooks cost the substrate one truthiness
+check per event and one identity check per system call;
+``benchmarks/bench_obs_overhead.py`` gates both (E16, E16d) against
+the live functions with the check stripped.
 """
 
 from __future__ import annotations

@@ -6,14 +6,13 @@ Two complementary tools, both dormant-by-default:
   and wall-clock timers (scheduler push/pop, SS hops, NCU job service,
   trace emission, substrate build/reset).  Most are a read-out of
   counts the scheduler, metrics and trace keep anyway, folded in by
-  ``Network.run()`` and ``reset()``; hooks remain only where the data
-  exists nowhere else (the NCU handler timer, the opt-in flow-control
-  path, the substrate pool).  Dormant, a hook costs one attribute load
-  plus one identity check (``benchmarks/bench_obs_overhead.py`` gates
-  the NCU timer at ≤5%).  Counters of parallel campaign workers merge
-  losslessly (:meth:`PerfCounters.merge`), including the NCU handler
-  wall-time histogram, whose bin bounds are fixed process-wide for
-  exactly that reason.
+  ``Network.run()`` and ``reset()``; the NCU handler timer wraps
+  ``Protocol.dispatch`` from the outside; hooks remain only on cold or
+  opt-in paths (flow control, the substrate pool).  Counters of
+  parallel campaign workers merge losslessly
+  (:meth:`PerfCounters.merge`), including the NCU handler wall-time
+  histogram, whose bin bounds are fixed process-wide for exactly that
+  reason.
 
 * :class:`SamplingProfiler` — a thread-based stack sampler (configurable
   Hz) that emits collapsed-stack text and speedscope JSON flamegraphs.
@@ -23,12 +22,13 @@ Two complementary tools, both dormant-by-default:
   the pre-chosen subsystems.
 
 Activation has one scope: ``counters.activate()`` (or ``with
-counters:``) sets the ``Network.perf`` class attribute, so every network
-in this process feeds the registry — how campaign workers attribute
-whole tasks.  ``PerfCounters.deactivate()`` undoes it.
-
-The simulator still never imports this package: the hot path only
-pattern-matches on a ``perf`` attribute that defaults to ``None``.
+counters:``) sets the ``Network.perf`` class attribute and wraps
+``Protocol.dispatch``, so every network in this process feeds the
+registry — how campaign workers attribute whole tasks.
+``PerfCounters.deactivate()`` undoes the latest activation; an outer
+registry collects again once an inner one exits.  The simulator never
+imports this package, and with no registry active no hot path holds
+any of its code.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from time import perf_counter as _perf_counter
 from typing import Any, Callable, Mapping
 
 from ..metrics.report import format_table
@@ -56,9 +57,9 @@ OCCUPANCY_BOUNDS: tuple[float, ...] = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
 )
 
-#: Monotonic event counters.  The first five are folded from the
-#: scheduler, metrics and trace (:meth:`PerfCounters.fold`); the rest
-#: are fed by hooks.
+#: Monotonic event counters.  Five are folded from the scheduler,
+#: metrics and trace (:meth:`PerfCounters.fold`), ``ncu_jobs`` is
+#: counted by the ``dispatch`` wrapper, and the rest are fed by hooks.
 COUNTER_FIELDS = (
     "sched_push",
     "sched_pop",
@@ -82,6 +83,10 @@ TIMER_FIELDS = (
     "substrate_build_s",
     "substrate_reset_s",
 )
+
+#: One entry per active registry, innermost last: the ``Network.perf``
+#: and the ``Protocol.dispatch`` its activation replaced.
+_ACTIVATIONS: list[tuple[Any, Callable[..., None]]] = []
 
 
 class PerfCounters:
@@ -116,18 +121,45 @@ class PerfCounters:
     # Activation
     # ------------------------------------------------------------------
     def activate(self) -> "PerfCounters":
-        """Collect from every network in this process; returns self."""
-        from ..network.network import Network
+        """Collect from every network in this process; returns self.
 
+        Sets ``Network.perf`` and wraps ``Protocol.dispatch``, which the
+        NCU looks up on the protocol at every job, in the handler timer
+        (``ncu_jobs``, ``ncu_handler_s``, ``handler_us``).  A subclass
+        that overrides ``dispatch`` is timed where it calls the base
+        one.  Each activation wraps the untimed function, so nested
+        registries never time a job twice.
+        """
+        from ..network.network import Network
+        from ..network.protocol import Protocol
+
+        dispatch = Protocol.__dict__["dispatch"]
+        untimed = _ACTIVATIONS[0][1] if _ACTIVATIONS else dispatch
+
+        def timed_dispatch(protocol: Any, api: Any, job: Any) -> None:
+            t0 = _perf_counter()
+            try:
+                untimed(protocol, api, job)
+            finally:
+                dt = _perf_counter() - t0
+                self.ncu_jobs += 1
+                self.ncu_handler_s += dt
+                self.handler_us.add(dt * 1e6)
+
+        _ACTIVATIONS.append((Network.perf, dispatch))
         Network.perf = self
+        Protocol.dispatch = timed_dispatch
         return self
 
     @staticmethod
     def deactivate() -> None:
-        """Undo :meth:`activate` for whatever registry is active."""
+        """Undo the latest :meth:`activate` (a no-op when none is active)."""
+        if not _ACTIVATIONS:
+            return
         from ..network.network import Network
+        from ..network.protocol import Protocol
 
-        Network.perf = None
+        Network.perf, Protocol.dispatch = _ACTIVATIONS.pop()
 
     def __enter__(self) -> "PerfCounters":
         return self.activate()

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core import FloodingBroadcast, run_standalone_broadcast
 from repro.exec.engine import run_campaign
 from repro.exec.task import TaskSpec
+from repro.network import Network, Protocol
 from repro.network.builder import from_spec
 from repro.obs import (
     CampaignManifest,
@@ -185,6 +186,32 @@ def test_global_activation_captures_networks_built_later():
     # Deactivated: later runs are invisible.
     _run_flood(_flood_net("ring:8"))
     assert counters.sched_pop == total
+
+
+def test_nested_activation_gives_the_outer_registry_back():
+    net = _flood_net("ring:8")
+    _run_flood(net)
+    calls = net.metrics.snapshot().system_calls
+    untimed = Protocol.__dict__["dispatch"]
+    with PerfCounters() as outer:
+        outer_dispatch = Protocol.__dict__["dispatch"]
+        assert outer_dispatch is not untimed
+        with PerfCounters() as inner:
+            _run_flood(_flood_net("ring:8"))
+        assert Network.perf is outer
+        assert Protocol.__dict__["dispatch"] is outer_dispatch
+        _run_flood(_flood_net("ring:8"))
+        # A serial campaign activates one registry per task.
+        run_campaign(_mc_specs(1), jobs=1, perf=True)
+        assert Network.perf is outer
+        assert Protocol.__dict__["dispatch"] is outer_dispatch
+        _run_flood(_flood_net("ring:8"))
+    assert Network.perf is None and Protocol.__dict__["dispatch"] is untimed
+    PerfCounters.deactivate()  # nothing active: a no-op
+    assert Network.perf is None and Protocol.__dict__["dispatch"] is untimed
+    # Each job is timed once, by the innermost active registry.
+    assert inner.ncu_jobs == inner.handler_us.count == calls
+    assert outer.ncu_jobs == outer.handler_us.count == 2 * calls
 
 
 def test_alloc_snapshot_requires_tracking():

@@ -28,7 +28,7 @@ from repro.obs import (
     records_from_jsonl,
     render_timeline,
 )
-from repro.sim import FixedDelays
+from repro.sim import FixedDelays, Scheduler
 from repro.sim.trace import TraceKind
 
 
@@ -210,6 +210,34 @@ def test_flight_recorder_alone_arms_it(tmp_path, capsys, command):
     code = main([command, "--topology", "ring:8", "--flight-recorder", str(path)])
     assert code == 0
     assert "flight recorder armed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+def test_cli_gives_sigusr1_back_when_the_command_ends(
+    tmp_path, capsys, monkeypatch, crash
+):
+    # The handler keeps its recorder and network alive: a second run in
+    # the same process must not chain onto the first one's.
+    def before(signo, frame):
+        pass
+
+    def boom(self, **kwargs):
+        raise RuntimeError("boom")
+
+    path = tmp_path / "fr.jsonl"
+    argv = ["broadcast", "--topology", "grid:3,3", "--flight-recorder", str(path)]
+    previous = signal.signal(signal.SIGUSR1, before)
+    try:
+        if crash:
+            monkeypatch.setattr(Scheduler, "run", boom)
+            with pytest.raises(RuntimeError, match="boom"):
+                main(argv)
+            assert path.exists()  # the crash dump comes first
+        else:
+            assert main(argv) == 0
+        assert signal.getsignal(signal.SIGUSR1) is before
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
 
 
 @pytest.mark.parametrize("command", ["broadcast", "election", "converge"])
