@@ -20,9 +20,15 @@ a hot function has to follow the code it measures.  The PerfCounters
 handler timer has no row: it wraps ``Protocol.dispatch`` only while a
 registry is active, so a dormant run holds none of its code.
 
-Methodology: variants are interleaved across repeats and the
-per-variant minimum is compared, which cancels machine-load drift.
-``tests/test_overhead_gates.py`` checks the rows without timing.
+Methodology: the live method and its variant are timed in
+interleaved pairs, and which of the two runs first alternates from pair
+to pair.  The gate is the median of the per-pair ratios live/variant.
+A pair's two runs see the same machine phase, so host drift cancels
+within the pair and a first-run or second-run advantage cancels across
+pairs; the median ignores the pairs an outside burst lands on.  The
+quartiles of the ratios are printed as the run's measured noise band.
+``tests/test_overhead_gates.py`` checks the rows and the pairing
+without timing.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import __future__
 import ast
 import inspect
 import textwrap
+import statistics
 import timeit
 from contextlib import contextmanager
 from typing import Callable, NamedTuple
@@ -46,7 +53,7 @@ EVENTS_PER_CHAIN = 600
 FWD_LENGTH = 64
 FWD_PACKETS = 200
 FLOOD_SPEC = "complete:64"
-REPEATS = 7
+PAIRS = 21
 TOLERANCE = 1.05
 
 
@@ -201,37 +208,52 @@ def _measure(row: Row, fn: Callable) -> float:
         return timeit.timeit(row.workload, number=1)
 
 
+def paired_times(live: Callable[[], float], base: Callable[[], float],
+                 pairs: int = PAIRS) -> list[tuple[float, float]]:
+    """``pairs`` interleaved ``(live, base)`` timings; pair ``i`` runs
+    ``live`` first when ``i`` is even and ``base`` first when it is odd."""
+    times = []
+    for i in range(pairs):
+        if i % 2:
+            b = base()
+            t = live()
+        else:
+            t = live()
+            b = base()
+        times.append((t, b))
+    return times
+
+
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.experiment)
 def test_dormant_hook_within_noise(row, capsys):
     from conftest import emit
 
     target = f"{row.cls.__name__}.{row.method}"
     stripped, _, _ = stripped_variant(row)
-    variants = {
-        f"{', '.join(row.hooks)} stripped (generated)": stripped,
-        f"{', '.join(row.hooks)} present, dormant": row.cls.__dict__[row.method],
-    }
+    live_fn = row.cls.__dict__[row.method]
     events = row.workload()
-    for fn in variants.values():  # warm-up
-        _measure(row, fn)
-    best = dict.fromkeys(variants, float("inf"))
-    for _ in range(REPEATS):
-        for label, fn in variants.items():
-            best[label] = min(best[label], _measure(row, fn))
-
-    base, live = best.values()
+    _measure(row, live_fn)  # warm-up
+    _measure(row, stripped)
+    times = paired_times(lambda: _measure(row, live_fn),
+                         lambda: _measure(row, stripped))
+    # The middle quartile is the median: the gated figure.
+    low, ratio, high = statistics.quantiles([t / b for t, b in times], n=4)
+    hooks = ", ".join(row.hooks)
     emit(
         capsys,
         f"{row.experiment}: dormant hook overhead in {target} "
-        f"({events} events, best of {REPEATS})",
-        ["variant", "ns_per_event", "vs_stripped"],
-        [[label, seconds * 1e9 / events, seconds / base]
-         for label, seconds in best.items()],
+        f"({events} events, median of {PAIRS} alternating pairs)",
+        ["variant", "ns_per_event", "vs_stripped", "pair_ratio_quartiles"],
+        [[f"{hooks} stripped (generated)",
+          statistics.median(b for _, b in times) * 1e9 / events, 1.0, "-"],
+         [f"{hooks} present, dormant",
+          statistics.median(t for t, _ in times) * 1e9 / events,
+          ratio, f"{low:.3f}-{high:.3f}"]],
     )
-    ratio = live / base
     assert ratio <= TOLERANCE, (
         f"{row.experiment}: the dormant {'/'.join(row.hooks)} check costs "
-        f"{ratio:.3f}x {target} without it (budget {TOLERANCE}x)"
+        f"{ratio:.3f}x {target} without it, median of {PAIRS} pairs "
+        f"(quartiles {low:.3f}-{high:.3f}; budget {TOLERANCE}x)"
     )
 
 

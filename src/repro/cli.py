@@ -86,8 +86,9 @@ def _broadcast(scheme: str, net, root):
 
         protocol = BranchingPathsBroadcast if scheme == "bpaths" else DirectBroadcast
     adjacency = net.adjacency()
+    ids = net.id_lookup  # one bound method for every node's protocol
     return run_standalone_broadcast(
-        net, lambda api: protocol(api, root=root, adjacency=adjacency, ids=net.id_lookup), root
+        net, lambda api: protocol(api, root=root, adjacency=adjacency, ids=ids), root
     )
 
 

@@ -202,7 +202,8 @@ def run_call(
     payloads: Sequence[Any] = ("hello",),
 ) -> CallTrace:
     """Set up a call over ``route``, send data, and report phase costs."""
-    net.attach(lambda api: CallManager(api, ids=net.id_lookup))
+    ids = net.id_lookup
+    net.attach(lambda api: CallManager(api, ids=ids))
     originator = route[0]
 
     before = net.metrics.snapshot()

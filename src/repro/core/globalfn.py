@@ -164,10 +164,9 @@ def run_tree_aggregation(
     max_events: int = 5_000_000,
 ) -> AggregationRun:
     """Attach, trigger all nodes at time 0, run, and collect the result."""
+    ids = net.id_lookup
     net.attach(
-        lambda api: TreeAggregation(
-            api, tree=tree, op=op, inputs=inputs, ids=net.id_lookup
-        )
+        lambda api: TreeAggregation(api, tree=tree, op=op, inputs=inputs, ids=ids)
     )
     before = net.metrics.snapshot()
     net.start()

@@ -163,9 +163,10 @@ def run_group_multicast(
     """Drive setup then one multicast per body; return phase-split costs."""
     adjacency = net.adjacency()
     group_id = net.allocate_group_id()
+    ids = net.id_lookup
     net.attach(
         lambda api: GroupMulticast(
-            api, root=root, adjacency=adjacency, ids=net.id_lookup, group_id=group_id
+            api, root=root, adjacency=adjacency, ids=ids, group_id=group_id
         )
     )
     before = net.metrics.snapshot()

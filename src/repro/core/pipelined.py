@@ -139,9 +139,10 @@ def run_pipelined_broadcast(
 ) -> StreamRun:
     """Stream ``bodies`` from ``root``; return makespan and costs."""
     adjacency = net.adjacency()
+    ids = net.id_lookup
     net.attach(
         lambda api: PipelinedBroadcast(
-            api, root=root, adjacency=adjacency, ids=net.id_lookup, bodies=bodies
+            api, root=root, adjacency=adjacency, ids=ids, bodies=bodies
         )
     )
     before = net.metrics.snapshot()
@@ -163,12 +164,13 @@ def run_stop_and_wait(
     from .broadcast import BranchingPathsBroadcast
 
     adjacency = net.adjacency()
+    ids = net.id_lookup
     before = net.metrics.snapshot()
     t0 = net.scheduler.now
     for body in bodies:
         net.attach(
             lambda api: BranchingPathsBroadcast(
-                api, root=root, adjacency=adjacency, ids=net.id_lookup, body=body
+                api, root=root, adjacency=adjacency, ids=ids, body=body
             )
         )
         net.start([root])

@@ -119,11 +119,14 @@ class LinkInfo:
 class Link:
     """The mutable link object owned by the network.
 
-    Memory layout: the per-endpoint ID pairs and the per-direction FIFO
-    watermarks are scalar slots, not dicts — at 10⁴–10⁵ links the two
-    dicts the old layout carried per link dominated per-link memory.
-    Endpoint dispatch is two equality compares instead of a dict lookup,
-    which is also faster on the ``fifo_arrival`` hot path.
+    Memory layout: ten slots.  The endpoint IDs are read off
+    ``node_u`` and ``node_v``, and each side's copy ID is its normal ID
+    with the network's copy bit set (``flag | normal``), so only the
+    normal IDs are stored.  The per-direction FIFO watermarks are
+    scalar slots too, not dicts — at 10⁴–10⁵ links the two dicts the
+    old layout carried per link dominated per-link memory.  Endpoint
+    dispatch is an equality compare instead of a dict lookup, which is
+    also faster on the ``fifo_arrival`` hot path.
     """
 
     __slots__ = (
@@ -132,12 +135,8 @@ class Link:
         "active",
         "key",
         "fc",
-        "_u_id",
-        "_v_id",
         "_normal_u",
-        "_copy_u",
         "_normal_v",
-        "_copy_v",
         "_arrival_u",
         "_arrival_v",
         "hops",
@@ -149,19 +148,13 @@ class Link:
         node_v: Any,
         *,
         normal_at_u: int,
-        copy_at_u: int,
         normal_at_v: int,
-        copy_at_v: int,
         key: tuple[Any, Any] | None = None,
     ) -> None:
         self.node_u = node_u
         self.node_v = node_v
-        self._u_id = node_u.node_id
-        self._v_id = node_v.node_id
         self._normal_u = normal_at_u
-        self._copy_u = copy_at_u
         self._normal_v = normal_at_v
-        self._copy_v = copy_at_v
         self.active = True
         #: Canonical undirected identifier ``(min, max)`` of endpoints.
         #: Computed once here — the forwarding hot path reads it per hop
@@ -198,32 +191,36 @@ class Link:
 
     def ids_at(self, node_id: Any) -> tuple[int, int]:
         """``(normal, copy)`` IDs of this link at the given endpoint."""
-        if node_id == self._u_id:
-            return (self._normal_u, self._copy_u)
-        if node_id == self._v_id:
-            return (self._normal_v, self._copy_v)
+        flag = self.node_u.ss._copy_flag
+        if node_id == self.node_u.node_id:
+            return (self._normal_u, flag | self._normal_u)
+        if node_id == self.node_v.node_id:
+            return (self._normal_v, flag | self._normal_v)
         raise KeyError(f"node {node_id} is not an endpoint of link {self.key}")
 
     def info_at(self, node_id: Any) -> LinkInfo:
         """The :class:`LinkInfo` snapshot as seen from ``node_id``."""
-        if node_id == self._u_id:
+        u_id = self.node_u.node_id
+        v_id = self.node_v.node_id
+        flag = self.node_u.ss._copy_flag
+        if node_id == u_id:
             return LinkInfo(
-                u=self._u_id,
-                v=self._v_id,
+                u=u_id,
+                v=v_id,
                 normal_at_u=self._normal_u,
-                copy_at_u=self._copy_u,
+                copy_at_u=flag | self._normal_u,
                 normal_at_v=self._normal_v,
-                copy_at_v=self._copy_v,
+                copy_at_v=flag | self._normal_v,
                 active=self.active,
             )
-        if node_id == self._v_id:
+        if node_id == v_id:
             return LinkInfo(
-                u=self._v_id,
-                v=self._u_id,
+                u=v_id,
+                v=u_id,
                 normal_at_u=self._normal_v,
-                copy_at_u=self._copy_v,
+                copy_at_u=flag | self._normal_v,
                 normal_at_v=self._normal_u,
-                copy_at_v=self._copy_u,
+                copy_at_v=flag | self._normal_u,
                 active=self.active,
             )
         raise KeyError(f"node {node_id} is not an endpoint of link {self.key}")
@@ -256,7 +253,7 @@ class Link:
         prevents a later packet overtaking an earlier one, which the
         model forbids (FIFO links, required in Section 5).
         """
-        if sender_id == self._u_id:
+        if sender_id == self.node_u.node_id:
             last = self._arrival_u
             arrival = proposed if proposed >= last else last
             self._arrival_u = arrival
@@ -337,7 +334,7 @@ class Link:
         net = self.node_u.net
         sender_id = state.sender
         if not self.active:
-            sender = self.node_u if sender_id == self._u_id else self.node_v
+            sender = self.node_u if sender_id == self.node_u.node_id else self.node_v
             sender.ss.drop(packet, "inactive_link", link=self.key)
             return
         now = net.scheduler.now
@@ -357,7 +354,7 @@ class Link:
         traverse = arrival - requested_at
         if traverse > state.max_delay:
             state.max_delay = traverse
-        if sender_id == self._u_id:
+        if sender_id == self.node_u.node_id:
             far, receiving_normal = self.node_v, self._normal_v
         else:
             far, receiving_normal = self.node_u, self._normal_u

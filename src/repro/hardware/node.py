@@ -138,7 +138,6 @@ class Node:
             origin=self.node_id,
             header=header,
             payload=payload,
-            injected_at=self.net.scheduler.now,
         )
         self.net.metrics.count_injection(self.node_id, len(header))
         trace = self.net.trace

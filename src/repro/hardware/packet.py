@@ -26,6 +26,10 @@ that hardware switching is nearly free.  So:
   the internal ``_reverse`` list; the paper-ordered tuple (most recent
   hop first) is materialised only when :attr:`reverse_anr` is read —
   i.e. at delivery / ``reply_route`` time, never per hop.
+* a delivered copy never moves again, so :meth:`Packet.delivery_copy`
+  freezes its reverse route as a tuple: at the flood's peak tens of
+  thousands of copies wait in NCU queues, and a tuple is the smaller
+  container.  A multicast-group branch keeps moving and gets a list.
 
 ``header_pos`` and ``_reverse`` are internal to the hardware layer (see
 ``docs/API.md``): protocols should read :attr:`remaining_header` and
@@ -56,8 +60,6 @@ class Packet:
         message content.
     hops:
         Links traversed so far.
-    injected_at:
-        Simulated time of injection.
     header_pos:
         Cursor into ``header``: IDs before it have been consumed by
         switches.  Internal — use :attr:`remaining_header`.
@@ -68,11 +70,11 @@ class Packet:
     header: tuple[int, ...]
     payload: Any
     hops: int = 0
-    injected_at: float = 0.0
     header_pos: int = 0
-    #: Receiving-side normal IDs in hop order (oldest first); internal —
-    #: read :attr:`reverse_anr` for the paper's most-recent-first view.
-    _reverse: list[int] = field(default_factory=list)
+    #: Receiving-side normal IDs in hop order (oldest first): a list in
+    #: flight, a tuple once delivered.  Internal — read
+    #: :attr:`reverse_anr` for the paper's most-recent-first view.
+    _reverse: list[int] | tuple[int, ...] = field(default_factory=list)
     _header_len_at_injection: int | None = None
 
     def __post_init__(self) -> None:
@@ -106,7 +108,8 @@ class Packet:
         """Snapshot handed to an NCU when a copy ID (or the NCU ID) fires.
 
         The in-flight packet object keeps moving, so the NCU gets its
-        own frozen view of the remaining header and reverse path.
+        own frozen view of the remaining header and reverse path; the
+        reverse path is a tuple, since a delivered copy never moves.
         Hand-rolled rather than ``dataclasses.replace`` — this runs once
         per selective copy and ``replace`` re-enters ``__init__`` /
         ``__post_init__`` with keyword plumbing the hot path can't afford.
@@ -117,8 +120,7 @@ class Packet:
         copy.header = self.header
         copy.payload = self.payload
         copy.hops = self.hops
-        copy.injected_at = self.injected_at
         copy.header_pos = self.header_pos
-        copy._reverse = self._reverse[:]
+        copy._reverse = tuple(self._reverse)
         copy._header_len_at_injection = self._header_len_at_injection
         return copy

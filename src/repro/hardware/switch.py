@@ -157,9 +157,11 @@ class SwitchingSubsystem:
             return
         remainder = packet.header[packet.header_pos:]
         for link in links:
+            # A branch keeps moving: its reverse route is its own list.
             branch = packet.delivery_copy()
             branch.header = (group_id,) + remainder
             branch.header_pos = 0
+            branch._reverse = list(branch._reverse)
             self._forward(branch, link)
 
     # ------------------------------------------------------------------

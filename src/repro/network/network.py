@@ -178,13 +178,11 @@ class Network:
             node_id: Node(node_id, self, id_space)
             for node_id in sorted(order, key=reprs.__getitem__)
         }
-        self.links: dict[tuple[Any, Any], Link] = {}
-        links = self.links
+        links: list[Link] = []
         nodes = self.nodes
         # Each node's port table as it grows: entry ``i`` is the link
         # with normal ID ``i``, entry 0 the NCU (no link).
         port_lists: dict[Any, list[Link | None]] = {node_id: [None] for node_id in nodes}
-        flag = id_space.flag
         link_new = Link.__new__
         # Decorate-sort-undecorate beats ``sorted(key=...)`` here: the
         # list comp builds the sort keys at comprehension speed instead
@@ -219,21 +217,20 @@ class Network:
             link = link_new(Link)
             link.node_u = node_u
             link.node_v = node_v
-            link._u_id = u
-            link._v_id = v
             link._normal_u = normal_u
-            link._copy_u = flag | normal_u
             link._normal_v = normal_v
-            link._copy_v = flag | normal_v
             link.active = True
-            link.key = key = (u, v) if repr_u <= repr_v else (v, u)
+            link.key = (u, v) if repr_u <= repr_v else (v, u)
             link._arrival_u = 0.0
             link._arrival_v = 0.0
             link.hops = 0
             link.fc = None
-            links[key] = link
+            links.append(link)
             ports_u.append(link)
             ports_v.append(link)
+        #: Every link in build (repr-sorted) order: what every walk over
+        #: the links reads.  :attr:`links` is keyed from it when read.
+        self._links: tuple[Link, ...] = tuple(links)
         for node_id, node in nodes.items():
             node.ss.ports = tuple(port_lists[node_id])
 
@@ -244,11 +241,33 @@ class Network:
         order, each oriented as ``nx.Graph.edges`` would yield it — read
         off the link table, without networkx.  A new object per call.
         """
-        ranked = sorted(zip(self._edge_rank, self.links.values()), key=itemgetter(0))
+        ranked = sorted(zip(self._edge_rank, self._links), key=itemgetter(0))
         return Topology(
             tuple(self._node_order),
-            tuple((link._u_id, link._v_id) for _, link in ranked),
+            tuple((link.node_u.node_id, link.node_v.node_id) for _, link in ranked),
         )
+
+    @cached_property
+    def links(self) -> dict[tuple[Any, Any], Link]:
+        """Every link keyed by :attr:`Link.key <repro.hardware.link.Link.key>`,
+        in build (repr-sorted) order.
+
+        Built from the build's link tuple on first read and kept, as
+        :attr:`graph` is: a run that never looks a link up by its
+        endpoints (a flood, say) never makes the dict.
+        """
+        return {link.key: link for link in self._links}
+
+    @cached_property
+    def _node_ids(self) -> tuple[Any, ...]:
+        """Node IDs in node-table order: the keys of every per-node count
+        map (see :class:`repro.metrics.accounting.CountMap`)."""
+        return tuple(self.nodes)
+
+    @cached_property
+    def _link_keys(self) -> tuple[tuple[Any, Any], ...]:
+        """Link keys in build order: the keys of every per-link count map."""
+        return tuple(link.key for link in self._links)
 
     @cached_property
     def graph(self) -> nx.Graph:
@@ -271,7 +290,7 @@ class Network:
     @property
     def m(self) -> int:
         """Number of links."""
-        return len(self.links)
+        return len(self._links)
 
     def node(self, node_id: Any) -> Node:
         """Node object by ID."""
@@ -298,7 +317,7 @@ class Network:
         number of links configured.
         """
         if links is None:
-            targets = list(self.links.values())
+            targets = self._links
         else:
             targets = [self.link(u, v) for u, v in links]
         for link in targets:
@@ -312,7 +331,7 @@ class Network:
         two directions in each link's endpoint order.
         """
         out = []
-        for link in self.links.values():
+        for link in self._links:
             if link.fc is not None:
                 for state in link.fc.values():
                     out.append((link, state))
@@ -351,7 +370,7 @@ class Network:
 
     def active_graph(self) -> nx.Graph:
         """The topology restricted to active links, as a new ``nx.Graph``."""
-        active = [key for key, link in self.links.items() if link.active]
+        active = [link.key for link in self._links if link.active]
         return Topology(self._node_order, active).to_graph()
 
     # ------------------------------------------------------------------
@@ -361,11 +380,11 @@ class Network:
         """Restore this network to its pristine pre-:meth:`attach` state.
 
         The expensive build products survive — node objects, links,
-        SS port tables, ID assignments, ``Link.key``\\s, :attr:`graph`
-        once built — while every piece of *run* state is renewed: a
-        fresh :class:`Scheduler` (time 0, sequence 0), fresh
-        :class:`MetricsCollector` and :class:`Trace` (same
-        ``enabled``/``capacity`` configuration), empty outputs, no
+        SS port tables, ID assignments, ``Link.key``\\s, and
+        :attr:`links` and :attr:`graph` once built — while every piece
+        of *run* state is renewed: a fresh :class:`Scheduler` (time 0,
+        sequence 0), fresh :class:`MetricsCollector` and :class:`Trace`
+        (same ``enabled``/``capacity`` configuration), empty outputs, no
         protocol on any node, empty NCU queues and zero
         ``NCU.system_calls``, no installed multicast groups, all links
         active with FIFO watermarks and ``Link.hops`` at 0,
@@ -400,7 +419,7 @@ class Network:
             self.delays = delays
         self._datalink.reset()
         topology_touched = False
-        for link in self.links.values():
+        for link in self._links:
             if not link.active:
                 topology_touched = True
             link.reset()
@@ -576,11 +595,11 @@ class Network:
                     )
                 index[node_id] = i
         cut: list[tuple[Any, Any]] = []
-        for key, link in self.links.items():
-            u, v = key
+        for link in self._links:
+            u, v = link.key
             if link.active and index.get(u, -1) != index.get(v, -1):
                 self._set_link_state(link, active=False)
-                cut.append(key)
+                cut.append(link.key)
         return cut
 
     def heal(self) -> list[tuple[Any, Any]]:
@@ -591,10 +610,10 @@ class Network:
         NCU are dropped until it restarts.
         """
         healed: list[tuple[Any, Any]] = []
-        for key, link in self.links.items():
+        for link in self._links:
             if not link.active:
                 self._set_link_state(link, active=True)
-                healed.append(key)
+                healed.append(link.key)
         return healed
 
     def schedule_link_failure(self, u: Any, v: Any, at: float) -> None:

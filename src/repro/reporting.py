@@ -83,13 +83,14 @@ def _broadcast_rows() -> list[list[Any]]:
         for scheme in ("bpaths", "flood", "direct"):
             net = Network(g, delays=FixedDelays(0.0, 1.0))
             adjacency = net.adjacency()
+            ids = net.id_lookup
             factory = {
                 "bpaths": lambda api: BranchingPathsBroadcast(
-                    api, root=0, adjacency=adjacency, ids=net.id_lookup
+                    api, root=0, adjacency=adjacency, ids=ids
                 ),
                 "flood": lambda api: FloodingBroadcast(api, root=0),
                 "direct": lambda api: DirectBroadcast(
-                    api, root=0, adjacency=adjacency, ids=net.id_lookup
+                    api, root=0, adjacency=adjacency, ids=ids
                 ),
             }[scheme]
             run = run_standalone_broadcast(net, factory, 0)
@@ -228,11 +229,11 @@ def _causality_rows() -> list[list[Any]]:
         _, tree = optimal_spanning_tree(net, 1.0, 1.0)
         recorder = CausalityRecorder()
         inputs = {i: 1 for i in net.nodes}
+        ids = net.id_lookup
         net.attach(
             recorder.wrap(
                 lambda api, cls=cls: cls(
-                    api, tree=tree, op=operator.add, inputs=inputs,
-                    ids=net.id_lookup,
+                    api, tree=tree, op=operator.add, inputs=inputs, ids=ids,
                 )
             )
         )

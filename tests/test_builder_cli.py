@@ -379,7 +379,8 @@ def _construction(net) -> dict:
 
     return {
         "links": [
-            (key, link._u_id, link._v_id, link._normal_u, link._normal_v)
+            (key, link.node_u.node_id, link.node_v.node_id, link._normal_u,
+             link._normal_v)
             for key, link in net.links.items()
         ],
         "ports": {

@@ -140,6 +140,51 @@ def test_since_allocates_little_beyond_its_result():
     assert peak <= 1.6 * size, f"peak {peak} B for a {size} B result"
 
 
+def test_since_builds_no_per_link_dict_until_it_is_read():
+    # ``since`` records each table as one array; the per-link dict of a
+    # fat_tree:16 flood (3,072 links) is built when ``hops_per_link`` is
+    # first read, and equals a full per-link count in keys, order, values
+    # and repr.
+    import sys
+
+    net = from_spec("fat_tree:16", delays=FixedDelays(0.1, 1.0))
+    net.attach(lambda api: FloodingBroadcast(api, root=0))
+    before = net.metrics.snapshot()
+    net.start([0])
+    net.run_to_quiescence()
+    full = {key: link.hops for key, link in net.links.items() if link.hops}
+    assert len(full) == net.m == 3072
+    dict_bytes = sys.getsizeof(full)
+    tracemalloc.start()
+    try:
+        delta = net.metrics.since(before)
+        unread, since_peak = tracemalloc.get_traced_memory()
+        hops = delta.hops_per_link
+        assert list(hops.items()) == list(full.items())
+        read, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two arrays and the network's two key tuples: ~72 kB against the
+    # dict's ~148 kB (and ~259 kB when ``since`` built both dicts).
+    assert since_peak < dict_bytes, f"since() peaked at {since_peak} B"
+    assert read - unread >= dict_bytes, f"reading built {read - unread} B"
+    assert hops == full and full == hops and repr(hops) == repr(full)
+    assert delta.system_calls_per_node == {
+        node_id: node.ncu.system_calls for node_id, node in net.nodes.items()
+    }
+
+
+def test_since_subtracts_only_a_snapshot_of_the_same_tables():
+    net = _flood("grid:3,3")
+    snap = net.metrics.snapshot()
+    # An equal-shaped network's snapshot lines up entry for entry.
+    assert net.metrics.since(_flood("grid:3,3").metrics.snapshot()).hops_per_link == {}
+    with pytest.raises(ValueError, match="same network"):
+        net.metrics.since(_flood("line:4").metrics.snapshot())
+    # A snapshot at zero totals recorded no table, so any network's will do.
+    assert net.metrics.since(_path().metrics.snapshot()) == snap
+
+
 def test_snapshot_with_zero_totals_visits_no_ncu_and_no_link(monkeypatch):
     net = from_spec("fat_tree:8", delays=FixedDelays(0.1, 1.0))
     reads = Counter()

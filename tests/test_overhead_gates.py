@@ -33,3 +33,20 @@ def test_gate_row_strips_its_hook_from_the_live_function(row):
     with gates.swapped(row.cls, row.method, variant):
         assert row.workload() == events
     assert row.cls.__dict__[row.method] is not variant
+
+
+def test_pairs_alternate_which_side_runs_first():
+    # A clock that favours whichever run comes second in a pair: with
+    # the order alternating, half the pairs read 0.8 and half 1.25, and
+    # a gate on a one-sided order would read only one of them.
+    calls = []
+
+    def timer(side):
+        def run():
+            calls.append(side)
+            return 1.0 if len(calls) % 2 else 0.8
+        return run
+
+    times = gates.paired_times(timer("live"), timer("base"), pairs=4)
+    assert calls == ["live", "base", "base", "live"] * 2
+    assert [t / b for t, b in times] == [1.25, 0.8, 1.25, 0.8]
