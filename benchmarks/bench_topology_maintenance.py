@@ -18,7 +18,8 @@ import math
 
 from conftest import emit
 from repro.core import attach_topology_maintenance, converge_by_rounds
-from repro.network import Network, random_link_failures, topologies
+from repro.network import Network, topologies
+from repro.scenario import random_link_failures
 from repro.sim import FixedDelays
 
 
@@ -96,9 +97,8 @@ def test_e4_reconvergence_after_failures(benchmark, capsys):
         net = fresh(topologies.grid(6, 6))
         attach_topology_maintenance(net, strategy="bpaths", scope="full")
         converge_by_rounds(net, max_rounds=20)
-        schedule = random_link_failures(net.topology(), count=batch, seed=batch)
-        for action in schedule:
-            net.fail_link(*action.target)
+        for event in random_link_failures(net.topology(), count=batch, seed=batch):
+            net.fail_link(*event.target)
         net.run_to_quiescence()
         result = converge_by_rounds(net, max_rounds=20)
         rows.append([batch, result.rounds, result.system_calls])

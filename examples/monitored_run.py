@@ -16,7 +16,6 @@ Run:  python examples/monitored_run.py
 from __future__ import annotations
 
 from repro import FixedDelays, LeaderElection, Network, format_table, topologies
-from repro.network import random_link_failures
 from repro.obs import (
     Budget,
     BudgetMonitor,
@@ -26,14 +25,15 @@ from repro.obs import (
     election_budgets,
     render_alerts,
 )
+from repro.scenario import random_link_failures
 
 
 def build_network(seed: int = 7) -> Network:
     """A 32-node random network with three links failed before start."""
     g = topologies.random_connected(32, 0.15, seed=seed)
     net = Network(g, delays=FixedDelays(0.0, 1.0))
-    for action in random_link_failures(net.topology(), count=3, seed=seed):
-        net.fail_link(*action.target)
+    for event in random_link_failures(net.topology(), count=3, seed=seed):
+        net.fail_link(*event.target)
     return net
 
 

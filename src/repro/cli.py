@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .metrics import format_table
-from .network import bfs_tree, random_link_failures, topologies
+from .network import bfs_tree, topologies
 from .network.builder import TopologySpecError, from_spec, topology_from_spec
 from .network.network import Network, UnknownNodeError
 from .sim import FixedDelays
@@ -394,6 +394,7 @@ def _is_ring(net) -> bool:
 
 def cmd_converge(args: argparse.Namespace) -> int:
     from .core.topology_maintenance import attach_topology_maintenance, converge_by_rounds
+    from .scenario.spec import random_link_failures
 
     ctx = _RunContext(args, "converge")
     net = ctx.network()
@@ -402,12 +403,12 @@ def cmd_converge(args: argparse.Namespace) -> int:
     result = converge_by_rounds(net, max_rounds=args.max_rounds)
     rows.append(["cold start", result.rounds, result.system_calls])
     if args.fail:
-        schedule = random_link_failures(net.topology(), count=args.fail, seed=args.seed)
-        for action in schedule:
-            net.fail_link(*action.target)
+        failures = random_link_failures(net.topology(), count=args.fail, seed=args.seed)
+        for event in failures:
+            net.fail_link(*event.target)
         net.run_to_quiescence()
         result = converge_by_rounds(net, max_rounds=args.max_rounds)
-        rows.append([f"{len(schedule)} link failures", result.rounds,
+        rows.append([f"{len(failures)} link failures", result.rounds,
                      result.system_calls])
     print(format_table(
         ["event", "rounds", "system_calls"],

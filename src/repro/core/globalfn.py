@@ -186,18 +186,18 @@ def optimal_spanning_tree(net: Network, P: Number, C: Number) -> tuple[Any, Tree
     """The optimal aggregation tree for this network's size under (P, C).
 
     Returns ``(t_opt, tree)`` where the tree is mapped onto the
-    network's node IDs (sorted, root first).  Intended for complete
-    graphs, where every tree edge is a single hop, as in Section 5.
+    network's node IDs (in node-table order, which is repr order, root
+    first).  Intended for complete graphs, where every tree edge is a
+    single hop, as in Section 5.
     """
     builder = OptTreeBuilder(P, C)
     t_opt, shape = builder.optimal_tree_for(net.n)
-    node_ids = sorted(net.nodes, key=repr)
-    return t_opt, to_spanning_tree(shape, node_ids)
+    return t_opt, to_spanning_tree(shape, list(net.nodes))
 
 
 def shape_spanning_tree(net: Network, shape: OptTree) -> Tree:
     """Map an abstract shape onto this network's node IDs."""
-    return to_spanning_tree(shape, sorted(net.nodes, key=repr))
+    return to_spanning_tree(shape, list(net.nodes))
 
 
 # ----------------------------------------------------------------------

@@ -42,21 +42,6 @@ class JobKind(Enum):
     LINK_EVENT = "link_event"
 
 
-#: Memoised ``"timer:<tag>"`` labels.  Periodic protocols format the
-#: same handful of tags millions of times (event tag + accounting kind,
-#: every tick); the tag universe is protocol-chosen and tiny, so a
-#: process-wide cache is safe and turns two f-strings per tick into
-#: dict hits.
-_TIMER_LABELS: dict[str, str] = {}
-
-
-def _timer_label(tag: str) -> str:
-    label = _TIMER_LABELS.get(tag)
-    if label is None:
-        label = _TIMER_LABELS[tag] = f"timer:{tag}"
-    return label
-
-
 @dataclass(slots=True)
 class Job:
     """One unit of NCU work (= one system call once served).
@@ -68,10 +53,9 @@ class Job:
     kind: JobKind
     payload: Any = None
     tag: str = ""
-    #: Cached :attr:`accounting_kind`.  The hot constructors
-    #: (:meth:`NodeApi._timer_fire`, :meth:`NCU._serve` for a delivered
-    #: packet) prefill it, so serving a steady-state job never walks
-    #: the payload.
+    #: Cached :attr:`accounting_kind`.  The hot constructor
+    #: (:meth:`NCU._serve` for a delivered packet) prefills it, so
+    #: serving a delivered packet never walks the payload.
     akind: str | None = field(default=None, compare=False)
 
     @property
@@ -89,7 +73,7 @@ class Job:
             payload = self.payload.payload if isinstance(self.payload, Packet) else None
             label = getattr(payload, "kind", JobKind.PACKET.value)
         elif self.kind is JobKind.TIMER and self.tag:
-            label = _timer_label(self.tag)
+            label = f"timer:{self.tag}"
         else:
             label = self.kind.value
         self.akind = label
@@ -192,7 +176,7 @@ class NodeApi:
             delay,
             self._timer_fire,
             2,
-            _timer_label(tag),
+            f"timer:{tag}",
             (tag, payload, node.ncu.incarnation),
         )
 
@@ -206,15 +190,7 @@ class NodeApi:
         trace = net.trace
         if trace.enabled:
             trace.record(net.scheduler.now, TraceKind.TIMER_FIRED, node.node_id, tag=tag)
-        # Hand-rolled Job with the accounting label prefilled: this is
-        # the hottest job constructor (every timer tick) and the
-        # generated dataclass __init__ is measurable at that volume.
-        job = Job.__new__(Job)
-        job.kind = JobKind.TIMER
-        job.payload = payload
-        job.tag = tag
-        job.akind = _timer_label(tag) if tag else "timer"
-        ncu.enqueue(job)
+        ncu.enqueue(Job(JobKind.TIMER, payload, tag))
 
     def report(self, key: str, value: Any) -> None:
         """Publish a named output (read by drivers and tests)."""
@@ -396,16 +372,16 @@ class NCU:
         self._job_seq = seq
         if isinstance(job, Packet):
             # A delivered packet gets its job now.  Hand-rolled, label
-            # prefilled: the per-delivery twin of the timer path's
-            # constructor (see ``NodeApi._timer_fire``).
+            # prefilled: the generated dataclass __init__ is measurable
+            # at one job per delivery.
             packet = job
             job = Job.__new__(Job)
             job.kind = JobKind.PACKET
             job.payload = packet
             job.tag = ""
             job.akind = getattr(packet.payload, "kind", "packet")
-        # Usually prefilled by the hot constructors; ``accounting_kind``
-        # walks the payload at most once per job otherwise.
+        # Prefilled for a delivered packet; ``accounting_kind`` walks
+        # the payload at most once per job otherwise.
         kind = job.akind
         if kind is None:
             kind = job.accounting_kind

@@ -86,8 +86,17 @@ class Node:
         self.net.crashed_nodes.discard(self.node_id)
 
     def link_to(self, neighbor_id: Any) -> Link:
-        """The link toward a neighbour (KeyError if not adjacent)."""
-        return self.net.link(self.node_id, neighbor_id)
+        """The link toward a neighbour (KeyError if not adjacent).
+
+        Scans this node's port table, so the cost is bounded by its
+        degree and no network-wide link dict is built.
+        """
+        neighbor = self.net.nodes.get(neighbor_id)
+        if neighbor is not self:
+            for link in self.ss.ports[1:]:
+                if link.node_u is neighbor or link.node_v is neighbor:
+                    return link
+        raise KeyError(f"node {neighbor_id!r} is not adjacent to node {self.node_id!r}")
 
     def local_topology(self) -> tuple[LinkInfo, ...]:
         """This node's local topology: one snapshot per adjacent link.

@@ -1,13 +1,6 @@
-"""Network assembly, topology generators, spanning trees and failures."""
+"""Network assembly, topology generators and spanning trees."""
 
 from . import topologies
-from .failures import (
-    FailureAction,
-    FailureKind,
-    FailureSchedule,
-    flapping_link,
-    random_link_failures,
-)
 from .builder import (
     TopologySpecError,
     from_adjacency,
@@ -22,9 +15,6 @@ from .spanning import Tree, bfs_tree, tree_from_parent
 from .topologies import Topology
 
 __all__ = [
-    "FailureAction",
-    "FailureKind",
-    "FailureSchedule",
     "Network",
     "from_adjacency",
     "from_edges",
@@ -37,8 +27,6 @@ __all__ = [
     "Tree",
     "UnknownNodeError",
     "bfs_tree",
-    "flapping_link",
-    "random_link_failures",
     "topologies",
     "topology_from_spec",
     "tree_from_parent",

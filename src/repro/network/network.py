@@ -297,9 +297,8 @@ class Network:
         return self.nodes[node_id]
 
     def link(self, u: Any, v: Any) -> Link:
-        """Link object by (unordered) endpoint pair."""
-        key = (u, v) if (u, v) in self.links else (v, u)
-        return self.links[key]
+        """Link object by (unordered) endpoint pair (KeyError if none)."""
+        return self.nodes[u].link_to(v)
 
     def set_flow_control(
         self,

@@ -69,6 +69,17 @@ class Alert:
     bound: float | None = None
     event_index: int | None = None
 
+    def trace_detail(self) -> dict[str, Any]:
+        """The detail of this alert's ALERT trace record."""
+        return {
+            "monitor": self.monitor,
+            "severity": self.severity,
+            "message": self.message,
+            "measure": self.measure,
+            "observed": self.observed,
+            "bound": self.bound,
+        }
+
 
 class Monitor:
     """Base class: one dormant-cheap check per fired event.
@@ -139,17 +150,7 @@ class MonitorHost:
         if alert.event_index is None:
             alert = replace(alert, event_index=self._events)
         self.alerts.append(alert)
-        self.net.trace.record(
-            alert.time,
-            TraceKind.ALERT,
-            None,
-            monitor=alert.monitor,
-            severity=alert.severity,
-            message=alert.message,
-            measure=alert.measure,
-            observed=alert.observed,
-            bound=alert.bound,
-        )
+        self.net.trace.record(alert.time, TraceKind.ALERT, None, **alert.trace_detail())
         if self.on_alert is not None:
             self.on_alert(alert)
 
@@ -363,10 +364,10 @@ class ProgressWatchdog(Monitor):
       queue is exploding (a protocol is spawning faster than it
       retires).
     * ``stall_events`` — that many consecutive events fired without the
-      progress function changing while live events remain: pure
+      progress sum changing while live events remain: pure
       scheduler churn (severity ``"warning"``; re-arms when progress
-      resumes).  The default progress function is the sum of system
-      calls, hops and drops — every *useful* event moves one of them.
+      resumes).  Progress is the sum of system calls, hops and drops —
+      every *useful* event moves one of them.
     """
 
     name = "watchdog"
@@ -378,7 +379,6 @@ class ProgressWatchdog(Monitor):
         stall_events: int = 10_000,
         deadline: float | None = None,
         queue_limit: int | None = None,
-        progress: Callable[[], float] | None = None,
     ) -> None:
         if stall_events < 1:
             raise ValueError("stall_events must be >= 1")
@@ -387,9 +387,7 @@ class ProgressWatchdog(Monitor):
         self.deadline = deadline
         self.queue_limit = queue_limit
         metrics = net.metrics
-        self._progress = progress or (
-            lambda: metrics.system_calls + metrics.hops + metrics.drops
-        )
+        self._progress = lambda: metrics.system_calls + metrics.hops + metrics.drops
         self._last = self._progress()
         self._stalled = 0
         self._stall_armed = True
@@ -561,7 +559,6 @@ class NetCalcMonitor(Monitor):
         *,
         arrival: Any | None = None,
         every: int = 1,
-        eps: float = 1e-9,
     ) -> None:
         from ..analysis.netcalc import (
             TokenBucket,
@@ -574,7 +571,6 @@ class NetCalcMonitor(Monitor):
             raise ValueError("check cadence must be >= 1")
         self.net = net
         self.every = every
-        self.eps = eps
         self._count = 0
         latency = net.delays.hardware_bound
         self._tracked: list[_LinkTracker] = []
@@ -620,7 +616,7 @@ class NetCalcMonitor(Monitor):
         if self._count % self.every:
             return ()
         now = self.net.scheduler.now
-        eps = self.eps
+        eps = 1e-9  # float slack on every comparison against a bound
         alerts: list[Alert] = []
         for tracker in self._tracked:
             state = tracker.state

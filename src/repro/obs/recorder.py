@@ -106,23 +106,18 @@ class FlightRecorder:
     def note_alert(self, alert: "Alert") -> None:
         """Record a monitor alert; dumps at once when ``dump_on_alert``.
 
-        The record matches the shape :class:`~repro.obs.monitors
-        .MonitorHost` writes to the trace, so alert spans from a
-        postmortem render identically to live-traced ones.
+        The record's detail is :meth:`Alert.trace_detail
+        <repro.obs.monitors.Alert.trace_detail>`, as in the record
+        :class:`~repro.obs.monitors.MonitorHost` writes to the trace, so
+        alert spans from a postmortem render identically to live-traced
+        ones.
         """
         self._ring.append(
             TraceRecord(
                 time=alert.time,
                 kind=TraceKind.ALERT,
                 node=None,
-                detail={
-                    "monitor": alert.monitor,
-                    "severity": alert.severity,
-                    "message": alert.message,
-                    "measure": alert.measure,
-                    "observed": alert.observed,
-                    "bound": alert.bound,
-                },
+                detail=alert.trace_detail(),
             )
         )
         if self.dump_on_alert:

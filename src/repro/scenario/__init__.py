@@ -15,17 +15,16 @@ from .. import _lazy
 #: Every public name and the submodule that defines it, imported when
 #: first read.
 _EXPORTS = {
-    **dict.fromkeys(
-        ["CompiledScenario", "compile_scenario", "schedule_failure_actions"], "compiler"
-    ),
+    **dict.fromkeys(["CompiledScenario", "compile_scenario"], "compiler"),
     **dict.fromkeys(["attach_protocol", "run_scenario", "scenario_metrics"], "runner"),
     **dict.fromkeys(
         ["delay_search_specs", "election_rounds", "run_delay_search", "search_report"],
         "search",
     ),
-    **dict.fromkeys(
-        ["OPS", "PROTOCOLS", "ScenarioEvent", "ScenarioSpec", "churn_scenario"], "spec"
-    ),
+    **dict.fromkeys([
+        "OPS", "PROTOCOLS", "ScenarioEvent", "ScenarioSpec", "churn_scenario",
+        "flapping_link", "random_link_failures",
+    ], "spec"),
 }
 
 __all__ = list(_EXPORTS)

@@ -7,18 +7,14 @@ hot scheduling sites follow — so compiling a spec perturbs the event
 stream only by the events it adds.  That is what makes a compiled
 scenario replay byte-identically across fresh builds, resets and
 campaign shards.
-
-:func:`schedule_failure_actions` is the compatibility shim that lets
-:class:`~repro.network.failures.FailureSchedule` delegate here, making
-the legacy failure DSL a thin compiler target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING
 
-from .spec import ScenarioEvent, ScenarioSpec
+from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..network.network import Network
@@ -113,20 +109,3 @@ def compile_scenario(net: "Network", spec: ScenarioSpec) -> CompiledScenario:
         name=spec.name, events=len(spec.events), last_event_time=spec.last_event_time
     )
 
-
-def schedule_failure_actions(net: "Network", actions: Iterable[Any]) -> int:
-    """Schedule legacy :class:`FailureAction`\\s via the compiler.
-
-    Maps each action to the equivalent :class:`ScenarioEvent` and
-    compiles them, so the old DSL and new specs share one scheduling
-    path (closure-free, deterministic).  Returns the number scheduled.
-    """
-    events = []
-    for action in actions:
-        kind = action.kind.value if hasattr(action.kind, "value") else action.kind
-        events.append(ScenarioEvent(at=action.time, op=kind, target=action.target))
-    spec = ScenarioSpec(
-        name="failure-schedule", topology="-", events=tuple(events)
-    )
-    compile_scenario(net, spec)
-    return len(events)

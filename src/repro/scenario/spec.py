@@ -11,7 +11,9 @@ cache keys, and replay byte-identically anywhere.
 :func:`churn_scenario` generates a canonical seeded spec — partition,
 crash during the cut, heal, restart, final re-election — from a single
 integer seed via :func:`~repro.sim.seeding.derive_seed`, which is what
-the CLI presets and the CI smoke campaign run.
+the CLI presets and the CI smoke campaign run.  :func:`random_link_failures`
+and :func:`flapping_link` generate link-failure stories as event tuples,
+for a spec's ``events`` or for a driver to apply by hand.
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..sim.seeding import derive_seed
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
+    from ..network.topologies import Topology
 
 #: Operations a scenario event may perform, with their target shapes:
 #:
@@ -240,3 +247,80 @@ def churn_scenario(
         protocol="election",
         events=tuple(events),
     )
+
+
+def random_link_failures(
+    graph: Topology | nx.Graph,
+    count: int,
+    *,
+    seed: int = 0,
+    start: float = 0.0,
+    spacing: float = 1.0,
+    keep_connected: bool = True,
+) -> tuple[ScenarioEvent, ...]:
+    """Random distinct ``fail_link`` events at ``start, start+spacing, ...``.
+
+    ``graph`` is anything with ``nodes`` and ``edges`` — an ``nx.Graph``,
+    a :class:`~repro.network.topologies.Topology` such as
+    ``net.topology()`` — read with ``nx.Graph`` insertion semantics and
+    never modified.  The same input gives the same events whichever
+    form it comes in.
+
+    With ``keep_connected`` (the default) every failed link is chosen so
+    the surviving topology stays connected — the setting Theorem 1's
+    eventual-consistency statement is about ("the correct topology of
+    its connected component" is then the whole network).
+    """
+    from ..network.topologies import Topology, edge_list, reachable
+
+    rng = random.Random(seed)
+    # A private adjacency copy kept in ``nx.Graph`` dict order: each
+    # round's candidates are listed as ``nx.Graph.edges`` would list
+    # them, and a link put back after a trial removal moves to the end
+    # of both endpoints' dicts, as ``add_edge`` does.
+    working = Topology(graph.nodes, graph.edges).adjacency()
+    if keep_connected and working:
+        if len(reachable(working, next(iter(working)))) < len(working):
+            return ()  # already disconnected: no removal keeps it connected
+    events = []
+    when = start
+    for _ in range(count):
+        candidates = edge_list(working)
+        rng.shuffle(candidates)
+        chosen = None
+        for u, v in candidates:
+            del working[u][v]
+            if u != v:
+                del working[v][u]
+            if not keep_connected or v in reachable(working, u):
+                chosen = (u, v)
+                break
+            working[u][v] = None
+            working[v][u] = None
+        if chosen is None:
+            break  # no removable link remains
+        events.append(ScenarioEvent(at=when, op="fail_link", target=chosen))
+        when += spacing
+    return tuple(events)
+
+
+def flapping_link(
+    u: Any,
+    v: Any,
+    *,
+    flips: int,
+    start: float = 0.0,
+    spacing: float = 1.0,
+) -> tuple[ScenarioEvent, ...]:
+    """A link that alternates down/up ``flips`` times, starting down.
+
+    Used to exercise the data-link debouncing and the convergence
+    property that only the *final* stable state matters.
+    """
+    events = []
+    when = start
+    for i in range(flips):
+        op = "restore_link" if i % 2 else "fail_link"
+        events.append(ScenarioEvent(at=when, op=op, target=(u, v)))
+        when += spacing
+    return tuple(events)

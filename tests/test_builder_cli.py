@@ -511,6 +511,23 @@ def test_net_graph_is_built_on_first_read_and_never_aliases():
     assert net.active_graph().number_of_edges() == 5
 
 
+def test_link_lookups_scan_the_port_tables():
+    from repro.cli import _broadcast
+
+    net = from_spec("fat_tree:8")
+    _broadcast("bpaths", net, 0)  # one ID lookup per tree edge
+    assert "links" not in vars(net)
+
+    net = from_spec("ring:5")
+    assert net.link(1, 0) is net.link(0, 1) is net.node(0).link_to(1)
+    with pytest.raises(KeyError):
+        net.link(0, 2)
+    with pytest.raises(KeyError):
+        net.node(2).link_to(0)
+    assert "links" not in vars(net)
+    assert net.link(4, 0) is net.links[(0, 4)]
+
+
 #: OpenSSL's libcrypto behind ``_hashlib``, which no command loads: the
 #: SHA-256 of string seeds, task-spec hashes and cache keys comes from
 #: the interpreter's built-in module.

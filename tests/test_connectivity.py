@@ -20,15 +20,14 @@ from hypothesis import strategies as st
 from repro.core import LeaderElection, attach_topology_maintenance, is_converged
 from repro.exec.workloads import election_calls_per_node
 from repro.network import (
-    FailureSchedule,
     Network,
     Protocol,
     Topology,
     from_spec,
-    random_link_failures,
     topologies,
     topology_from_spec,
 )
+from repro.scenario import ScenarioEvent, random_link_failures
 from repro.sim import RandomDelays
 
 SLOW = settings(
@@ -47,10 +46,10 @@ def nx_random_link_failures(
     start: float = 0.0,
     spacing: float = 1.0,
     keep_connected: bool = True,
-) -> FailureSchedule:
+) -> tuple[ScenarioEvent, ...]:
     rng = random.Random(seed)
     working = nx.Graph(graph)
-    schedule = FailureSchedule()
+    events = []
     when = start
     for _ in range(count):
         candidates = list(working.edges)
@@ -69,9 +68,9 @@ def nx_random_link_failures(
             break
         if not keep_connected:
             working.remove_edge(*chosen)
-        schedule.fail_link(chosen[0], chosen[1], when)
+        events.append(ScenarioEvent(at=when, op="fail_link", target=chosen))
         when += spacing
-    return schedule
+    return tuple(events)
 
 
 def nx_is_converged(net: Network) -> bool:
@@ -127,10 +126,6 @@ def random_topology(rng: random.Random) -> Topology:
         if i != j and rng.random() < 0.18
     ]
     return Topology(labels, edges)
-
-
-def schedule_rows(schedule: FailureSchedule) -> list[tuple]:
-    return [(a.time, a.kind, a.target) for a in schedule]
 
 
 def link_table(net: Network) -> list[tuple]:
@@ -236,16 +231,14 @@ def test_random_link_failures_match_networkx_after_edge_churn(seed, keep_connect
     g = churned_graph(rng)
     before = (list(g.nodes), list(g.edges))
     count = rng.randint(0, g.number_of_edges() + 2)
-    expected = schedule_rows(
-        nx_random_link_failures(g, count, seed=seed, keep_connected=keep_connected)
-    )
+    expected = nx_random_link_failures(g, count, seed=seed, keep_connected=keep_connected)
     got = random_link_failures(g, count, seed=seed, keep_connected=keep_connected)
-    assert schedule_rows(got) == expected
+    assert got == expected
     assert (list(g.nodes), list(g.edges)) == before  # the input is never modified
-    # The same graph as plain sequences gives the same schedule.
+    # The same graph as plain sequences gives the same events.
     as_topology = Topology(list(g.nodes), list(g.edges))
     got = random_link_failures(as_topology, count, seed=seed, keep_connected=keep_connected)
-    assert schedule_rows(got) == expected
+    assert got == expected
 
 
 @SLOW
@@ -258,7 +251,7 @@ def test_random_link_failures_match_networkx_on_topologies(seed, keep_connected)
     expected = nx_random_link_failures(
         topology.to_graph(), count, seed=seed, keep_connected=keep_connected
     )
-    assert schedule_rows(got) == schedule_rows(expected)
+    assert got == expected
 
 
 @pytest.mark.parametrize("spec", ["torus:4,4", "clos:6,3,1", "fat_tree:4", "random:24,5"])
@@ -272,7 +265,7 @@ def test_random_link_failures_on_net_topology_match_net_graph(spec, keep_connect
         expected = nx_random_link_failures(
             net.graph, 6, seed=seed, spacing=0.5, keep_connected=keep_connected
         )
-        assert schedule_rows(got) == schedule_rows(expected)
+        assert got == expected
 
 
 def test_random_link_failures_on_self_loops_match_networkx():
@@ -284,7 +277,7 @@ def test_random_link_failures_on_self_loops_match_networkx():
             expected = nx_random_link_failures(
                 g, 4, seed=seed, keep_connected=keep_connected
             )
-            assert schedule_rows(got) == schedule_rows(expected)
+            assert got == expected
 
 
 # ----------------------------------------------------------------------
@@ -408,8 +401,8 @@ def test_is_converged_matches_networkx_round_by_round(spec):
             net.run_to_quiescence()
             verdicts.append(check(net))
         if phase == 0:
-            for action in random_link_failures(net.topology(), 3, seed=1):
-                net.fail_link(*action.target)
+            for event in random_link_failures(net.topology(), 3, seed=1):
+                net.fail_link(*event.target)
             net.run_to_quiescence()
             verdicts.append(check(net))
     assert not verdicts[0] and verdicts[-1]

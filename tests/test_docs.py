@@ -40,8 +40,12 @@ def test_examples_table_matches_directory():
 
 def test_design_md_module_references_exist():
     design = (REPO / "DESIGN.md").read_text()
-    for module in re.findall(r"`((?:sim|hardware|network|metrics|core|analysis)/\w+\.py)`", design):
-        assert (REPO / "src" / "repro" / module).exists(), f"DESIGN.md references missing {module}"
+    package = REPO / "src" / "repro"
+    subpackages = "|".join(sorted(p.parent.name for p in package.glob("*/__init__.py")))
+    modules = re.findall(rf"`((?:{subpackages})/\w+\.py)`", design)
+    assert modules
+    for module in modules:
+        assert (package / module).exists(), f"DESIGN.md references missing {module}"
 
 
 def test_experiments_md_mentions_every_bench_file():

@@ -1,4 +1,4 @@
-"""Unit tests for failure schedules."""
+"""Link-failure stories: the generators' events, as specs and replays."""
 
 from __future__ import annotations
 
@@ -6,46 +6,33 @@ import networkx as nx
 import pytest
 
 from conftest import attach_recorders, limiting_net
-from repro.network import (
-    FailureKind,
-    FailureSchedule,
+from repro.network import from_spec, topologies, topology_from_spec
+from repro.scenario import (
+    ScenarioEvent,
+    ScenarioSpec,
+    compile_scenario,
     flapping_link,
     random_link_failures,
-    topologies,
-    topology_from_spec,
+    run_scenario,
 )
+from repro.sim import FixedDelays
 
 
-def test_schedule_builder_chains():
-    schedule = (
-        FailureSchedule()
-        .fail_link(0, 1, at=1.0)
-        .restore_link(0, 1, at=2.0)
-        .fail_node(3, at=4.0)
-    )
-    assert len(schedule) == 3
-    assert schedule.last_change_time == 4.0
-    kinds = [a.kind for a in schedule]
-    assert kinds == [FailureKind.FAIL_LINK, FailureKind.RESTORE_LINK, FailureKind.FAIL_NODE]
-
-
-def test_schedule_iterates_in_time_order():
-    schedule = FailureSchedule().fail_link(0, 1, at=5.0).fail_link(1, 2, at=1.0)
-    times = [a.time for a in schedule]
-    assert times == [1.0, 5.0]
-
-
-def test_apply_executes_actions():
+def test_compile_scenario_applies_link_and_node_events():
     net = limiting_net(topologies.ring(5))
     attach_recorders(net)
-    schedule = (
-        FailureSchedule()
-        .fail_link(0, 1, at=1.0)
-        .fail_node(3, at=2.0)
-        .restore_node(3, at=3.0)
-        .restore_link(0, 1, at=4.0)
+    spec = ScenarioSpec(
+        name="ring-changes",
+        topology="ring:5",
+        protocol="none",
+        events=(
+            ScenarioEvent(at=1.0, op="fail_link", target=(0, 1)),
+            ScenarioEvent(at=2.0, op="fail_node", target=3),
+            ScenarioEvent(at=3.0, op="restore_node", target=3),
+            ScenarioEvent(at=4.0, op="restore_link", target=(0, 1)),
+        ),
     )
-    schedule.apply(net)
+    compile_scenario(net, spec)
     net.run(until=2.5)
     assert not net.link(0, 1).active
     assert not net.link(2, 3).active and not net.link(3, 4).active
@@ -53,33 +40,63 @@ def test_apply_executes_actions():
     assert all(link.active for link in net.links.values())
 
 
+def torus_failure_spec() -> ScenarioSpec:
+    """An election on a torus, and three random link failures from t=5 on."""
+    failures = random_link_failures(topology_from_spec("torus:4,4"), 3, seed=1, start=5.0)
+    return ScenarioSpec(
+        name="torus-link-failures",
+        topology="torus:4,4",
+        events=(ScenarioEvent(at=0.0, op="start"), *failures),
+    )
+
+
+def test_link_failure_story_round_trips_through_json():
+    spec = torus_failure_spec()
+    assert [event.op for event in spec.events] == ["start"] + ["fail_link"] * 3
+    assert ScenarioSpec.from_json(spec.to_json()) == spec
+
+
+def test_link_failure_story_replays_on_a_reset_network():
+    spec = torus_failure_spec()
+    fresh = from_spec(spec.topology, delays=FixedDelays(spec.C, spec.P))
+    expected = run_scenario(fresh, spec)
+    assert expected["system_calls"] > 0 and expected["components"] == 1
+    for event in spec.events[1:]:
+        assert not fresh.link(*event.target).active
+
+    pooled = from_spec(spec.topology, delays=FixedDelays(spec.C, spec.P))
+    run_scenario(pooled, spec)
+    pooled.reset()
+    assert run_scenario(pooled, ScenarioSpec.from_json(spec.to_json())) == expected
+
+
 def test_random_link_failures_keep_connected():
     g = topologies.grid(5, 5)
-    schedule = random_link_failures(g, count=8, seed=3)
-    assert len(schedule) == 8
+    failures = random_link_failures(g, count=8, seed=3)
+    assert len(failures) == 8
     working = g.to_graph()
-    for action in schedule:
-        working.remove_edge(*action.target)
+    for event in failures:
+        working.remove_edge(*event.target)
         assert nx.is_connected(working)
 
 
 def test_random_link_failures_distinct_targets():
     g = topologies.complete(8)
-    schedule = random_link_failures(g, count=10, seed=0)
-    targets = [frozenset(a.target) for a in schedule]
+    failures = random_link_failures(g, count=10, seed=0)
+    targets = [frozenset(event.target) for event in failures]
     assert len(targets) == len(set(targets))
 
 
 def test_random_link_failures_stop_when_tree_remains():
     g = topologies.ring(4)  # only one removable link before it's a tree
-    schedule = random_link_failures(g, count=10, seed=1)
-    assert len(schedule) == 1
+    failures = random_link_failures(g, count=10, seed=1)
+    assert len(failures) == 1
 
 
 def test_random_link_failures_unconstrained_can_disconnect():
     g = topologies.line(4)
-    schedule = random_link_failures(g, count=2, seed=0, keep_connected=False)
-    assert len(schedule) == 2
+    failures = random_link_failures(g, count=2, seed=0, keep_connected=False)
+    assert len(failures) == 2
 
 
 @pytest.mark.parametrize(
@@ -98,24 +115,24 @@ def test_random_link_failures_accepts_a_topology(make, keep_connected):
     # a valid edge list") from the nx.Graph copy.
     topology = make()
     for seed in range(5):
-        schedule = random_link_failures(
+        failures = random_link_failures(
             topology, count=4, seed=seed, keep_connected=keep_connected
         )
         expected = random_link_failures(
             topology.to_graph(), count=4, seed=seed, keep_connected=keep_connected
         )
-        assert len(schedule) > 0
-        assert list(schedule) == list(expected)
+        assert len(failures) > 0
+        assert failures == expected
 
 
 def test_flapping_link_alternates():
-    schedule = flapping_link(0, 1, flips=5, start=1.0, spacing=2.0)
-    kinds = [a.kind for a in schedule]
-    assert kinds == [
-        FailureKind.FAIL_LINK,
-        FailureKind.RESTORE_LINK,
-        FailureKind.FAIL_LINK,
-        FailureKind.RESTORE_LINK,
-        FailureKind.FAIL_LINK,
+    events = flapping_link(0, 1, flips=5, start=1.0, spacing=2.0)
+    assert [event.op for event in events] == [
+        "fail_link",
+        "restore_link",
+        "fail_link",
+        "restore_link",
+        "fail_link",
     ]
-    assert [a.time for a in schedule] == [1.0, 3.0, 5.0, 7.0, 9.0]
+    assert [event.at for event in events] == [1.0, 3.0, 5.0, 7.0, 9.0]
+    assert {event.target for event in events} == {(0, 1)}

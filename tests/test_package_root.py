@@ -98,8 +98,8 @@ SUBPACKAGE_PUBLIC = {
     "repro.scenario": {
         "CompiledScenario", "OPS", "PROTOCOLS", "ScenarioEvent", "ScenarioSpec",
         "attach_protocol", "churn_scenario", "compile_scenario", "delay_search_specs",
-        "election_rounds", "run_delay_search", "run_scenario", "scenario_metrics",
-        "schedule_failure_actions", "search_report",
+        "election_rounds", "flapping_link", "random_link_failures", "run_delay_search",
+        "run_scenario", "scenario_metrics", "search_report",
     },
 }
 
