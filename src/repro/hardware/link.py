@@ -358,7 +358,6 @@ class Link:
             far, receiving_normal = self.node_v, self._normal_v
         else:
             far, receiving_normal = self.node_u, self._normal_u
-        packet.hops += 1
         packet._reverse.append(receiving_normal)
         net.metrics.count_hop(self)
         probe = net.probe

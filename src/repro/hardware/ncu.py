@@ -222,10 +222,11 @@ class NCU:
     def __init__(self, node: "Node") -> None:
         self._node = node
         #: Waiting work: jobs, and delivered packets waiting as
-        #: themselves.  ``None`` until the first job actually has to
-        #: wait: a deque is ~600 bytes, and at 10⁴–10⁵ nodes most NCUs
-        #: never queue (the idle fast path serves directly), so eager
-        #: allocation was one of the larger per-node build costs.
+        #: themselves.  ``None`` whenever no job has to wait: a deque
+        #: is ~600 bytes, and at 10⁴–10⁵ nodes most NCUs never queue
+        #: (the idle fast path serves directly), so eager allocation
+        #: was one of the larger per-node build costs.  ``_complete``
+        #: drops the deque again once it drains.
         self._queue: deque[Job | Packet] | None = None
         self._busy = False
         self._job_seq = 0
@@ -432,3 +433,7 @@ class NCU:
             self._service_event = None
             if self._queue:
                 self._begin_next()
+            else:
+                # Let a drained deque go: the next burst makes a fresh
+                # one, as the first did.
+                self._queue = None

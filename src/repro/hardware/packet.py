@@ -29,7 +29,12 @@ that hardware switching is nearly free.  So:
 * a delivered copy never moves again, so :meth:`Packet.delivery_copy`
   freezes its reverse route as a tuple: at the flood's peak tens of
   thousands of copies wait in NCU queues, and a tuple is the smaller
-  container.  A multicast-group branch keeps moving and gets a list.
+  container.  A one-hop route is the same shared ``(normal,)`` tuple
+  for every copy delivered through that receiving normal ID.  A
+  multicast-group branch keeps moving and gets a list.
+* a packet stores nothing it can derive: :attr:`Packet.hops` is the
+  length of the reverse route, and :attr:`Packet.original_header_length`
+  the length of the as-injected ``header``.
 
 ``header_pos`` and ``_reverse`` are internal to the hardware layer (see
 ``docs/API.md``): protocols should read :attr:`remaining_header` and
@@ -40,6 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+#: One shared ``(normal,)`` route back per receiving normal ID; see
+#: :meth:`Packet.delivery_copy`.  Normal IDs run 1..max degree, so it
+#: stays tiny, as ``anr._ONE_HOP`` does.
+_ONE_HOP_ROUTES: dict[int, tuple[int]] = {}
 
 
 @dataclass(slots=True)
@@ -53,13 +63,12 @@ class Packet:
     origin:
         Node whose NCU injected the packet.
     header:
-        The full ANR header as injected; never mutated in flight.
+        The full ANR header as injected; never mutated in flight.  A
+        multicast-group branch carries its sender's header too.
     payload:
         Opaque protocol data; never examined by the hardware, matching
         the paper's assumption that software delay does not depend on
         message content.
-    hops:
-        Links traversed so far.
     header_pos:
         Cursor into ``header``: IDs before it have been consumed by
         switches.  Internal — use :attr:`remaining_header`.
@@ -69,24 +78,21 @@ class Packet:
     origin: Any
     header: tuple[int, ...]
     payload: Any
-    hops: int = 0
     header_pos: int = 0
     #: Receiving-side normal IDs in hop order (oldest first): a list in
     #: flight, a tuple once delivered.  Internal — read
     #: :attr:`reverse_anr` for the paper's most-recent-first view.
     _reverse: list[int] | tuple[int, ...] = field(default_factory=list)
-    _header_len_at_injection: int | None = None
 
-    def __post_init__(self) -> None:
-        # ``None`` sentinel, not falsy-zero: a legitimately empty
-        # injected header must still freeze its (zero) length here.
-        if self._header_len_at_injection is None:
-            self._header_len_at_injection = len(self.header)
+    @property
+    def hops(self) -> int:
+        """Links traversed so far: every hop appends to the route back."""
+        return len(self._reverse)
 
     @property
     def original_header_length(self) -> int:
         """Length (in IDs) of the header as injected; compared to dmax."""
-        return self._header_len_at_injection  # type: ignore[return-value]
+        return len(self.header)
 
     @property
     def remaining_header(self) -> tuple[int, ...]:
@@ -110,17 +116,26 @@ class Packet:
         The in-flight packet object keeps moving, so the NCU gets its
         own frozen view of the remaining header and reverse path; the
         reverse path is a tuple, since a delivered copy never moves.
+        Every one-hop delivery through the same receiving normal ID
+        gets the same tuple: at a flood's peak tens of thousands of
+        them wait in NCU queues.
         Hand-rolled rather than ``dataclasses.replace`` — this runs once
-        per selective copy and ``replace`` re-enters ``__init__`` /
-        ``__post_init__`` with keyword plumbing the hot path can't afford.
+        per selective copy and ``replace`` re-enters ``__init__`` with
+        keyword plumbing the hot path can't afford.
         """
         copy = Packet.__new__(Packet)
         copy.seq = self.seq
         copy.origin = self.origin
         copy.header = self.header
         copy.payload = self.payload
-        copy.hops = self.hops
         copy.header_pos = self.header_pos
-        copy._reverse = tuple(self._reverse)
-        copy._header_len_at_injection = self._header_len_at_injection
+        reverse = self._reverse
+        if len(reverse) == 1:
+            normal = reverse[0]
+            route = _ONE_HOP_ROUTES.get(normal)
+            if route is None:
+                route = _ONE_HOP_ROUTES[normal] = (normal,)
+            copy._reverse = route
+        else:
+            copy._reverse = tuple(reverse)
         return copy

@@ -109,9 +109,10 @@ class SwitchingSubsystem:
         """Install a multicast group ID at this SS.
 
         A packet whose next ID is ``group_id`` is replicated in hardware
-        over every member link — with the group ID *re-prepended*, so
-        the tree forwards itself — and, when ``to_ncu`` is set, a copy
-        of the remainder is delivered to the local NCU.  Installing is a
+        over every member link — with the group ID *re-prepended* (the
+        branch's cursor steps back onto it), so the tree forwards
+        itself — and, when ``to_ncu`` is set, a copy of the remainder
+        is delivered to the local NCU.  Installing is a
         software action (the setup protocol pays system calls for it);
         once installed, a network-wide multicast costs the sender one
         injection.
@@ -155,12 +156,14 @@ class SwitchingSubsystem:
             if links:
                 self.drop(packet, "group_hop_limit")
             return
-        remainder = packet.header[packet.header_pos:]
+        # Each branch carries the injected header with its cursor back
+        # on the group ID (``receive`` has just consumed it), so the
+        # next SS re-reads the group ID and the tree forwards itself.
+        group_pos = packet.header_pos - 1
         for link in links:
             # A branch keeps moving: its reverse route is its own list.
             branch = packet.delivery_copy()
-            branch.header = (group_id,) + remainder
-            branch.header_pos = 0
+            branch.header_pos = group_pos
             branch._reverse = list(branch._reverse)
             self._forward(branch, link)
 
@@ -242,7 +245,6 @@ class SwitchingSubsystem:
             far, receiving_normal = link.node_v, link._normal_v
         else:
             far, receiving_normal = link.node_u, link._normal_u
-        packet.hops += 1
         packet._reverse.append(receiving_normal)
         net.metrics.count_hop(link)
         trace = net.trace

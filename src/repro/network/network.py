@@ -160,8 +160,12 @@ class Network:
         pairs = list(dict.fromkeys([
             (u, v) if position[u] < position[v] else (v, u) for u, v in edges
         ]))
+        # The build lets go of its scaffolding as soon as it has read
+        # it, so its traced peak stays near what it keeps.
+        del edges
         degree = Counter(itertools.chain.from_iterable(pairs))
         id_space = LinkIdSpace(capacity=max(degree.values(), default=1))
+        del degree
         self.id_space = id_space
 
         # One fused pass over nodes and edges: links are created in
@@ -193,13 +197,19 @@ class Network:
         decorated = [
             (reprs[u], reprs[v], position[u], i) for i, (u, v) in enumerate(pairs)
         ]
+        # The sort keys hold every repr and position still needed.
+        del position, reprs
         decorated.sort()
         #: First-occurrence rank of each link, in link order: replaying
         #: the pairs by rank rebuilds the input's ``edges`` order (see
         #: :attr:`graph`).
         self._edge_rank = array("I", map(itemgetter(3), decorated))
-        for repr_u, repr_v, _, i in decorated:
+        # Each sort entry and each pair is released in place as it is
+        # read.
+        for k, (repr_u, repr_v, _, i) in enumerate(decorated):
+            decorated[k] = None
             u, v = pairs[i]
+            pairs[i] = None
             if u == v:
                 raise ValueError("self-loops are not supported")
             ports_u = port_lists[u]
@@ -232,7 +242,7 @@ class Network:
         #: the links reads.  :attr:`links` is keyed from it when read.
         self._links: tuple[Link, ...] = tuple(links)
         for node_id, node in nodes.items():
-            node.ss.ports = tuple(port_lists[node_id])
+            node.ss.ports = tuple(port_lists.pop(node_id))
 
     def topology(self) -> Topology:
         """The full topology (every link, active or not) as a :class:`Topology`.

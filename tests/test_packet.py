@@ -18,8 +18,7 @@ def test_original_header_length_is_frozen():
 
 
 def test_original_header_length_empty_header():
-    # An empty injected header is legitimately length zero — the
-    # ``None`` sentinel in ``__post_init__`` must not treat it as unset.
+    # An empty injected header is legitimately length zero.
     packet = make(header=())
     assert packet.original_header_length == 0
     assert packet.remaining_header == ()
@@ -44,11 +43,9 @@ def test_reverse_anr_round_trips_most_recent_first():
 
 def test_delivery_copy_is_independent_snapshot():
     packet = make()
-    packet.hops = 2
     packet.reverse_anr = (5, 6)
     copy = packet.delivery_copy()
     packet.header_pos = 3
-    packet.hops = 9
     packet.reverse_anr = (7,)
     assert copy.header == (1, 2, 0)
     assert copy.header_pos == 0
@@ -73,3 +70,63 @@ def test_payload_shared_not_copied():
     packet = make(payload=payload)
     copy = packet.delivery_copy()
     assert copy.payload is payload  # contents never inspected by hardware
+
+
+def _record_deliveries(monkeypatch):
+    """Every packet the SS hands to an NCU, in delivery order."""
+    from repro.hardware.ncu import NCU
+
+    delivered = []
+    enqueue = NCU.enqueue_packet
+
+    def record(ncu, packet):
+        delivered.append(packet)
+        enqueue(ncu, packet)
+
+    monkeypatch.setattr(NCU, "enqueue_packet", record)
+    return delivered
+
+
+def test_flood_deliveries_derive_hops_and_share_one_hop_routes(monkeypatch):
+    # A packet stores neither its hop count nor its injected header's
+    # length: both are read off what it carries.  Every one-hop
+    # delivery through the same receiving normal ID holds one shared
+    # route-back tuple.
+    from repro.core import FloodingBroadcast, run_standalone_broadcast
+    from repro.network import from_spec
+
+    net = from_spec("fat_tree:4", trace=False)
+    delivered = _record_deliveries(monkeypatch)
+    run = run_standalone_broadcast(net, lambda api: FloodingBroadcast(api, root=0), 0)
+    assert run.coverage == net.n
+    routes: dict[tuple[int, ...], list] = {}
+    for packet in delivered:
+        assert packet.hops == len(packet.reverse_anr) == 1
+        assert packet.original_header_length == len(packet.header) == 2
+        routes.setdefault(packet.reverse_anr, []).append(packet._reverse)
+    assert any(len(shared) > 1 for shared in routes.values())
+    for shared in routes.values():
+        assert all(route is shared[0] for route in shared)
+
+
+def test_group_branches_carry_the_injected_header(monkeypatch):
+    # The header reaches the group ID after one normal hop: 0 -> 1, then
+    # the tree 1 -> 2 -> 3.  Each branch keeps its sender's header with
+    # the cursor back on the group ID, so every delivery holds the
+    # header node 0 injected.
+    from repro.network import Protocol, from_spec
+    from repro.network.spanning import bfs_tree
+
+    net = from_spec("line:4", trace=False)
+    net.attach(lambda api: Protocol(api))
+    group_id = net.install_multicast_tree(bfs_tree(net.adjacency(), 0))
+    delivered = _record_deliveries(monkeypatch)
+    header = (net.id_lookup(0, 1)[0], group_id)
+    net.node(0).inject(header, "group")
+    net.run_to_quiescence()
+    assert [packet.hops for packet in delivered] == [1, 2, 3]
+    for packet in delivered:
+        assert packet.header == header
+        assert packet.remaining_header == ()
+        assert packet.hops == len(packet.reverse_anr)
+        assert packet.original_header_length == len(packet.header) == 2
