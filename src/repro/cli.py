@@ -389,7 +389,7 @@ def cmd_election(args: argparse.Namespace) -> int:
 
 
 def _is_ring(net) -> bool:
-    return all(node.api.degree == 2 for node in net.nodes.values())
+    return all(node.ncu.degree == 2 for node in net.nodes.values())
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
@@ -604,14 +604,12 @@ def cmd_topology_info(args: argparse.Namespace) -> int:
         rows.append(["diameter (two-sweep bound)", topologies.pseudo_diameter(adjacency)])
 
     if args.build_memory:
-        from .obs.perf import PerfCounters
+        from .obs.perf import measure_build_bytes_per_node
 
-        perf = PerfCounters()
-        # The gauge is retained construction bytes (topology excluded).
-        perf.measure_build_bytes_per_node(
+        # Retained construction bytes (topology excluded).
+        per_node = measure_build_bytes_per_node(
             lambda: Network(topology, trace=False), nodes=n
         )
-        per_node = perf.build_bytes_per_node
         rows.append(["build bytes/node", f"{per_node:,.0f}"])
         rows.append(["build memory (est)", f"{per_node * n / 1e6:,.1f} MB"])
 

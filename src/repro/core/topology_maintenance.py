@@ -327,7 +327,7 @@ def is_converged(net: Network) -> bool:
         # Each active link inside the component, under both orientations.
         links = {}
         for node_id in component:
-            for link in nodes[node_id].ss.ports[1:]:
+            for link in nodes[node_id].ports[1:]:
                 if link.active:
                     links[node_id, link.other(node_id).node_id] = link.key
         for node_id in component:

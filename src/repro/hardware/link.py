@@ -127,56 +127,36 @@ class Link:
     old layout carried per link dominated per-link memory.  Endpoint
     dispatch is an equality compare instead of a dict lookup, which is
     also faster on the ``fifo_arrival`` hot path.
+
+    Links are made by the network build alone, which sets every slot.
     """
 
     __slots__ = (
+        # The endpoint nodes.
         "node_u",
         "node_v",
+        # Whether the link delivers; True when built.
         "active",
+        # Canonical undirected identifier ``(min, max)`` of the endpoint
+        # IDs by repr, computed once at build: the forwarding hot path
+        # reads it per hop (delay model, metrics, traces).
         "key",
+        # Flow control: ``None`` (off) when built, so the free-hardware
+        # model and every golden trace are untouched; when enabled, maps
+        # sending node ID -> :class:`LinkFlowState`.
         "fc",
+        # Each endpoint's normal ID.
         "_normal_u",
         "_normal_v",
+        # Per-direction FIFO watermark: the latest arrival time already
+        # promised, one per *sending* endpoint; 0.0 when built.
         "_arrival_u",
         "_arrival_v",
+        # Packet traversals of this link, both directions: its share of
+        # the hop complexity, counted by
+        # :meth:`repro.metrics.accounting.MetricsCollector.count_hop`.
         "hops",
     )
-
-    def __init__(
-        self,
-        node_u: Any,
-        node_v: Any,
-        *,
-        normal_at_u: int,
-        normal_at_v: int,
-        key: tuple[Any, Any] | None = None,
-    ) -> None:
-        self.node_u = node_u
-        self.node_v = node_v
-        self._normal_u = normal_at_u
-        self._normal_v = normal_at_v
-        self.active = True
-        #: Canonical undirected identifier ``(min, max)`` of endpoints.
-        #: Computed once here — the forwarding hot path reads it per hop
-        #: (delay model, metrics, traces) and the old per-access ``repr``
-        #: comparison was measurable.  Bulk builders that already hold
-        #: the repr-sorted node order pass ``key`` precomputed.
-        if key is None:
-            a, b = node_u.node_id, node_v.node_id
-            key = (a, b) if repr(a) <= repr(b) else (b, a)
-        self.key = key
-        #: Per-direction FIFO watermark: latest arrival time already
-        #: promised on this link, one slot per *sending* endpoint.
-        self._arrival_u = 0.0
-        self._arrival_v = 0.0
-        #: Packet traversals of this link, both directions: the link's
-        #: share of the hop complexity, counted by
-        #: :meth:`repro.metrics.accounting.MetricsCollector.count_hop`.
-        self.hops = 0
-        #: Flow control is off by default (``None``) so the free-hardware
-        #: model — and every golden trace — is untouched.  When enabled,
-        #: maps sending node id -> :class:`LinkFlowState`.
-        self.fc = None
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -191,7 +171,7 @@ class Link:
 
     def ids_at(self, node_id: Any) -> tuple[int, int]:
         """``(normal, copy)`` IDs of this link at the given endpoint."""
-        flag = self.node_u.ss._copy_flag
+        flag = self.node_u._copy_flag
         if node_id == self.node_u.node_id:
             return (self._normal_u, flag | self._normal_u)
         if node_id == self.node_v.node_id:
@@ -202,7 +182,7 @@ class Link:
         """The :class:`LinkInfo` snapshot as seen from ``node_id``."""
         u_id = self.node_u.node_id
         v_id = self.node_v.node_id
-        flag = self.node_u.ss._copy_flag
+        flag = self.node_u._copy_flag
         if node_id == u_id:
             return LinkInfo(
                 u=u_id,
@@ -335,7 +315,7 @@ class Link:
         sender_id = state.sender
         if not self.active:
             sender = self.node_u if sender_id == self.node_u.node_id else self.node_v
-            sender.ss.drop(packet, "inactive_link", link=self.key)
+            sender.drop(packet, "inactive_link", link=self.key)
             return
         now = net.scheduler.now
         delay = net.delays.hardware_delay(self.key, packet.seq)
@@ -377,7 +357,7 @@ class Link:
     def _fc_arrive(self, packet: Any, far: Any, state: LinkFlowState) -> None:
         """Far-side drain: deliver, return the credit, wake one waiter."""
         state.in_flight -= 1
-        far.ss._deliver(packet, self)
+        far._deliver(packet, self)
         if state.pending:
             waiter, requested_at = state.pending.popleft()
             net = self.node_u.net

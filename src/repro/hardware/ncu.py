@@ -81,18 +81,21 @@ class Job:
 
 
 class NodeApi:
-    """The facade a protocol sees while its handler runs.
+    """The protocol-facing interface of a node's NCU.
 
-    Deliberately narrow: a protocol can inspect its local topology, send
-    packets with explicit ANR headers, set timers and report outputs —
-    nothing else.  Global knowledge must arrive through messages, as in
-    the paper's model.
+    :class:`NCU` implements it: the API a protocol holds, and is handed
+    at every ``dispatch``, is its node's NCU.  Deliberately narrow: a
+    protocol can inspect its local topology, send packets with explicit
+    ANR headers, set timers and report outputs — nothing else.  Global
+    knowledge must arrive through messages, as in the paper's model.
     """
 
-    __slots__ = ("_node",)
+    __slots__ = ()
 
-    def __init__(self, node: "Node") -> None:
-        self._node = node
+    # Slots of the NCU subclass.
+    _node: "Node"
+    ports_used_this_call: set[int] | None
+    incarnation: int
 
     # -- identity and time ---------------------------------------------
     @property
@@ -121,7 +124,7 @@ class NodeApi:
     @property
     def degree(self) -> int:
         """Number of adjacent links (active or not)."""
-        return len(self._node.ss.ports) - 1
+        return len(self._node.ports) - 1
 
     # -- actions ----------------------------------------------------------
     def send(self, header: tuple[int, ...], payload: Any) -> Packet:
@@ -134,7 +137,7 @@ class NodeApi:
         Drivers put raw traffic on the hardware with ``Node.inject``.
         """
         node = self._node
-        if node.ncu.ports_used_this_call is None:
+        if self.ports_used_this_call is None:
             raise ProtocolError(
                 f"node {node.node_id} sent a packet outside a system call; "
                 "an NCU sends only from its handler (a driver injects raw "
@@ -159,11 +162,11 @@ class NodeApi:
         """
         node = self._node
         links = tuple(node.link_to(v) for v in child_neighbors)
-        node.ss.install_group(group_id, links, to_ncu=to_ncu)
+        node.install_group(group_id, links, to_ncu=to_ncu)
 
     def uninstall_group(self, group_id: int) -> None:
         """Remove a multicast group from the local SS."""
-        self._node.ss.uninstall_group(group_id)
+        self._node.uninstall_group(group_id)
 
     def set_timer(self, delay: float, tag: str = "", payload: Any = None) -> Event:
         """Schedule an ``on_timer`` involvement ``delay`` from now.
@@ -171,26 +174,24 @@ class NodeApi:
         Returns the underlying event; cancelling it prevents the job
         from being enqueued (an already-enqueued job cannot be recalled).
         """
-        node = self._node
-        return node.net.scheduler.schedule(
+        return self._node.net.scheduler.schedule(
             delay,
             self._timer_fire,
             2,
             f"timer:{tag}",
-            (tag, payload, node.ncu.incarnation),
+            (tag, payload, self.incarnation),
         )
 
     def _timer_fire(self, tag: str, payload: Any, incarnation: int = 0) -> None:
-        node = self._node
-        ncu = node.ncu
-        if ncu.incarnation != incarnation:
+        if self.incarnation != incarnation:
             # Set before a crash; the restarted software never armed it.
             return
+        node = self._node
         net = node.net
         trace = net.trace
         if trace.enabled:
             trace.record(net.scheduler.now, TraceKind.TIMER_FIRED, node.node_id, tag=tag)
-        ncu.enqueue(Job(JobKind.TIMER, payload, tag))
+        self.enqueue(Job(JobKind.TIMER, payload, tag))
 
     def report(self, key: str, value: Any) -> None:
         """Publish a named output (read by drivers and tests)."""
@@ -203,8 +204,12 @@ class NodeApi:
         )
 
 
-class NCU:
-    """Single-server FIFO job queue with software-delay service times."""
+class NCU(NodeApi):
+    """Single-server FIFO job queue with software-delay service times.
+
+    Also the node's :class:`NodeApi`: the node's protocol holds its NCU
+    as ``api``, and each job is dispatched with the NCU as the API.
+    """
 
     __slots__ = (
         "_node",
@@ -418,7 +423,7 @@ class NCU:
             # keeps a bound method, and a ``dispatch`` replaced on the
             # class (the handler timer of an active ``PerfCounters``)
             # takes effect at once.
-            node.protocol.dispatch(node.api, job)
+            node.protocol.dispatch(self, job)
         finally:
             self.ports_used_this_call = None
             trace = net.trace

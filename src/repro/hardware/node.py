@@ -9,7 +9,7 @@ from ..sim.errors import PathTooLongError, ProtocolError, RoutingError
 from ..sim.trace import TraceKind
 from .ids import LinkIdSpace
 from .link import Link, LinkInfo
-from .ncu import NCU, NodeApi
+from .ncu import NCU
 from .packet import Packet
 from .switch import SwitchingSubsystem
 
@@ -17,23 +17,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..network.network import Network
 
 
-class Node:
-    """One network node.
+class Node(SwitchingSubsystem):
+    """One network node: its switching subsystem, plus one NCU.
 
-    The node object wires together the SS, the NCU and the API facade;
-    it owns no protocol logic.  Packet injection — the NCU handing a
-    packet to its own SS — lives here because it is where the ``dmax``
-    path-length restriction of Section 2 is enforced.
+    The node *is* its SS (the port table and multicast groups are its
+    own slots) and holds its NCU, which is also the API its protocol
+    sees; it owns no protocol logic.  Packet injection — the NCU
+    handing a packet to its own SS — lives here because it is where the
+    ``dmax`` path-length restriction of Section 2 is enforced.
     """
 
-    __slots__ = ("node_id", "net", "ss", "ncu", "api", "protocol")
+    __slots__ = ("node_id", "net", "ncu", "protocol")
 
     def __init__(self, node_id: Any, net: "Network", id_space: LinkIdSpace) -> None:
+        super().__init__(id_space)
         self.node_id = node_id
         self.net = net
-        self.ss = SwitchingSubsystem(self, id_space)
         self.ncu = NCU(self)
-        self.api = NodeApi(self)
         #: The protocol instance attached to this node, or ``None``: the
         #: node's one reference to it.  The NCU dispatches each job to
         #: ``protocol.dispatch`` and checks this slot for "attached".
@@ -43,11 +43,11 @@ class Node:
     def links(self) -> Mapping[Any, Link]:
         """Adjacent links keyed by neighbour ID, in local-ID order.
 
-        A read-only mapping derived from the SS port table on each
-        read: the node stores no neighbour dict of its own.
+        A read-only mapping derived from the port table on each read:
+        the node stores no neighbour dict of its own.
         """
         me = self.node_id
-        return MappingProxyType({link.other(me).node_id: link for link in self.ss.ports[1:]})
+        return MappingProxyType({link.other(me).node_id: link for link in self.ports[1:]})
 
     def reset(self) -> None:
         """Restore the pristine pre-``attach()`` state.
@@ -59,7 +59,7 @@ class Node:
         """
         self.protocol = None
         self.ncu.reset()
-        self.ss.reset()
+        super().reset()
 
     def crash(self) -> None:
         """Crash the node's software with total state loss.
@@ -72,7 +72,7 @@ class Node:
         """
         self.protocol = None
         self.ncu.crash()
-        self.ss.reset()
+        super().reset()
         self.net.crashed_nodes.add(self.node_id)
 
     def restart(self, factory: Any) -> None:
@@ -81,7 +81,7 @@ class Node:
         The new instance starts from its constructor state — nothing
         from before the crash survives.
         """
-        self.protocol = factory(self.api)
+        self.protocol = factory(self.ncu)
         self.ncu.restart()
         self.net.crashed_nodes.discard(self.node_id)
 
@@ -93,7 +93,7 @@ class Node:
         """
         neighbor = self.net.nodes.get(neighbor_id)
         if neighbor is not self:
-            for link in self.ss.ports[1:]:
+            for link in self.ports[1:]:
                 if link.node_u is neighbor or link.node_v is neighbor:
                     return link
         raise KeyError(f"node {neighbor_id!r} is not adjacent to node {self.node_id!r}")
@@ -106,7 +106,7 @@ class Node:
         topology-maintenance broadcast disseminates.
         """
         me = self.node_id
-        infos = [link.info_at(me) for link in self.ss.ports[1:]]
+        infos = [link.info_at(me) for link in self.ports[1:]]
         infos.sort(key=_neighbor_repr)
         return tuple(infos)
 
@@ -132,7 +132,7 @@ class Node:
             # A normal or copy ID keys its port index, any other ID
             # (the group range, say) keys itself.
             port = header[0]
-            flag = self.ss._copy_flag
+            flag = self._copy_flag
             if flag <= port < flag << 1:
                 port -= flag
             if port in ports:
@@ -158,11 +158,11 @@ class Node:
                 packet=packet.seq,
                 header_len=len(header),
             )
-        self.ss.receive(packet, None)
+        self.receive(packet, None)
         return packet
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Node({self.node_id!r}, degree={len(self.ss.ports) - 1})"
+        return f"Node({self.node_id!r}, degree={len(self.ports) - 1})"
 
 
 def _neighbor_repr(info: LinkInfo) -> str:

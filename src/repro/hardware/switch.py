@@ -28,8 +28,8 @@ the per-hop cycle and must be allocation-free in steady state:
   link end is stored once, as a reference to the shared ``Link``;
 * the hop reads the far node and the receiving side's normal ID off
   the link's endpoints (as ``Link.fifo_arrival`` does), and schedules
-  the far SS's ``_deliver`` as a plain function plus ``args`` — no
-  per-hop closure, no per-port tuple;
+  ``_deliver`` with the far node as a plain function plus ``args`` —
+  no per-hop closure, no per-port tuple;
 * trace records are guarded on ``trace.enabled`` so a disabled trace
   costs one attribute load, not a kwargs dict;
 * the hop is counted once, on the link (``Link.hops``, through the
@@ -53,7 +53,8 @@ from .link import Link
 from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .node import Node
+    from ..network.network import Network
+    from .ncu import NCU
 
 
 #: Shared empty multicast-group table.  Almost no node ever installs a
@@ -65,13 +66,21 @@ _NO_GROUPS: dict[int, tuple[tuple[Link, ...], bool]] = {}
 
 
 class SwitchingSubsystem:
-    """Per-node hardware switch with the paper's ID-set semantics."""
+    """Per-node hardware switch with the paper's ID-set semantics.
 
-    __slots__ = ("_node", "_id_space", "ports", "_copy_flag", "_groups")
+    The base class of :class:`repro.hardware.node.Node`: a node *is*
+    its switch, so the switch reads the node's ``net``, ``node_id`` and
+    ``ncu`` off ``self``.
+    """
 
-    def __init__(self, node: "Node", id_space: LinkIdSpace) -> None:
-        self._node = node
-        self._id_space = id_space
+    __slots__ = ("ports", "_copy_flag", "_groups")
+
+    # Slots of the node subclass.
+    node_id: Any
+    net: "Network"
+    ncu: "NCU"
+
+    def __init__(self, id_space: LinkIdSpace) -> None:
         #: The port table: the node's links in local-ID order.  Entry
         #: ``i`` is the link with normal ID ``i`` and copy ID
         #: ``flag | i``; entry 0 is the NCU ID, which names no link.
@@ -84,11 +93,6 @@ class SwitchingSubsystem:
         #: Part of the "more powerful hardware" extension; the shared
         #: empty sentinel until software installs one (``install_group``).
         self._groups = _NO_GROUPS
-
-    @property
-    def id_space(self) -> LinkIdSpace:
-        """The ID scheme shared by the whole network."""
-        return self._id_space
 
     def reset(self) -> None:
         """Drop run-time hardware state (installed multicast groups).
@@ -120,10 +124,10 @@ class SwitchingSubsystem:
         Group IDs must come from the group range (above all normal and
         copy IDs) so they can never shadow point-to-point routing.
         """
-        if group_id < self._id_space.group_base:
+        group_base = self.net.id_space.group_base
+        if group_id < group_base:
             raise ValueError(
-                f"{group_id} is not a group ID (group range starts at "
-                f"{self._id_space.group_base})"
+                f"{group_id} is not a group ID (group range starts at {group_base})"
             )
         if self._groups is _NO_GROUPS:
             self._groups = {}
@@ -134,8 +138,8 @@ class SwitchingSubsystem:
         self._groups.pop(group_id, None)
 
     def _receive_group(self, packet: Packet, group_id: int) -> None:
-        net = self._node.net
-        me = self._node.node_id
+        net = self.net
+        me = self.node_id
         links, to_ncu = self._groups[group_id]
         if to_ncu:
             copy = packet.delivery_copy()
@@ -149,10 +153,10 @@ class SwitchingSubsystem:
                     packet=packet.seq,
                     group=group_id,
                 )
-            self._node.ncu.enqueue_packet(copy)
+            self.ncu.enqueue_packet(copy)
         # The dmax guard doubles as cycle protection: a mis-installed
         # cyclic group drops its packets instead of replicating forever.
-        if packet.hops >= self._node.net.dmax:
+        if packet.hops >= net.dmax:
             if links:
                 self.drop(packet, "group_hop_limit")
             return
@@ -177,8 +181,8 @@ class SwitchingSubsystem:
         ID-set matching rule.  Unroutable or header-exhausted packets
         are dropped (and traced) — the hardware has no error channel.
         """
-        net = self._node.net
-        me = self._node.node_id
+        net = self.net
+        me = self.node_id
         header = packet.header
         pos = packet.header_pos
         if pos >= len(header):
@@ -214,7 +218,7 @@ class SwitchingSubsystem:
                     packet=packet.seq,
                     final=link is None,
                 )
-            self._node.ncu.enqueue_packet(copy)
+            self.ncu.enqueue_packet(copy)
 
         if link is not None:
             self._forward(packet, link)
@@ -223,9 +227,8 @@ class SwitchingSubsystem:
 
     def _forward(self, packet: Packet, link: Link) -> None:
         """Send the packet onward over one link, charging the C delay."""
-        node = self._node
-        net = node.net
-        me = node.node_id
+        net = self.net
+        me = self.node_id
         if not link.active:
             self.drop(packet, "inactive_link", link=link.key)
             return
@@ -241,7 +244,7 @@ class SwitchingSubsystem:
         # ``now + 0.0``, without a fresh float for the heap entry and
         # the link's watermark to keep.
         arrival = link.fifo_arrival(me, now + delay if delay else now)
-        if link.node_u is node:
+        if link.node_u is self:
             far, receiving_normal = link.node_v, link._normal_v
         else:
             far, receiving_normal = link.node_u, link._normal_u
@@ -257,7 +260,7 @@ class SwitchingSubsystem:
                 link=link.key,
                 to=far.node_id,
             )
-        net.scheduler.schedule_at(arrival, _deliver, 0, "hop", (far.ss, packet, link))
+        net.scheduler.schedule_at(arrival, _deliver, 0, "hop", (far, packet, link))
 
     def _deliver(self, packet: Packet, link: Link) -> None:
         """Arrival at this side of ``link``; the scheduled hop payload.
@@ -275,20 +278,20 @@ class SwitchingSubsystem:
         The record's detail is ``packet``, ``reason``, then ``detail``
         (the dead ``link`` or the unroutable ``id``), in that order.
         """
-        net = self._node.net
+        net = self.net
         net.metrics.count_drop(reason)
         trace = net.trace
         if trace.enabled:
             trace.record(
                 net.scheduler.now,
                 TraceKind.PACKET_DROPPED,
-                self._node.node_id,
+                self.node_id,
                 packet=packet.seq,
                 reason=reason,
                 **detail,
             )
 
 
-#: The hop payload, scheduled with the far SS as its first argument, so
-#: no SS keeps a bound method around for its neighbours to schedule.
+#: The hop payload, scheduled with the far node as its first argument,
+#: so no node keeps a bound method around for its neighbours to schedule.
 _deliver = SwitchingSubsystem._deliver

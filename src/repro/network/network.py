@@ -222,8 +222,8 @@ class Network:
             normal_v = len(ports_v)
             node_u = nodes[u]
             node_v = nodes[v]
-            # Hand-rolled Link construction (the builder's hot
-            # allocation), mirroring ``Link.__init__`` field for field.
+            # The one place a Link is made: every slot set here (their
+            # meanings are in the class body).
             link = link_new(Link)
             link.node_u = node_u
             link.node_v = node_v
@@ -242,7 +242,7 @@ class Network:
         #: the links reads.  :attr:`links` is keyed from it when read.
         self._links: tuple[Link, ...] = tuple(links)
         for node_id, node in nodes.items():
-            node.ss.ports = tuple(port_lists.pop(node_id))
+            node.ports = tuple(port_lists.pop(node_id))
 
     def topology(self) -> Topology:
         """The full topology (every link, active or not) as a :class:`Topology`.
@@ -447,7 +447,7 @@ class Network:
         """Instantiate the protocol on every node (``Node.protocol``)."""
         self._protocol_factory = factory
         for node in self.nodes.values():
-            node.protocol = factory(node.api)
+            node.protocol = factory(node.ncu)
 
     def start(
         self,
@@ -542,12 +542,12 @@ class Network:
 
     def fail_node(self, node_id: Any) -> None:
         """Model a node failure: deactivate all its links (Section 2)."""
-        for link in self.nodes[node_id].ss.ports[1:]:
+        for link in self.nodes[node_id].ports[1:]:
             self.fail_link(*link.key)
 
     def restore_node(self, node_id: Any) -> None:
         """Reactivate all links of a previously failed node."""
-        for link in self.nodes[node_id].ss.ports[1:]:
+        for link in self.nodes[node_id].ports[1:]:
             self.restore_link(*link.key)
 
     def crash_node(self, node_id: Any) -> None:
@@ -560,7 +560,7 @@ class Network:
         Jobs arriving while crashed are dropped (``ncu_crashed``).
         """
         node = self.nodes[node_id]
-        for link in node.ss.ports[1:]:
+        for link in node.ports[1:]:
             self._set_link_state(link, active=False)
         node.crash()
 
@@ -579,7 +579,7 @@ class Network:
             )
         node = self.nodes[node_id]
         node.restart(self._protocol_factory)
-        for link in node.ss.ports[1:]:
+        for link in node.ports[1:]:
             self._set_link_state(link, active=True)
         if start:
             node.ncu.enqueue(Job(kind=JobKind.START, payload=None))
@@ -680,7 +680,7 @@ class Network:
         for node_id in tree.parent:
             node = self.nodes[node_id]
             links = tuple(node.link_to(child) for child in tree.children[node_id])
-            node.ss.install_group(group_id, links, to_ncu=node_id != tree.root)
+            node.install_group(group_id, links, to_ncu=node_id != tree.root)
         return group_id
 
     def adjacency(self) -> Mapping[Any, tuple[Any, ...]]:
@@ -697,7 +697,7 @@ class Network:
         # order, and each node's ports in local-ID order.
         adjacency = {
             node_id: tuple(sorted(
-                (link.other(node_id).node_id for link in node.ss.ports[1:] if link.active),
+                (link.other(node_id).node_id for link in node.ports[1:] if link.active),
                 key=repr,
             ))
             for node_id, node in self.nodes.items()

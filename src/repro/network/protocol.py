@@ -26,7 +26,7 @@ class Protocol:
 
     Subclasses override any of :meth:`on_start`, :meth:`on_packet`,
     :meth:`on_timer`, :meth:`on_link_change`.  The ``api`` attribute is
-    the node facade (:class:`repro.hardware.ncu.NodeApi`).
+    the node's NCU, seen through :class:`repro.hardware.ncu.NodeApi`.
 
     A subclass declares ``__slots__`` for its own per-node fields: one
     instance lives on every node, and a slotted instance carries no

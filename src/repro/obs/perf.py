@@ -33,6 +33,7 @@ any of its code.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -97,9 +98,7 @@ class PerfCounters:
     wall-time histogram (microseconds, fixed bounds).
     """
 
-    __slots__ = COUNTER_FIELDS + TIMER_FIELDS + (
-        "handler_us", "link_occupancy", "build_bytes_per_node",
-    )
+    __slots__ = COUNTER_FIELDS + TIMER_FIELDS + ("handler_us", "link_occupancy")
 
     def __init__(self) -> None:
         self.clear()
@@ -112,10 +111,6 @@ class PerfCounters:
             setattr(self, name, 0.0)
         self.handler_us = Histogram(HANDLER_US_BOUNDS)
         self.link_occupancy = Histogram(OCCUPANCY_BOUNDS)
-        #: Gauge: retained construction bytes per node, from the last
-        #: (largest, across merges) :meth:`measure_build_bytes_per_node`
-        #: call.  0.0 until measured.
-        self.build_bytes_per_node = 0.0
 
     # ------------------------------------------------------------------
     # Activation
@@ -212,40 +207,6 @@ class PerfCounters:
         """Stop tracemalloc tracking (idempotent)."""
         tracemalloc.stop()
 
-    def measure_build_bytes_per_node(
-        self, build: Callable[[], Any], *, nodes: int | None = None
-    ) -> Any:
-        """Run ``build`` under tracemalloc and record retained bytes/node.
-
-        ``build`` is a zero-argument constructor (typically a
-        ``Network`` build); the gauge is tracemalloc's *current* traced
-        total right after it returns — i.e. memory the construction
-        retained, not its transient peak — divided by the node count.
-        ``nodes`` defaults to the built object's ``n`` attribute.  The
-        result of ``build`` is returned so the measured substrate can
-        be used.  Incompatible with an already-running tracemalloc
-        session (raises RuntimeError rather than corrupting it).
-        """
-        if tracemalloc.is_tracing():
-            raise RuntimeError(
-                "tracemalloc is already tracing; stop it before measuring a build"
-            )
-        tracemalloc.start()
-        try:
-            built = build()
-            current, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        count = nodes if nodes is not None else getattr(built, "n", None)
-        if not count:
-            raise ValueError(
-                "node count unavailable: pass nodes= or build an object with .n"
-            )
-        per_node = current / count
-        if per_node > self.build_bytes_per_node:
-            self.build_bytes_per_node = per_node
-        return built
-
     # ------------------------------------------------------------------
     # Aggregation and serialisation
     # ------------------------------------------------------------------
@@ -257,10 +218,6 @@ class PerfCounters:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.handler_us.merge(other.handler_us)
         self.link_occupancy.merge(other.link_occupancy)
-        # Gauge, not a counter: merged by max (the largest substrate
-        # measured anywhere), never summed.
-        if other.build_bytes_per_node > self.build_bytes_per_node:
-            self.build_bytes_per_node = other.build_bytes_per_node
         return self
 
     def to_dict(self) -> dict[str, Any]:
@@ -270,7 +227,6 @@ class PerfCounters:
             "timers_s": {name: getattr(self, name) for name in TIMER_FIELDS},
             "handler_us": self.handler_us.to_dict(),
             "link_occupancy": self.link_occupancy.to_dict(),
-            "gauges": {"build_bytes_per_node": self.build_bytes_per_node},
         }
 
     @classmethod
@@ -289,8 +245,6 @@ class PerfCounters:
         occupancy = data.get("link_occupancy")
         if occupancy:
             self.link_occupancy = Histogram.from_dict(occupancy)
-        gauges = data.get("gauges", {})
-        self.build_bytes_per_node = float(gauges.get("build_bytes_per_node", 0.0))
         return self
 
     def render(self, *, title: str = "perf attribution") -> str:
@@ -302,10 +256,6 @@ class PerfCounters:
             [name, f"{getattr(self, name) * 1000.0:.3f} ms"]
             for name in TIMER_FIELDS
         ]
-        if self.build_bytes_per_node:
-            rows.append(
-                ["build_bytes_per_node", f"{self.build_bytes_per_node:.0f} B"]
-            )
         out = [format_table(["counter", "value"], rows, title=title)]
         hist_rows = []
         if self.handler_us.count:
@@ -320,6 +270,39 @@ class PerfCounters:
                 )
             )
         return "\n\n".join(out)
+
+
+def measure_build_bytes_per_node(
+    build: Callable[[], Any], *, nodes: int | None = None
+) -> float:
+    """Bytes per node that ``build()`` retains, read with tracemalloc.
+
+    ``build`` is a zero-argument constructor (typically a ``Network``
+    build).  The reading is tracemalloc's *current* traced total after
+    ``build`` returns and one ``gc.collect()`` (which empties the
+    interpreter's free lists): what the construction retained, not its
+    transient peak.  It is divided by ``nodes``, which defaults to the
+    built object's ``n`` attribute (ValueError when neither gives a
+    count).  Incompatible with an already-running tracemalloc session
+    (raises RuntimeError rather than corrupting it).
+    """
+    if tracemalloc.is_tracing():
+        raise RuntimeError(
+            "tracemalloc is already tracing; stop it before measuring a build"
+        )
+    tracemalloc.start()
+    try:
+        built = build()
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = nodes if nodes is not None else getattr(built, "n", None)
+    if not count:
+        raise ValueError(
+            "node count unavailable: pass nodes= or build an object with .n"
+        )
+    return current / count
 
 
 def merge_perf_dicts(dicts: list[Mapping[str, Any]]) -> dict[str, Any] | None:

@@ -384,7 +384,7 @@ def _construction(net) -> dict:
             for key, link in net.links.items()
         ],
         "ports": {
-            node_id: port_entries(node_id, node.ss.ports)
+            node_id: port_entries(node_id, node.ports)
             for node_id, node in net.nodes.items()
         },
         "adjacency": dict(net.adjacency()),

@@ -23,7 +23,7 @@ def test_group_ids_live_above_point_to_point_ids():
 def test_install_group_rejects_non_group_ids():
     net = limiting_net(topologies.line(2))
     with pytest.raises(ValueError, match="group"):
-        net.node(0).ss.install_group(1, (), to_ncu=True)
+        net.node(0).install_group(1, (), to_ncu=True)
 
 
 def test_installed_tree_multicast_one_injection(small_graphs):
@@ -100,8 +100,8 @@ def test_cyclic_group_install_is_contained_by_hop_guard():
     # forever.
     net = limiting_net(topologies.line(2))
     gid = net.allocate_group_id()
-    net.node(0).ss.install_group(gid, (net.node(0).link_to(1),), to_ncu=False)
-    net.node(1).ss.install_group(gid, (net.node(1).link_to(0),), to_ncu=False)
+    net.node(0).install_group(gid, (net.node(0).link_to(1),), to_ncu=False)
+    net.node(1).install_group(gid, (net.node(1).link_to(0),), to_ncu=False)
     from conftest import attach_recorders
 
     attach_recorders(net)
@@ -118,7 +118,7 @@ def test_uninstall_group():
     from conftest import attach_recorders
 
     recorders = attach_recorders(net)
-    net.node(0).ss.uninstall_group(gid)
+    net.node(0).uninstall_group(gid)
     net.node(0).inject((gid,), "gone")
     net.run_to_quiescence()
     # Node 0 no longer recognises the group ID: the packet is dropped.

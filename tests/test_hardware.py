@@ -246,7 +246,7 @@ def test_send_outside_a_system_call_is_refused():
     net = limiting_net(topologies.ring(4))
     net.attach(lambda api: Protocol(api))
     with pytest.raises(ProtocolError, match="outside a system call"):
-        net.node(0).api.send((1, NCU_ID), "x")
+        net.node(0).ncu.send((1, NCU_ID), "x")
     assert net.metrics.snapshot().packets_injected == 0
     # Raw hardware injection stays open to drivers and is never charged:
     # the one system call is the receiver's delivery.
@@ -270,7 +270,7 @@ def test_copy_and_forward_same_port_is_one_send():
 def test_timer_fires_and_counts_system_call():
     net = limiting_net(topologies.line(2))
     recorders = attach_recorders(net)
-    net.node(0).api.set_timer(5.0, tag="tick", payload=42)
+    net.node(0).ncu.set_timer(5.0, tag="tick", payload=42)
     net.run_to_quiescence()
     assert recorders[0].timers == [("tick", 42)]
     assert net.metrics.system_calls_of_kind("timer:tick") == 1
@@ -279,7 +279,7 @@ def test_timer_fires_and_counts_system_call():
 def test_cancelled_timer_never_fires():
     net = limiting_net(topologies.line(2))
     recorders = attach_recorders(net)
-    event = net.node(0).api.set_timer(5.0, tag="tick")
+    event = net.node(0).ncu.set_timer(5.0, tag="tick")
     event.cancel()
     net.run_to_quiescence()
     assert recorders[0].timers == []

@@ -159,7 +159,7 @@ def _dict_port_table(net, node_id) -> dict:
 def _oracle_decision(net, node_id, table, link_id) -> tuple:
     """``(links forwarded over, copy delivered, drop reasons)`` the
     ID-set rule gives for ``link_id`` against the dict table."""
-    groups = net.node(node_id).ss._groups
+    groups = net.node(node_id)._groups
     if link_id in groups:
         members, to_ncu = groups[link_id]
         over = tuple(link.key for link in members if link.active)
@@ -203,10 +203,10 @@ def test_port_table_matches_dict_oracle(seed, data):
     node = net.node(node_id)
     space = net.id_space
     flag, base = space.flag, space.group_base
-    degree = node.api.degree
-    if node.ss.ports[1:] and rng.random() < 0.5:
-        members = tuple(link for link in node.ss.ports[1:] if rng.random() < 0.5)
-        node.ss.install_group(base + flag, members, to_ncu=rng.random() < 0.5)
+    degree = node.ncu.degree
+    if node.ports[1:] and rng.random() < 0.5:
+        members = tuple(link for link in node.ports[1:] if rng.random() < 0.5)
+        node.install_group(base + flag, members, to_ncu=rng.random() < 0.5)
     normal = list(range(1, degree + 1))
     ids = (
         [-(2**70), -flag - 1, -flag, -1, NCU_ID, flag, flag - 1, degree + 1,

@@ -150,10 +150,10 @@ def test_stale_timers_die_with_the_incarnation():
     net.run_to_quiescence()
     # Arm a timer, then crash and restart before it fires: the fire
     # event carries the old incarnation and must be discarded.
-    net.node(0).api.set_timer(5.0, tag="stale")
+    net.node(0).ncu.set_timer(5.0, tag="stale")
     net.crash_node(0)
     net.restart_node(0, start=False)
-    net.node(0).api.set_timer(9.0, tag="fresh")
+    net.node(0).ncu.set_timer(9.0, tag="fresh")
     net.run_to_quiescence()
     fired = [tag for tag, _ in recorders[0].timers]
     assert fired == ["fresh"]

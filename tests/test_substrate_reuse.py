@@ -75,17 +75,17 @@ def test_reset_restores_pristine_state() -> None:
         assert node.protocol is None
         assert not node.ncu.busy
         assert node.ncu.queued == 0
-        assert node.ss._groups == {}
+        assert node._groups == {}
 
 
 def test_reset_keeps_build_products() -> None:
     net = from_spec("grid:4,4")
-    before = {node_id: node.ss.ports for node_id, node in net.nodes.items()}
+    before = {node_id: node.ports for node_id, node in net.nodes.items()}
     links_before = dict(net.links)
     net.reset()
     assert dict(net.links) == links_before
     for node_id, node in net.nodes.items():
-        assert node.ss.ports == before[node_id]
+        assert node.ports == before[node_id]
 
 
 def test_reset_returns_self_for_chaining() -> None:
