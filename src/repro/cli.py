@@ -41,8 +41,9 @@ live in ``tests/test_bench.py`` and end-to-end timing in ``bench/``.
 
 Congestion: ``--link-rate``/``--link-buffer`` enable credit-based
 flow control on every link (senders stall when the downstream buffer
-is full); ``repro observe --congestion`` samples queue occupancy and
-renders a text heatmap, and ``--monitor netcalc`` cross-checks the
+is full); ``repro observe --congestion`` renders the queue records the
+links write to the trace as a text heatmap, next to each direction's
+totals, and ``--monitor netcalc`` cross-checks the
 live queues against closed-form network-calculus delay/backlog bounds
 (see ``docs/TUTORIAL.md`` §9).
 """
@@ -109,12 +110,10 @@ class _RunContext:
 
     :meth:`network` builds each network the command needs, with its
     delays, flow control and ``--scenario`` events.  On the observed
-    network it also installs, in this order, live stats, the congestion
-    probe (``observe --congestion``), the flight recorder and the
-    monitors, which judge it as a ``command`` run of ``scheme``.  The
-    recorder must see an event before a monitor alerts on it, since the
-    alert dumps the ring, and the probe's QUEUE records precede the
-    monitors' ALERT records in the trace.  :meth:`finish` renders the
+    network it also installs, in this order, live stats, the flight
+    recorder and the monitors, which judge it as a ``command`` run of
+    ``scheme``.  The recorder must see an event before a monitor alerts
+    on it, since the alert dumps the ring.  :meth:`finish` renders the
     alerts, writes the exports and the manifest, and returns the exit
     code.  Each flag's hook installs nothing when the flag is absent.
     ``story`` is the scenario the command replays itself (``scenario
@@ -127,7 +126,7 @@ class _RunContext:
         self.args, self.command, self.scheme = args, command, scheme
         self.trace = trace or bool(args.trace_out or args.chrome_trace)
         self.story = story
-        self.net = self.stats = self.probe = self.host = None
+        self.net = self.stats = self.host = None
 
     def network(self, *, observed: bool = True):
         args = self.args
@@ -158,10 +157,6 @@ class _RunContext:
             from .obs.live import LiveStats
 
             self.stats = LiveStats().install(net)
-        if getattr(args, "congestion", False):
-            from .obs.congestion import CongestionProbe
-
-            self.probe = CongestionProbe(net, to_trace=True).install()
         recorder = None
         if args.flight_recorder:
             from .obs.recorder import FlightRecorder
@@ -505,7 +500,7 @@ def _alert_summary(records) -> str:
 def _render_observation(args: argparse.Namespace, spans, queue_records,
                         footer: str | None, label: str) -> None:
     """The span summary, timeline and queue heatmap of one run, live or
-    replayed; ``queue_records`` is None when nothing sampled queues."""
+    replayed; ``queue_records`` is None when no heatmap is wanted."""
     from .obs.timeline import render_congestion_heatmap, render_timeline, span_summary_table
 
     print()
@@ -568,14 +563,16 @@ def cmd_observe(args: argparse.Namespace) -> int:
             f"election on {args.topology}: leader {leader}, "
             f"{net.metrics.system_calls} system calls, t={net.scheduler.now:g}"
         )
-    # An empty probe is falsy (it has a length): test it against None.
-    probe = ctx.probe
-    _render_observation(
-        args, build_spans(net.trace),
-        None if probe is None else probe.records(),
-        None if probe is None else probe.render_summary(),
-        f"{args.workload} on {args.topology}",
-    )
+    queue_records = summary = None
+    if args.congestion:
+        from .obs.timeline import render_congestion_summary
+        from .sim.trace import TraceKind
+
+        # The records ``--from-trace`` replays: both render one heatmap.
+        queue_records = [r for r in net.trace if r.kind is TraceKind.QUEUE]
+        summary = render_congestion_summary(net.flow_states())
+    _render_observation(args, build_spans(net.trace), queue_records, summary,
+                        f"{args.workload} on {args.topology}")
     return ctx.finish("observe", workload=args.workload, scheme=scheme)
 
 
@@ -1181,9 +1178,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip simulating: rebuild spans from a JSONL trace "
                         "written with --trace-out")
     p.add_argument("--congestion", action="store_true",
-                   help="sample per-link queue occupancy during the run and "
-                        "render a congestion heatmap + per-link stall "
-                        "summary (pairs with --link-rate/--link-buffer)")
+                   help="render the run's per-link queue records as a "
+                        "congestion heatmap + per-link stall summary "
+                        "(pairs with --link-rate/--link-buffer)")
     p.add_argument("--heat-limit", type=_bounded(int, 0), default=40, metavar="N",
                    help="max heatmap rows: only the N hottest link "
                         "directions are shown, the rest are summarised "

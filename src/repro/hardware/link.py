@@ -29,7 +29,10 @@ class LinkFlowState:
     (``pending``), plus monotonic telemetry the observability layer and
     the network-calculus monitor read: cumulative arrivals/transmits/
     stalls, total stalled simulated time, and the high watermarks of
-    occupancy and per-packet link delay.
+    occupancy and per-packet link delay.  These counts are the record
+    of the direction's congestion: every change of ``pending`` or
+    ``in_flight`` is reported once, by ``Link._fc_report``, and nothing
+    else counts it again.
     """
 
     __slots__ = (
@@ -290,34 +293,43 @@ class Link:
             # No credit: queue at the sender until the far side drains.
             state.stalls += 1
             state.pending.append((packet, now))
-            occupancy = len(state.pending) + state.in_flight
-            if occupancy > state.max_occupancy:
-                state.max_occupancy = occupancy
-            probe = net.probe
-            if probe is not None:
-                probe.link_queue(self.key, occupancy, now)
-            perf = net.perf
-            if perf is not None:
-                perf.link_stalls += 1
-                perf.link_occupancy.add(occupancy)
-            trace = net.trace
-            if trace.enabled:
-                trace.record(now, TraceKind.QUEUE, sender_id,
-                             packet=packet.seq, link=self.key,
-                             occupancy=occupancy, stalled=len(state.pending))
+            self._fc_report(net, state, now)
             return
         self._fc_transmit(state, packet, now)
+
+    def _fc_report(self, net: Any, state: LinkFlowState, now: float) -> None:
+        """Report one change of ``state``'s stalled or in-flight count: a
+        stall, a transmit, a drain or a woken waiter dropped on a dead
+        link.  Raises ``max_occupancy``, tells an installed probe and,
+        when tracing, writes one QUEUE record, so the watermark, the live
+        histogram and every view of the trace read the same transitions.
+        """
+        stalled = len(state.pending)
+        in_flight = state.in_flight
+        occupancy = stalled + in_flight
+        if occupancy > state.max_occupancy:
+            state.max_occupancy = occupancy
+        probe = net.probe
+        if probe is not None:
+            probe.link_queue(self.key, occupancy, now)
+        trace = net.trace
+        if trace.enabled:
+            trace.record(now, TraceKind.QUEUE, state.sender, link=self.key,
+                         occupancy=occupancy, stalled=stalled,
+                         in_flight=in_flight)
 
     def _fc_transmit(self, state: LinkFlowState, packet: Any,
                      requested_at: float) -> None:
         """Consume a credit and put ``packet`` on the wire."""
         net = self.node_u.net
         sender_id = state.sender
+        now = net.scheduler.now
         if not self.active:
+            # A woken waiter: it left the stall queue without a credit.
             sender = self.node_u if sender_id == self.node_u.node_id else self.node_v
             sender.drop(packet, "inactive_link", link=self.key)
+            self._fc_report(net, state, now)
             return
-        now = net.scheduler.now
         delay = net.delays.hardware_delay(self.key, packet.seq)
         depart = now
         if state.interval:
@@ -328,9 +340,6 @@ class Link:
         arrival = self.fifo_arrival(sender_id, depart + delay if delay else depart)
         state.in_flight += 1
         state.xmits += 1
-        occupancy = len(state.pending) + state.in_flight
-        if occupancy > state.max_occupancy:
-            state.max_occupancy = occupancy
         traverse = arrival - requested_at
         if traverse > state.max_delay:
             state.max_delay = traverse
@@ -340,13 +349,7 @@ class Link:
             far, receiving_normal = self.node_u, self._normal_u
         packet._reverse.append(receiving_normal)
         net.metrics.count_hop(self)
-        probe = net.probe
-        if probe is not None:
-            probe.link_queue(self.key, occupancy, now)
-        perf = net.perf
-        if perf is not None:
-            perf.link_xmits += 1
-            perf.link_occupancy.add(occupancy)
+        self._fc_report(net, state, now)
         trace = net.trace
         if trace.enabled:
             trace.record(now, TraceKind.PACKET_HOP, sender_id,
@@ -355,16 +358,22 @@ class Link:
                                   tag="hop", args=(packet, far, state))
 
     def _fc_arrive(self, packet: Any, far: Any, state: LinkFlowState) -> None:
-        """Far-side drain: deliver, return the credit, wake one waiter."""
+        """Far-side drain: deliver, return the credit, wake one waiter.
+
+        A woken waiter takes the credit at once, so its transmit (or its
+        drop on a dead link) reports the drain with it: one change.
+        """
         state.in_flight -= 1
         far._deliver(packet, self)
+        net = self.node_u.net
+        now = net.scheduler.now
         if state.pending:
             waiter, requested_at = state.pending.popleft()
-            net = self.node_u.net
-            now = net.scheduler.now
             waited = now - requested_at
             state.stall_time += waited
             probe = net.probe
             if probe is not None:
                 probe.link_stall(self.key, waited, now)
             self._fc_transmit(state, waiter, requested_at)
+        else:
+            self._fc_report(net, state, now)

@@ -40,7 +40,9 @@ the per-hop cycle and must be allocation-free in steady state:
   time of its own;
 * capacity limits are opt-in: the free-hardware path pays one
   ``link.fc is not None`` check per hop, and flow-controlled links
-  divert to :meth:`repro.hardware.link.Link.fc_forward`.
+  divert to :meth:`repro.hardware.link.Link.fc_forward`, which reports
+  each change of a direction's queue once (to the probe and as a QUEUE
+  trace record) and nothing to ``PerfCounters``.
 """
 
 from __future__ import annotations

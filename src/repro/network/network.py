@@ -53,8 +53,8 @@ class Network:
     #: Perf-counter registry (see :mod:`repro.obs.perf`).  A class
     #: attribute set by ``PerfCounters.activate()``, so it reaches every
     #: network — including those built inside campaign task functions.
-    #: Read by :meth:`run`, its fold, the substrate pool and the opt-in
-    #: flow-control path; no hop or system call reads it.
+    #: Read by :meth:`run`, its fold and the substrate pool; no hop,
+    #: link transition or system call reads it.
     perf: Any = None
 
     def __init__(
@@ -398,8 +398,9 @@ class Network:
         ``NCU.system_calls``, no installed multicast groups, all links
         active with FIFO watermarks and ``Link.hops`` at 0,
         restarted packet/group sequences, a cleared data-link monitor,
-        no crashed nodes and no observability probe.  The old run's
-        counts are folded into an active perf registry first (see
+        no crashed nodes and no observability probe (an installed one is
+        uninstalled; install it again to observe the next run).  The old
+        run's counts are folded into an active perf registry first (see
         :meth:`run`).
 
         The contract is **bit-identity**: a workload run on a reset
@@ -414,6 +415,8 @@ class Network:
         Returns ``self`` so callers can chain ``net.reset().attach(...)``.
         """
         self._fold()
+        if self.probe is not None:
+            self.probe.uninstall()  # freezes its hops before the links reset
         self.scheduler = Scheduler()
         self.metrics = MetricsCollector(self)
         self.trace = Trace(enabled=self.trace.enabled, capacity=self.trace.capacity)

@@ -6,7 +6,9 @@ never imports this package, so observability can evolve without
 touching the hot path.  Its only concession is one dormant guard per
 hook site: the scheduler's observers, the NCU's probe and the switch's
 flow-control check, each gated against the same function without it
-in ``benchmarks/bench_obs_overhead.py``.
+in ``benchmarks/bench_obs_overhead.py``.  A flow-controlled link
+reports each change of a direction's queue once, to the probe and as a
+QUEUE trace record, which every congestion view reads.
 """
 
 from .. import _lazy
@@ -18,7 +20,6 @@ _EXPORTS = {
         ["BENCHMARKS", "Benchmark", "benchmark_names", "render_metrics", "run_benchmark"],
         "bench",
     ),
-    **dict.fromkeys(["CongestionProbe"], "congestion"),
     **dict.fromkeys([
         "TraceLoadError", "chrome_trace_document", "record_from_dict", "record_to_dict",
         "records_from_jsonl", "records_to_jsonl", "write_chrome_trace",
@@ -36,9 +37,10 @@ _EXPORTS = {
     **dict.fromkeys(
         ["Span", "build_spans", "children_index", "makespan", "span_counts"], "spans"
     ),
-    **dict.fromkeys(
-        ["render_congestion_heatmap", "render_timeline", "span_summary_table"], "timeline"
-    ),
+    **dict.fromkeys([
+        "render_congestion_heatmap", "render_congestion_summary", "render_timeline",
+        "span_summary_table",
+    ], "timeline"),
 }
 
 __all__ = list(_EXPORTS)

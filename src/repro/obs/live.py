@@ -4,7 +4,9 @@
 substrate exposes —
 
 * the scheduler's observer hook (fired after every simulation event),
-* the network's probe (NCU job start, flow-controlled link queues) —
+* the network's probe (NCU job start; every change of a
+  flow-controlled link direction's queue, and each stalled packet's
+  wait) —
 
 and folds everything into **bounded** state: fixed-bin histograms plus
 per-node / per-link counters whose cardinality is capped by the network
@@ -192,7 +194,8 @@ class LiveStats:
         self.wallclock_us = Histogram(_WALLCLOCK_BOUNDS_US)
         self.service_time = Histogram(_SERVICE_BOUNDS)
         #: Link queue occupancy (stalled + in flight), one sample per
-        #: flow-control transition; only fed on flow-controlled links.
+        #: change of a direction's queue: the transitions the trace's
+        #: QUEUE records hold.  Only fed on flow-controlled links.
         self.queue_occupancy = Histogram(_OCCUPANCY_BOUNDS)
         #: Simulated time each stalled packet waited for a credit.
         self.link_stall_time = Histogram(_STALL_BOUNDS)
@@ -212,12 +215,20 @@ class LiveStats:
     # Installation
     # ------------------------------------------------------------------
     def install(self, net: "Network") -> "LiveStats":
-        """Attach to a network's scheduler and probe; returns self."""
+        """Attach to a network's scheduler and probe; returns self.
+
+        Installing again keeps counting: the hops seen so far stay
+        frozen and the next run's are read from the network's current
+        metrics (:meth:`Network.reset
+        <repro.network.network.Network.reset>` renews them, and
+        uninstalls this probe before it zeroes the links' counts).
+        """
         if net.probe is not None and net.probe is not self:
             raise RuntimeError("another probe is already installed")
-        if self._metrics is None:
-            self._metrics = net.metrics
-            self._hops_at_install = Counter(net.metrics.snapshot().hops_per_link)
+        self._hops = self.hops_by_link
+        self._metrics = net.metrics
+        self._hops_at_install = Counter(net.metrics.snapshot().hops_per_link)
+        self._last_wall = None  # no wall-clock sample spans two installs
         self._net = net
         self._scheduler = net.scheduler
         net.probe = self
@@ -259,7 +270,8 @@ class LiveStats:
         self.jobs_by_kind[kind] += 1
 
     def link_queue(self, link_key: Hashable, depth: int, now: float) -> None:
-        """A flow-controlled link's occupancy changed (stall or xmit)."""
+        """A flow-controlled link direction's queue changed (a stall, a
+        transmit, a drain or a woken waiter dropped on a dead link)."""
         self.queue_occupancy.add(depth)
 
     def link_stall(self, link_key: Hashable, waited: float, now: float) -> None:

@@ -121,21 +121,17 @@ class MonitorHost:
         self.monitors = list(monitors)
         self.alerts: list[Alert] = []
         self.on_alert = on_alert
-        self._installed = False
         self._events = 0
 
     def install(self) -> "MonitorHost":
-        """Subscribe to the scheduler; returns self (idempotent)."""
-        if not self._installed:
-            self.net.scheduler.add_observer(self._on_event)
-            self._installed = True
+        """Subscribe to the scheduler; returns self (idempotent).  Install
+        again after ``Network.reset()``, which renews the scheduler."""
+        self.net.scheduler.add_observer(self._on_event)
         return self
 
     def uninstall(self) -> None:
         """Unsubscribe from the scheduler (idempotent)."""
-        if self._installed:
-            self.net.scheduler.remove_observer(self._on_event)
-            self._installed = False
+        self.net.scheduler.remove_observer(self._on_event)
 
     def _on_event(self, event: "Event") -> None:
         self._events += 1

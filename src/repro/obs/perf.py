@@ -7,8 +7,8 @@ Two complementary tools, both dormant-by-default:
   trace emission, substrate build/reset).  Most are a read-out of
   counts the scheduler, metrics and trace keep anyway, folded in by
   ``Network.run()`` and ``reset()``; the NCU handler timer wraps
-  ``Protocol.dispatch`` from the outside; hooks remain only on cold or
-  opt-in paths (flow control, the substrate pool).  Counters of
+  ``Protocol.dispatch`` from the outside; the substrate pool, off the
+  hot path, is the one place with hooks of its own.  Counters of
   parallel campaign workers merge losslessly
   (:meth:`PerfCounters.merge`), including the NCU handler wall-time
   histogram, whose bin bounds are fixed process-wide for exactly that
@@ -51,16 +51,10 @@ from .live import Histogram
 #: collected by different campaign workers must always merge.
 HANDLER_US_BOUNDS: tuple[float, ...] = Histogram.geometric(0.5, 50_000.0, 12).bounds
 
-#: Fixed bin bounds (packets) for the link queue-occupancy histogram.
-#: Fixed process-wide for the same reason as ``HANDLER_US_BOUNDS``:
-#: campaign workers merge bin-exactly.
-OCCUPANCY_BOUNDS: tuple[float, ...] = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
-)
-
 #: Monotonic event counters.  Five are folded from the scheduler,
 #: metrics and trace (:meth:`PerfCounters.fold`), ``ncu_jobs`` is
-#: counted by the ``dispatch`` wrapper, and the rest are fed by hooks.
+#: counted by the ``dispatch`` wrapper, and the substrate pool counts
+#: its builds and resets.
 COUNTER_FIELDS = (
     "sched_push",
     "sched_pop",
@@ -73,8 +67,6 @@ COUNTER_FIELDS = (
     "trace_records",
     "substrate_builds",
     "substrate_resets",
-    "link_xmits",
-    "link_stalls",
 )
 
 #: Cumulative wall-clock timers (seconds), one per timed region.
@@ -98,19 +90,18 @@ class PerfCounters:
     wall-time histogram (microseconds, fixed bounds).
     """
 
-    __slots__ = COUNTER_FIELDS + TIMER_FIELDS + ("handler_us", "link_occupancy")
+    __slots__ = COUNTER_FIELDS + TIMER_FIELDS + ("handler_us",)
 
     def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
-        """Zero every counter, timer and the histograms."""
+        """Zero every counter, timer and the histogram."""
         for name in COUNTER_FIELDS:
             setattr(self, name, 0)
         for name in TIMER_FIELDS:
             setattr(self, name, 0.0)
         self.handler_us = Histogram(HANDLER_US_BOUNDS)
-        self.link_occupancy = Histogram(OCCUPANCY_BOUNDS)
 
     # ------------------------------------------------------------------
     # Activation
@@ -174,40 +165,6 @@ class PerfCounters:
         self.trace_records += records
 
     # ------------------------------------------------------------------
-    # Allocation snapshots (optional, tracemalloc-based)
-    # ------------------------------------------------------------------
-    def start_alloc_tracking(self, frames: int = 5) -> None:
-        """Begin tracemalloc allocation tracking (process-wide, costly)."""
-        tracemalloc.start(frames)
-
-    def alloc_snapshot(self, top: int = 10) -> list[dict[str, Any]]:
-        """Top allocation sites since tracking started.
-
-        Returns ``[{"where", "size_kb", "blocks"}, ...]``; raises
-        :class:`RuntimeError` when tracking is off.
-        """
-        if not tracemalloc.is_tracing():
-            raise RuntimeError(
-                "allocation tracking is off; call start_alloc_tracking() first"
-            )
-        snapshot = tracemalloc.take_snapshot()
-        out = []
-        for stat in snapshot.statistics("lineno")[:top]:
-            frame = stat.traceback[0]
-            out.append(
-                {
-                    "where": f"{os.path.basename(frame.filename)}:{frame.lineno}",
-                    "size_kb": stat.size / 1024.0,
-                    "blocks": stat.count,
-                }
-            )
-        return out
-
-    def stop_alloc_tracking(self) -> None:
-        """Stop tracemalloc tracking (idempotent)."""
-        tracemalloc.stop()
-
-    # ------------------------------------------------------------------
     # Aggregation and serialisation
     # ------------------------------------------------------------------
     def merge(self, other: "PerfCounters") -> "PerfCounters":
@@ -217,16 +174,14 @@ class PerfCounters:
         for name in TIMER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.handler_us.merge(other.handler_us)
-        self.link_occupancy.merge(other.link_occupancy)
         return self
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dict: counters, timers and both histograms."""
+        """JSON-safe dict: counters, timers and the handler histogram."""
         return {
             "counters": {name: getattr(self, name) for name in COUNTER_FIELDS},
             "timers_s": {name: getattr(self, name) for name in TIMER_FIELDS},
             "handler_us": self.handler_us.to_dict(),
-            "link_occupancy": self.link_occupancy.to_dict(),
         }
 
     @classmethod
@@ -242,9 +197,6 @@ class PerfCounters:
         hist = data.get("handler_us")
         if hist:
             self.handler_us = Histogram.from_dict(hist)
-        occupancy = data.get("link_occupancy")
-        if occupancy:
-            self.link_occupancy = Histogram.from_dict(occupancy)
         return self
 
     def render(self, *, title: str = "perf attribution") -> str:
@@ -257,16 +209,11 @@ class PerfCounters:
             for name in TIMER_FIELDS
         ]
         out = [format_table(["counter", "value"], rows, title=title)]
-        hist_rows = []
         if self.handler_us.count:
-            hist_rows.append(self.handler_us.summary_row("ncu handler wall (us)"))
-        if self.link_occupancy.count:
-            hist_rows.append(self.link_occupancy.summary_row("link occupancy (pkts)"))
-        if hist_rows:
             out.append(
                 format_table(
                     ["measure", "count", "mean", "p50", "p95", "min", "max"],
-                    hist_rows,
+                    [self.handler_us.summary_row("ncu handler wall (us)")],
                 )
             )
         return "\n\n".join(out)

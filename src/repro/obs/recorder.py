@@ -65,7 +65,6 @@ class FlightRecorder:
         self.path = Path(path)
         self.dump_on_alert = dump_on_alert
         self._ring: deque[TraceRecord] = deque(maxlen=capacity)
-        self._installed = False
         self._signal_previous: Any = None
         self._signal_num: int | None = None
         #: Why the most recent dump happened (``None`` = never dumped).
@@ -77,17 +76,14 @@ class FlightRecorder:
     # Recording
     # ------------------------------------------------------------------
     def install(self) -> "FlightRecorder":
-        """Subscribe to the network's scheduler; returns self."""
-        if not self._installed:
-            self.net.scheduler.add_observer(self._on_event)
-            self._installed = True
+        """Subscribe to the network's scheduler; returns self (idempotent).
+        Install again after ``Network.reset()``, which renews the scheduler."""
+        self.net.scheduler.add_observer(self._on_event)
         return self
 
     def uninstall(self) -> None:
         """Unsubscribe (idempotent; the ring keeps its contents)."""
-        if self._installed:
-            self.net.scheduler.remove_observer(self._on_event)
-            self._installed = False
+        self.net.scheduler.remove_observer(self._on_event)
 
     def _on_event(self, event: "Event") -> None:
         self._ring.append(

@@ -1,9 +1,12 @@
-"""Plain-text timeline rendering of reconstructed spans.
+"""Plain-text timeline rendering of reconstructed spans and link queues.
 
 Same presentation philosophy as :mod:`repro.metrics.report`: fixed
 width, dependency-free, directly quotable in docs.  Each span is one
 table row whose last column is a bar positioned on a shared time axis,
-so a run reads as a Gantt chart in a terminal.
+so a run reads as a Gantt chart in a terminal.  The congestion heatmap
+reads the QUEUE records a flow-controlled link writes on each change of
+a direction's queue, live or replayed alike; the summary table reads
+the totals the links keep, and each heatmap peak equals its ``peak occ``.
 """
 
 from __future__ import annotations
@@ -82,10 +85,10 @@ def render_congestion_heatmap(
 ) -> str:
     """Render QUEUE records as a per-link-direction text heatmap.
 
-    One row per flow-controlled link direction; the last column maps
+    One row per link direction with a record; the last column maps
     the simulated time range onto ``width`` character cells, each cell
-    showing the *peak* occupancy sampled in that time bucket on the
-    :data:`_HEAT_RAMP` intensity scale (space = no sample / empty
+    showing the *peak* occupancy recorded in that time bucket on the
+    :data:`_HEAT_RAMP` intensity scale (space = no record / empty
     queue, ``@`` = the global peak).  Non-QUEUE records are ignored,
     so a full trace can be passed as-is.
 
@@ -146,6 +149,30 @@ def render_congestion_heatmap(
     if omitted:
         table += f"\n… {omitted} links omitted (showing the {limit} hottest)"
     return table
+
+
+def render_congestion_summary(
+    directions: "Iterable[tuple[Any, Any]]", *, title: str = "link congestion"
+) -> str:
+    """Per-direction congestion totals as a text table.
+
+    ``directions`` are the ``(link, LinkFlowState)`` pairs of
+    :meth:`Network.flow_states <repro.network.network.Network.flow_states>`:
+    one row per flow-controlled direction, with its transmits, stalls,
+    stalled simulated time, occupancy watermark and largest link delay.
+    """
+    rows = [
+        [f"{link.key} from {state.sender}", state.xmits, state.stalls,
+         f"{state.stall_time:g}", state.max_occupancy, f"{state.max_delay:g}"]
+        for link, state in directions
+    ]
+    if not rows:
+        return "(no flow-controlled links)"
+    return format_table(
+        ["direction", "xmits", "stalls", "stall time", "peak occ", "max delay"],
+        rows,
+        title=title,
+    )
 
 
 def span_summary_table(spans: Iterable[Span], *, title: str | None = None) -> str:

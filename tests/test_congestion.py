@@ -10,14 +10,17 @@ Covers the congestion-observability stack end to end:
 * :class:`~repro.obs.monitors.NetCalcMonitor` — silent on conforming
   traffic, one arrival-conformance alert (and a replayable flight
   recorder postmortem) on an over-driven source;
-* :class:`~repro.obs.congestion.CongestionProbe` sampling, the text
-  heatmap and the Chrome counter tracks;
-* the new per-link perf counters and their bin-exact campaign merge.
+* the QUEUE records a flow-controlled link writes on every change of a
+  direction's queue, and the views that read them: the text heatmap
+  (live and replayed), the per-direction summary and the Chrome
+  counter tracks.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
 
@@ -33,20 +36,21 @@ from repro.analysis.netcalc import (
     link_service_curve,
     output_burst,
 )
+from repro.cli import main
 from repro.hardware.anr import build_anr
 from repro.network.builder import from_spec
 from repro.network.protocol import Protocol
 from repro.obs import (
-    CongestionProbe,
     FlightRecorder,
+    Histogram,
     LiveStats,
     MonitorHost,
     NetCalcMonitor,
-    PerfCounters,
     chrome_trace_document,
     monitors_from_spec,
     records_from_jsonl,
     render_congestion_heatmap,
+    render_congestion_summary,
 )
 from repro.sim import FixedDelays
 from repro.sim.trace import TraceKind
@@ -68,6 +72,21 @@ def _drive(net, length: int, packets: int, gap: float) -> None:
             gap * i, source.inject, args=(header, i), tag="inject"
         )
     net.run_to_quiescence(max_events=10_000_000)
+
+
+def _queue(net):
+    return [r for r in net.trace if r.kind is TraceKind.QUEUE]
+
+
+def _series(records):
+    """``(stalled, in_flight, occupancy)`` per direction, in record order."""
+    series = {}
+    for rec in records:
+        detail = rec.detail
+        series.setdefault((detail["link"], rec.node), []).append(
+            (detail["stalled"], detail["in_flight"], detail["occupancy"])
+        )
+    return series
 
 
 def _state(net, link_key, sender):
@@ -166,7 +185,7 @@ def test_reset_clears_flow_state_and_reruns_identically():
 
 def test_link_failure_drops_stalled_packets():
     """A link that dies mid-stall drops the queued waiters on transmit."""
-    net = _line(2, rate=1.0, buffer=1)
+    net = _line(2, rate=1.0, buffer=1, trace=True)
     header = build_anr([0, 1], net.id_lookup)
     source = net.node(0)
     for i in range(4):
@@ -180,6 +199,8 @@ def test_link_failure_drops_stalled_packets():
     state = _state(net, (0, 1), 0)
     assert state.xmits == 3
     assert not state.pending and state.in_flight == 0
+    # The dropped waiter's leaving the stall queue is reported too.
+    assert _series(_queue(net))[((0, 1), 0)][-1] == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -306,32 +327,41 @@ def test_monitors_from_spec_skips_netcalc_without_flow_control():
 
 
 # ----------------------------------------------------------------------
-# CongestionProbe + rendering + export
+# Queue records + rendering + export
 # ----------------------------------------------------------------------
-def test_congestion_probe_samples_bounded_ring():
-    net = _line(4, rate=1.0, buffer=1)
-    probe = CongestionProbe(net, sample_every=4, capacity=8).install()
+def test_queue_records_peak_at_the_watermark_and_end_drained():
+    net = _line(4, rate=1.0, buffer=1, trace=True)
     _drive(net, 4, packets=12, gap=0.0)
-    assert 0 < len(probe) <= 8
-    for rec in probe.records():
-        assert rec.kind is TraceKind.QUEUE
-        assert "occupancy" in rec.detail and "link" in rec.detail
+    series = _series(_queue(net))
+    carried = [(link, state) for link, state in net.flow_states() if state.xmits]
+    assert len(carried) == len(series) == 3  # the source-to-sink directions
+    assert _state(net, (0, 1), 0).stalls > 0
+    for link, state in carried:
+        steps = series[(link.key, state.sender)]
+        assert all(occ == stalled + in_flight for stalled, in_flight, occ in steps)
+        assert max(occ for _, _, occ in steps) == state.max_occupancy
+        pairs = [step[:2] for step in steps]
+        assert all(a != b for a, b in zip(pairs, pairs[1:]))
+        assert pairs[-1] == (0, 0)
 
 
 def test_congestion_probe_mirrors_into_trace():
+    # The probe and the trace hear each change once, in one place.
     net = _line(3, rate=1.0, buffer=1, trace=True)
-    probe = CongestionProbe(net, sample_every=4, to_trace=True).install()
+    stats = LiveStats().install(net)
     _drive(net, 3, packets=8, gap=0.0)
-    assert len(probe) > 0
-    queue = [r for r in net.trace if r.kind is TraceKind.QUEUE]
-    assert len(queue) >= len(probe)  # stall path records + mirrored samples
+    queue = _queue(net)
+    assert queue
+    replayed = Histogram(stats.queue_occupancy.bounds)
+    for rec in queue:
+        replayed.add(rec.detail["occupancy"])
+    assert replayed.to_dict() == stats.queue_occupancy.to_dict()
 
 
 def test_heatmap_renders_occupancy():
-    net = _line(3, rate=1.0, buffer=1)
-    probe = CongestionProbe(net, sample_every=2).install()
+    net = _line(3, rate=1.0, buffer=1, trace=True)
     _drive(net, 3, packets=10, gap=0.0)
-    art = render_congestion_heatmap(probe.records(), width=24)
+    art = render_congestion_heatmap(net.trace, width=24)
     assert "(0, 1)" in art
     assert "peak=" in art
     assert render_congestion_heatmap([], width=24) == "(no queue samples)"
@@ -339,23 +369,74 @@ def test_heatmap_renders_occupancy():
 
 def test_probe_summary_reports_stalls():
     net = _line(3, rate=1.0, buffer=1)
-    probe = CongestionProbe(net).install()
     _drive(net, 3, packets=10, gap=0.0)
-    summary = probe.render_summary()
-    assert "stalls" in summary and "(0, 1)" in summary
+    summary = render_congestion_summary(net.flow_states())
+    assert "stalls" in summary and "(0, 1) from 0" in summary
+    assert _queue(net) == []  # untraced: the totals, and no QUEUE record
+    assert render_congestion_summary(_line(3).flow_states()) == (
+        "(no flow-controlled links)"
+    )
 
 
 def test_chrome_counters_from_queue_records():
     net = _line(3, rate=1.0, buffer=1, trace=True)
-    CongestionProbe(net, sample_every=2, to_trace=True).install()
     _drive(net, 3, packets=10, gap=0.0)
-    queue = [r for r in net.trace if r.kind is TraceKind.QUEUE]
+    queue = _queue(net)
     doc = chrome_trace_document([], counters=queue)
     counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
     assert len(counters) == len(queue)
     assert all(e["name"].startswith("queue ") for e in counters)
     assert all("stalled" in e["args"] and "in_flight" in e["args"]
                for e in counters)
+
+
+def test_chrome_counter_tracks_end_at_zero(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    assert main(["converge", "--topology", "torus:4,4", "--strategy", "bpaths",
+                 "--fail", "4", "--seed", "1", "--link-rate", "1",
+                 "--link-buffer", "2", "--chrome-trace", str(path)]) == 0
+    capsys.readouterr()
+    last = {}
+    for event in json.loads(path.read_text())["traceEvents"]:
+        if event["ph"] == "C":
+            last[event["name"]] = event["args"]
+    assert len(last) > 6
+    assert all(args == {"stalled": 0, "in_flight": 0} for args in last.values())
+
+
+def _block(out: str, title: str) -> list[str]:
+    """The lines of the table titled ``title``, up to the blank line or
+    the export note that ends it."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(title))
+    end = next(i for i in range(start, len(lines))
+               if not lines[i] or lines[i].startswith("trace written"))
+    return lines[start + 1:end]
+
+
+def _cells(block: list[str]) -> list[list[str]]:
+    """Each row's cells, cut at the columns of the table's dash line."""
+    columns = [m.span() for m in re.finditer(r"-+", block[1])]
+    return [[row[a:b].strip() for a, b in columns] for row in block[2:]]
+
+
+def test_live_heatmap_equals_its_replay_and_the_summary_peaks(tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    view = ["--no-timeline", "--heat-limit", "0"]
+    assert main(["observe", "--workload", "election", "--topology", "torus:4,4",
+                 "--link-rate", "0.2", "--link-buffer", "1", "--congestion",
+                 "--trace-out", str(path), *view]) == 0
+    live = capsys.readouterr().out
+    assert main(["observe", "--from-trace", str(path), *view]) == 0
+    replayed = capsys.readouterr().out
+    heatmap = _block(live, "queue occupancy (")
+    assert heatmap == _block(replayed, "queue occupancy (")
+    peak_occ = {row[0]: row[4] for row in _cells(_block(live, "link congestion"))}
+    rows = _cells(heatmap)
+    assert len(rows) == sum(1 for occ in peak_occ.values() if occ != "0")
+    assert any(peak == "2" for _, _, peak, _ in rows)
+    for link, sender, peak, _ in rows:
+        assert peak == peak_occ[f"{link} from {sender}"]
 
 
 def test_live_stats_histograms_see_congestion():
@@ -381,43 +462,6 @@ def test_ncu_queue_peak_watermark():
     assert net.node(1).ncu.queue_peak == 0
 
 
-# ----------------------------------------------------------------------
-# Perf counters: new fields, round trip, bin-exact merge
-# ----------------------------------------------------------------------
-def test_perf_counts_link_xmits_and_stalls():
-    net = _line(3, rate=1.0, buffer=1)
-    with PerfCounters() as perf:
-        _drive(net, 3, packets=8, gap=0.0)
-    state = _state(net, (0, 1), 0)
-    assert perf.link_stalls >= state.stalls > 0
-    assert perf.link_xmits >= state.xmits
-    assert perf.link_occupancy.count > 0
-    data = perf.to_dict()
-    clone = PerfCounters.from_dict(data)
-    assert clone.link_xmits == perf.link_xmits
-    assert clone.link_stalls == perf.link_stalls
-    assert clone.link_occupancy.to_dict() == perf.link_occupancy.to_dict()
-    assert "link occupancy" in perf.render()
-
-
-def test_perf_merge_adds_occupancy_bin_exactly():
-    from repro.obs.live import Histogram
-    from repro.obs.perf import OCCUPANCY_BOUNDS
-
-    a, b = PerfCounters(), PerfCounters()
-    for v in (1, 3, 70):
-        a.link_occupancy.add(v)
-    for v in (2, 3000):
-        b.link_occupancy.add(v)
-    a.link_stalls, b.link_stalls = 4, 5
-    a.merge(b)
-    assert a.link_stalls == 9
-    expected = Histogram(OCCUPANCY_BOUNDS)
-    for v in (1, 3, 70, 2, 3000):
-        expected.add(v)
-    assert a.link_occupancy.to_dict() == expected.to_dict()
-
-
 def test_campaign_merged_perf_occupancy_identical_across_jobs(tmp_path):
     from repro.exec import TaskSpec, run_campaign
 
@@ -430,12 +474,9 @@ def test_campaign_merged_perf_occupancy_identical_across_jobs(tmp_path):
     ]
     serial = run_campaign(specs, jobs=1, cache=None, perf=True)
     pooled = run_campaign(specs, jobs=2, cache=None, perf=True)
-    sm, pm = serial.merged_perf(), pooled.merged_perf()
-    assert sm is not None and pm is not None
-    assert sm["link_occupancy"] == pm["link_occupancy"]
-    assert sm["counters"]["link_stalls"] == pm["counters"]["link_stalls"]
-    assert sm["counters"]["link_stalls"] > 0
+    assert serial.merged_perf()["counters"] == pooled.merged_perf()["counters"]
     assert serial.results[0].value == pooled.results[0].value
+    assert serial.results[0].value["metrics"]["stalls"] > 0
 
 
 def _queue_records(n_links: int, samples: int = 3):

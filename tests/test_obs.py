@@ -379,6 +379,43 @@ def test_live_stats_hottest_link_ties_go_to_link_table_order():
     assert stats.hottest_link == ((0, 1), 1)
 
 
+def test_observers_installed_again_after_reset_see_the_next_run(tmp_path):
+    # ``Network.reset()`` renews the scheduler, the metrics and the
+    # probe; each observer installed again counts the next run too.
+    from repro.core import FloodingBroadcast
+    from repro.obs import FlightRecorder, Monitor, MonitorHost
+
+    checked = []
+
+    class Counting(Monitor):
+        name = "counting"
+
+        def check(self, event):
+            checked.append(event)
+            return ()
+
+    net = from_spec("grid:3,3", delays=FixedDelays(0.0, 1.0))
+    stats = LiveStats()
+    recorder = FlightRecorder(net, capacity=10_000, path=tmp_path / "pm.jsonl")
+    host = MonitorHost(net, [Counting()])
+    runs = []
+    for _ in range(2):
+        stats.install(net)
+        recorder.install()
+        host.install()
+        run_standalone_broadcast(net, lambda api: FloodingBroadcast(api, root=0), 0)
+        runs.append((net.metrics.system_calls, net.metrics.hops,
+                     net.scheduler.events_processed))
+        net.reset()
+    assert runs[0] == runs[1] and runs[0][1] == 16
+    calls, hops, events = (sum(column) for column in zip(*runs))
+    assert stats.total_jobs == calls
+    assert stats.total_hops == hops == 32
+    assert stats.events_seen == events
+    assert len(recorder) == events
+    assert len(checked) == events
+
+
 def test_build_spans_warns_on_truncated_trace():
     trace = Trace(capacity=2)
     for i in range(5):

@@ -78,7 +78,7 @@ SUBPACKAGE_PUBLIC = {
     },
     "repro.obs": {
         "Alert", "BENCHMARKS", "Benchmark", "Budget", "BudgetMonitor", "CampaignManifest",
-        "ChurnMonitor", "CongestionProbe", "FlightRecorder", "Histogram",
+        "ChurnMonitor", "FlightRecorder", "Histogram",
         "InvariantMonitor", "LiveStats", "MONITOR_NAMES", "Monitor", "MonitorHost",
         "NetCalcMonitor", "PerfCounters", "ProgressWatchdog", "RunManifest",
         "SamplingProfiler", "Span", "TraceLoadError", "benchmark_names",
@@ -86,7 +86,8 @@ SUBPACKAGE_PUBLIC = {
         "chrome_trace_document", "election_budgets", "git_revision", "makespan",
         "merge_perf_dicts", "monitors_from_spec", "record_from_dict", "record_to_dict",
         "records_from_jsonl", "records_to_jsonl", "render_alerts",
-        "render_congestion_heatmap", "render_metrics", "render_timeline", "run_benchmark",
+        "render_congestion_heatmap", "render_congestion_summary", "render_metrics",
+        "render_timeline", "run_benchmark",
         "span_counts", "span_summary_table", "write_chrome_trace",
     },
     "repro.exec": {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -213,20 +214,6 @@ def test_nested_activation_gives_the_outer_registry_back():
     # Each job is timed once, by the innermost active registry.
     assert inner.ncu_jobs == inner.handler_us.count == calls
     assert outer.ncu_jobs == outer.handler_us.count == 2 * calls
-
-
-def test_alloc_snapshot_requires_tracking():
-    counters = PerfCounters()
-    with pytest.raises(RuntimeError, match="tracking is off"):
-        counters.alloc_snapshot()
-    counters.start_alloc_tracking()
-    try:
-        payload = [list(range(100)) for _ in range(50)]
-        top = counters.alloc_snapshot(top=5)
-    finally:
-        counters.stop_alloc_tracking()
-    assert payload and top
-    assert all({"where", "size_kb", "blocks"} <= set(row) for row in top)
 
 
 def test_perf_dict_round_trip_and_merge():
@@ -462,10 +449,9 @@ def test_measure_build_bytes_per_node_explicit_count_and_guards():
     assert measure_build_bytes_per_node(lambda: bytearray(10_000), nodes=10) >= 1_000
     with pytest.raises(ValueError):
         measure_build_bytes_per_node(lambda: object())
-    perf = PerfCounters()
-    perf.start_alloc_tracking()
+    tracemalloc.start()
     try:
         with pytest.raises(RuntimeError):
             measure_build_bytes_per_node(lambda: None, nodes=1)
     finally:
-        perf.stop_alloc_tracking()
+        tracemalloc.stop()
