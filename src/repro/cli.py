@@ -571,6 +571,16 @@ def cmd_observe(args: argparse.Namespace) -> int:
         # The records ``--from-trace`` replays: both render one heatmap.
         queue_records = [r for r in net.trace if r.kind is TraceKind.QUEUE]
         summary = render_congestion_summary(net.flow_states())
+        dropped = net.trace.dropped
+        if dropped:
+            # A full trace keeps its first records: the heatmap stops
+            # where they do, while the table reads the links' totals.
+            end = f"t={queue_records[-1].time:g}" if queue_records else "its start"
+            summary = (
+                f"note: the trace dropped {dropped} records, so the heatmap ends "
+                f"at {end}, its last kept QUEUE record; the table below covers "
+                f"the whole run\n\n{summary}"
+            )
     _render_observation(args, build_spans(net.trace), queue_records, summary,
                         f"{args.workload} on {args.topology}")
     return ctx.finish("observe", workload=args.workload, scheme=scheme)

@@ -123,13 +123,14 @@ class Link:
     """The mutable link object owned by the network.
 
     Memory layout: ten slots.  The endpoint IDs are read off
-    ``node_u`` and ``node_v``, and each side's copy ID is its normal ID
-    with the network's copy bit set (``flag | normal``), so only the
-    normal IDs are stored.  The per-direction FIFO watermarks are
-    scalar slots too, not dicts — at 10⁴–10⁵ links the two dicts the
-    old layout carried per link dominated per-link memory.  Endpoint
-    dispatch is an equality compare instead of a dict lookup, which is
-    also faster on the ``fifo_arrival`` hot path.
+    ``node_u`` and ``node_v``, the key is derived from them, and each
+    side's copy ID is its normal ID with the network's copy bit set
+    (``flag | normal``), so only the normal IDs are stored.  The
+    per-direction FIFO watermarks are scalar slots too, not dicts — at
+    10⁴–10⁵ links the two dicts the old layout carried per link
+    dominated per-link memory.  Endpoint dispatch is an equality
+    compare instead of a dict lookup, which is also faster on the
+    ``fifo_arrival`` hot path.
 
     Links are made by the network build alone, which sets every slot.
     """
@@ -140,10 +141,9 @@ class Link:
         "node_v",
         # Whether the link delivers; True when built.
         "active",
-        # Canonical undirected identifier ``(min, max)`` of the endpoint
-        # IDs by repr, computed once at build: the forwarding hot path
-        # reads it per hop (delay model, metrics, traces).
-        "key",
+        # Whether ``node_u``'s ID sorts first by repr: the orientation
+        # of :attr:`key`, the one repr comparison the build makes.
+        "_u_first",
         # Flow control: ``None`` (off) when built, so the free-hardware
         # model and every golden trace are untouched; when enabled, maps
         # sending node ID -> :class:`LinkFlowState`.
@@ -160,6 +160,19 @@ class Link:
         # :meth:`repro.metrics.accounting.MetricsCollector.count_hop`.
         "hops",
     )
+
+    @property
+    def key(self) -> tuple[Any, Any]:
+        """Canonical undirected identifier: the endpoint IDs in repr
+        order, ``node_u``'s first on a tie.
+
+        Derived on each read, so a link keeps no tuple of its own; the
+        per-link tables (``Network.links`` and the per-link count maps)
+        share one set of key tuples, made when first read.
+        """
+        u = self.node_u.node_id
+        v = self.node_v.node_id
+        return (u, v) if self._u_first else (v, u)
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -214,7 +227,8 @@ class Link:
     def reset(self) -> None:
         """Restore the pristine post-build state: active, FIFO idle, no hops.
 
-        IDs, endpoints and ``key`` are build products and stay put —
+        IDs, endpoints and the key's orientation are build products
+        and stay put —
         that is the whole point of substrate reuse (see
         :meth:`repro.network.network.Network.reset`).
         """

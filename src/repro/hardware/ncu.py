@@ -19,7 +19,7 @@ exploits.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
@@ -46,17 +46,14 @@ class JobKind(Enum):
 class Job:
     """One unit of NCU work (= one system call once served).
 
-    A delivered packet waits in the NCU queue as itself and gets its
-    ``Job`` only when its service starts (see :meth:`NCU.enqueue_packet`).
+    A delivered packet waits in the NCU queue, and is served, as itself:
+    it gets its ``Job`` only when its handler runs (see
+    :meth:`NCU._complete`).
     """
 
     kind: JobKind
     payload: Any = None
     tag: str = ""
-    #: Cached :attr:`accounting_kind`.  The hot constructor
-    #: (:meth:`NCU._serve` for a delivered packet) prefills it, so
-    #: serving a delivered packet never walks the payload.
-    akind: str | None = field(default=None, compare=False)
 
     @property
     def accounting_kind(self) -> str:
@@ -64,20 +61,13 @@ class Job:
 
         Packet jobs use the payload's ``kind`` attribute when present so
         protocols get per-message-type system-call counts for free.
-        Computed at most once per job (cached in :attr:`akind`).
         """
-        label = self.akind
-        if label is not None:
-            return label
         if self.kind is JobKind.PACKET:
             payload = self.payload.payload if isinstance(self.payload, Packet) else None
-            label = getattr(payload, "kind", JobKind.PACKET.value)
-        elif self.kind is JobKind.TIMER and self.tag:
-            label = f"timer:{self.tag}"
-        else:
-            label = self.kind.value
-        self.akind = label
-        return label
+            return getattr(payload, "kind", JobKind.PACKET.value)
+        if self.kind is JobKind.TIMER and self.tag:
+            return f"timer:{self.tag}"
+        return self.kind.value
 
 
 class NodeApi:
@@ -332,8 +322,8 @@ class NCU(NodeApi):
     def enqueue_packet(self, packet: Packet) -> None:
         """A copy has been delivered by the SS toward this NCU.
 
-        The packet waits as itself; :meth:`_serve` wraps it in its
-        :class:`Job` when its service starts.
+        The packet waits and is served as itself; :meth:`_complete`
+        wraps it in its :class:`Job` when its handler runs.
         """
         self.enqueue(packet)
 
@@ -377,20 +367,13 @@ class NCU(NodeApi):
         seq = self._job_seq + 1
         self._job_seq = seq
         if isinstance(job, Packet):
-            # A delivered packet gets its job now.  Hand-rolled, label
-            # prefilled: the generated dataclass __init__ is measurable
-            # at one job per delivery.
+            # A delivered packet is counted by its payload's kind, as
+            # ``Job.accounting_kind`` would, and is served as itself.
+            kind = getattr(job.payload, "kind", "packet")
             packet = job
-            job = Job.__new__(Job)
-            job.kind = JobKind.PACKET
-            job.payload = packet
-            job.tag = ""
-            job.akind = getattr(packet.payload, "kind", "packet")
-        # Prefilled for a delivered packet; ``accounting_kind`` walks
-        # the payload at most once per job otherwise.
-        kind = job.akind
-        if kind is None:
+        else:
             kind = job.accounting_kind
+            packet = job.payload
         net.metrics.count_system_call(self, kind)
         trace = net.trace
         if trace.enabled:
@@ -399,7 +382,7 @@ class NCU(NodeApi):
                 TraceKind.NCU_JOB_START,
                 node.node_id,
                 job=kind,
-                packet=job.payload.seq if isinstance(job.payload, Packet) else None,
+                packet=packet.seq if isinstance(packet, Packet) else None,
             )
         service = net.delays.software_delay(node.node_id, seq)
         probe = net.probe
@@ -412,9 +395,19 @@ class NCU(NodeApi):
             service, NCU._complete, 1, "ncu", (self, job)
         )
 
-    def _complete(self, job: Job) -> None:
+    def _complete(self, job: Job | Packet) -> None:
         node = self._node
         net = node.net
+        if isinstance(job, Packet):
+            # A delivered packet gets its job as its handler runs, so an
+            # in-service delivery holds none.  Hand-rolled: the
+            # generated dataclass __init__ is measurable at one job per
+            # delivery.
+            packet = job
+            job = Job.__new__(Job)
+            job.kind = JobKind.PACKET
+            job.payload = packet
+            job.tag = ""
         ports = net.call_ports
         ports.clear()
         self.ports_used_this_call = ports

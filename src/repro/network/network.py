@@ -176,7 +176,8 @@ class Network:
         # § Construction at scale).
         #
         # The repr of every node is needed many times below (node order,
-        # edge order, link keys); compute each exactly once.
+        # edge order, each link key's orientation); compute each exactly
+        # once.
         reprs = dict(zip(order, map(repr, order)))
         self.nodes: dict[Any, Node] = {
             node_id: Node(node_id, self, id_space)
@@ -230,7 +231,7 @@ class Network:
             link._normal_u = normal_u
             link._normal_v = normal_v
             link.active = True
-            link.key = (u, v) if repr_u <= repr_v else (v, u)
+            link._u_first = repr_u <= repr_v
             link._arrival_u = 0.0
             link._arrival_v = 0.0
             link.hops = 0
@@ -264,9 +265,10 @@ class Network:
 
         Built from the build's link tuple on first read and kept, as
         :attr:`graph` is: a run that never looks a link up by its
-        endpoints (a flood, say) never makes the dict.
+        endpoints (a flood, say) never makes the dict.  Its keys are
+        :attr:`_link_keys`' tuples.
         """
-        return {link.key: link for link in self._links}
+        return dict(zip(self._link_keys, self._links))
 
     @cached_property
     def _node_ids(self) -> tuple[Any, ...]:
@@ -276,7 +278,9 @@ class Network:
 
     @cached_property
     def _link_keys(self) -> tuple[tuple[Any, Any], ...]:
-        """Link keys in build order: the keys of every per-link count map."""
+        """Link keys in build order: the keys of every per-link count map
+        and of :attr:`links`.  Made on first read and kept, so every
+        per-link table shares one tuple per link."""
         return tuple(link.key for link in self._links)
 
     @cached_property
@@ -389,8 +393,8 @@ class Network:
         """Restore this network to its pristine pre-:meth:`attach` state.
 
         The expensive build products survive — node objects, links,
-        SS port tables, ID assignments, ``Link.key``\\s, and
-        :attr:`links` and :attr:`graph` once built — while every piece
+        SS port tables, ID assignments, and the link keys, :attr:`links`
+        and :attr:`graph` once built — while every piece
         of *run* state is renewed: a fresh :class:`Scheduler` (time 0,
         sequence 0), fresh :class:`MetricsCollector` and :class:`Trace`
         (same ``enabled``/``capacity`` configuration), empty outputs, no

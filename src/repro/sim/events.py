@@ -1,38 +1,37 @@
 """Event objects for the discrete-event scheduler.
 
-An :class:`Event` couples a firing time with a callable (plus optional
-pre-bound ``args``).  Events are totally ordered by ``(time, priority,
-seq)`` where ``seq`` is a monotonically increasing insertion counter;
-this makes simulation runs fully deterministic even when many events
-share a firing time (which is the common case in the paper's limiting
-model where hardware delays are zero).
+An :class:`Event` couples a firing time with a callable (plus pre-bound
+``args``).  Events are totally ordered by ``(time, priority, seq)``
+where ``seq`` is a monotonically increasing insertion counter; this
+makes simulation runs fully deterministic even when many events share a
+firing time (which is the common case in the paper's limiting model
+where hardware delays are zero).
 
 The scheduler assigns ``seq`` from its **own** per-scheduler counter, so
 an event stream — and anything exported from it — never depends on how
 many simulations ran earlier in the same process (load-bearing for the
 campaign engine's byte-identity guarantees with in-process workers).
 All event construction goes through the scheduler's shared ``_push``
-fast path; hand-constructed events (tests) default to ``seq=0`` and must
-pass an explicit ``seq`` when FIFO order among equals matters.
+fast path.
 
-Performance note: the scheduler's heap stores ``(time, priority, seq,
-event)`` tuples, so heap sifts compare tuples in C instead of calling
-the dataclass-generated ``__lt__`` — which used to dominate heap cost.
-``order=True`` is kept for callers that heap raw events themselves.
+Performance note: an event *is* its heap entry.  It is a ``list``
+holding ``[time, priority, seq, action, args, tag, owner]``, so heap
+sifts compare ``(time, priority, seq)`` in C (``seq`` is unique per
+scheduler, so a comparison never reaches ``action``), and each schedule
+makes one object of ~128 B instead of a heap tuple plus an event object
+(~176 B).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from operator import itemgetter
 
 
-@dataclass(order=True, slots=True)
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback, and its own entry in the scheduler's heap.
 
-    Attributes
-    ----------
+    The items, in order, read through the properties below:
+
     time:
         Simulated time at which the event fires.
     priority:
@@ -46,34 +45,43 @@ class Event:
         Insertion counter; guarantees FIFO order among otherwise equal
         events and makes the ordering total.
     action:
-        Callable executed when the event fires, as ``action(*args)``.
+        Callable executed when the event fires, as ``action(*args)``;
+        ``None`` once the event is cancelled.  Hot paths pass a
+        long-lived function plus ``args`` instead of allocating a fresh
+        closure per event.
     args:
-        Pre-bound positional arguments for ``action``.  Hot paths pass a
-        long-lived bound method plus ``args`` instead of allocating a
-        fresh closure per event.
+        Pre-bound positional arguments for ``action``.
     tag:
         Free-form label used by traces and tests.
-    cancelled:
-        Cancelled events stay in the heap but are skipped when popped.
-    on_cancel:
-        Optional callback invoked the first time :meth:`cancel` takes
-        effect.  The owning scheduler uses it to keep its live-event
-        count exact without scanning the heap.
+
+    The seventh item is the owning scheduler while the event is queued
+    and live, ``None`` once it has fired or been cancelled: a
+    :meth:`cancel` with no owner moves nothing.
     """
 
-    time: float
-    priority: int = 0
-    seq: int = 0
-    action: Callable[..., None] = field(compare=False, default=lambda: None)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    tag: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    on_cancel: Callable[[], None] | None = field(compare=False, default=None)
+    __slots__ = ()
+
+    time = property(itemgetter(0))
+    priority = property(itemgetter(1))
+    seq = property(itemgetter(2))
+    action = property(itemgetter(3))
+    args = property(itemgetter(4))
+    tag = property(itemgetter(5))
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether :meth:`cancel` took effect: the scheduler drops the
+        event instead of firing it."""
+        return self[3] is None
 
     def cancel(self) -> None:
-        """Mark the event so the scheduler drops it instead of firing it."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.on_cancel is not None:
-            self.on_cancel()
+        """Drop the event unfired, if it is still queued and live.
+
+        Clears the action and the owner; a second cancel, or a cancel
+        after the event fired, finds no owner and does nothing, so the
+        owner's live count stays exact.
+        """
+        owner = self[6]
+        if owner is not None:
+            self[3] = self[6] = None
+            owner._note_cancelled()

@@ -16,12 +16,14 @@ the same process produce identical event streams regardless of order.
 
 Performance
 -----------
-The heap stores ``(time, priority, seq, event)`` tuples, not events:
-heap sifts then compare tuples in C instead of invoking the dataclass
-``__lt__``, which used to dominate heap operations.  ``seq`` is unique
-per scheduler, so a comparison never reaches the event object.  Hot
-callers avoid per-event closures by passing a long-lived callable plus
-``args`` (see :class:`~repro.sim.events.Event`).
+The heap holds the events themselves: an
+:class:`~repro.sim.events.Event` is a ``list`` led by ``(time,
+priority, seq)``, so heap sifts compare in C and, ``seq`` being unique
+per scheduler, never reach the action.  Each schedule makes that one
+object, which is also the caller's handle.  The run loop sweeps
+cancelled entries as they surface and clears the owner of each entry
+it fires, so a late cancel finds none.  Hot callers avoid per-event
+closures by passing a long-lived callable plus ``args``.
 """
 
 from __future__ import annotations
@@ -35,28 +37,22 @@ from .events import Event
 #: Signature of a scheduler observer: called with each event just fired.
 Observer = Callable[[Event], None]
 
-#: One heap entry: ``(time, priority, seq, event)``.
-HeapEntry = tuple[float, int, int, Event]
-
 
 class Scheduler:
     """Priority-queue driven simulation loop."""
 
     def __init__(self) -> None:
-        self._queue: list[HeapEntry] = []
+        self._queue: list[Event] = []
         self._now: float = 0.0
         self._seq: int = 0
         self._events_processed: int = 0
         self._running = False
-        #: Cancelled events still sitting in the heap.  Maintained via
-        #: the events' ``on_cancel`` callback so :attr:`pending_live`
-        #: is O(1) instead of a heap scan.
+        #: Cancelled events still sitting in the heap.  Counted by
+        #: ``Event.cancel`` through :meth:`_note_cancelled`, so
+        #: :attr:`pending_live` is O(1) instead of a heap scan.
         self._cancelled_pending = 0
         #: Cancels that took effect on a queued event, ever.
         self._cancels = 0
-        #: The bound callback handed to every event, created once —
-        #: binding it per schedule() call would dominate the hook cost.
-        self._note_cancelled_cb = self._note_cancelled
         #: Observability subscribers (empty tuple = disabled; the run
         #: loop's only cost then is one truthiness check per event).
         self._observers: tuple[Observer, ...] = ()
@@ -147,25 +143,17 @@ class Scheduler:
     ) -> Event:
         """Shared enqueue fast path behind ``schedule``/``schedule_at``.
 
-        Hand-rolled construction: this is the hottest allocation in a
-        simulation, and the generated dataclass __init__ plus kwargs
-        is measurable at that volume.  ``schedule``/``schedule_at`` are
-        validation shims over it.  Every call allocates a fresh
-        :class:`Event`, so a handle stays bound to its own event: a
-        late ``cancel()`` on a fired event is a harmless no-op.
+        The hottest allocation in a simulation: one :class:`Event`,
+        which is both the heap entry and the caller's handle.
+        ``schedule``/``schedule_at`` are validation shims over it.
+        Every call makes a fresh event, so a handle stays bound to its
+        own event: a late ``cancel()`` on a fired event is a harmless
+        no-op.
         """
         seq = self._seq
         self._seq = seq + 1
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.action = action
-        event.args = args
-        event.tag = tag
-        event.cancelled = False
-        event.on_cancel = self._note_cancelled_cb
-        heapq.heappush(self._queue, (time, priority, seq, event))
+        event = Event((time, priority, seq, action, args, tag, self))
+        heapq.heappush(self._queue, event)
         return event
 
     def schedule(
@@ -243,23 +231,24 @@ class Scheduler:
         pop = heapq.heappop
         try:
             while True:
-                while queue and queue[0][3].cancelled:
+                # A cancelled entry has no action (items: time,
+                # priority, seq, action, args, tag, owner).
+                while queue and queue[0][3] is None:
                     pop(queue)
                     self._cancelled_pending -= 1
                 if not queue:
                     break
-                entry = queue[0]
-                time = entry[0]
+                event = queue[0]
+                time = event[0]
                 if until is not None and time > until:
                     self._now = max(self._now, until)
                     break
                 pop(queue)
-                event = entry[3]
-                # A late cancel() on an already-fired event must not
+                # Fired: a late cancel() finds no owner and must not
                 # skew the live count.
-                event.on_cancel = None
+                event[6] = None
                 self._now = time
-                event.action(*event.args)
+                event[3](*event[4])
                 self._events_processed += 1
                 if observers:
                     for observer in observers:
@@ -281,11 +270,10 @@ class Scheduler:
         self._drop_cancelled()
         if not self._queue:
             return False
-        entry = heapq.heappop(self._queue)
-        event = entry[3]
-        event.on_cancel = None
-        self._now = entry[0]
-        event.action(*event.args)
+        event = heapq.heappop(self._queue)
+        event[6] = None
+        self._now = event[0]
+        event[3](*event[4])
         self._events_processed += 1
         if self._observers:
             for observer in self._observers:
@@ -301,10 +289,11 @@ class Scheduler:
     # Internals
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
+        """Called by ``Event.cancel`` for a queued, live event."""
         self._cancelled_pending += 1
         self._cancels += 1
 
     def _drop_cancelled(self) -> None:
-        while self._queue and self._queue[0][3].cancelled:
+        while self._queue and self._queue[0][3] is None:
             heapq.heappop(self._queue)
             self._cancelled_pending -= 1

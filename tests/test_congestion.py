@@ -519,3 +519,27 @@ def test_heatmap_limit_none_shows_everything():
 def test_heatmap_under_limit_has_no_footer():
     art = render_congestion_heatmap(_queue_records(4), width=16, limit=40)
     assert "omitted" not in art
+
+
+def test_a_truncated_trace_says_where_the_heatmap_stops(capsys):
+    # --trace-capacity 300 keeps the run's first 300 records: the
+    # heatmap ends at the last QUEUE record kept, while the table reads
+    # the links' totals.  One line after the heatmap says so.
+    argv = ["observe", "--workload", "election", "--topology", "torus:4,4",
+            "--link-rate", "0.2", "--link-buffer", "1", "--congestion",
+            "--heat-limit", "0"]
+    with pytest.warns(RuntimeWarning, match="468 records dropped"):
+        assert main([*argv, "--trace-capacity", "300"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    heatmap = next(i for i, line in enumerate(lines) if line.startswith("queue occupancy ("))
+    table = next(i for i, line in enumerate(lines) if line.startswith("link congestion"))
+    notes = [i for i, line in enumerate(lines) if line.startswith("note:")]
+    assert len(notes) == 1 and heatmap < notes[0] < table
+    assert lines[notes[0]] == (
+        "note: the trace dropped 468 records, so the heatmap ends at t=12, its "
+        "last kept QUEUE record; the table below covers the whole run"
+    )
+    assert "t=[1..12]" in lines[heatmap + 1]
+    # The whole run keeps every record, and prints no such line.
+    assert main(argv) == 0
+    assert "note:" not in capsys.readouterr().out

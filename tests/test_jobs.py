@@ -56,10 +56,11 @@ def test_metric_kind_separation_end_to_end():
     assert net.metrics.system_calls == 2
 
 
-def test_queued_deliveries_get_their_job_when_service_starts(monkeypatch):
+def test_queued_deliveries_get_their_job_when_its_handler_runs(monkeypatch):
     # k packets reach node 1's NCU at once: the first starts service,
     # the other k - 1 wait as themselves, and each gets its Job only
-    # when its own service starts.
+    # when its own handler runs, at the end of its service: the one in
+    # service holds none either.
     from conftest import limiting_net
     from repro.hardware import build_anr
     from repro.hardware import ncu as ncu_module
@@ -85,6 +86,43 @@ def test_queued_deliveries_get_their_job_when_service_starts(monkeypatch):
     net.run(until=0.5)  # every packet has arrived, the first is in service
     ncu = net.node(1).ncu
     assert ncu.busy and ncu.queued == k - 1
-    assert made == 1
+    assert made == 0
     net.run_to_quiescence()
     assert made == k == net.metrics.system_calls_at(1)
+
+
+def test_a_crash_mid_service_cancels_the_completion_once():
+    # line:3 at C = 0, P = 1: node 1 serves its START from t = 0 to 1
+    # and crashes at t = 0.5.  The completion's entry is cancelled in
+    # place and swept unfired: no handler runs, no NCU_JOB_END is
+    # written, the ledger counts it once, and a later cancel() on the
+    # swept handle moves nothing.
+    from conftest import attach_recorders, limiting_net
+    from repro.network import topologies
+    from repro.sim.trace import TraceKind
+
+    net = limiting_net(topologies.line(3), trace=True)
+    recorders = attach_recorders(net)
+    net.start([1])
+    net.run(until=0.5)
+    sched = net.scheduler
+    ncu = net.node(1).ncu
+    handle = ncu._service_event
+    assert ncu.busy and handle is not None and not handle.cancelled
+    live = sched.pending_live
+    net.crash_node(1)
+    assert handle.cancelled and ncu._service_event is None
+    net.run_to_quiescence()
+
+    def ledger():
+        return (sched.scheduled, sched.events_processed, sched.cancelled_dropped,
+                sched.pending, sched.pending_live)
+
+    assert recorders[1].started == []
+    assert net.trace.filter(kind=TraceKind.NCU_JOB_END, node=1) == []
+    assert len(net.trace.filter(kind=TraceKind.NCU_JOB_START, node=1)) == 1
+    assert live == 1 and sched.cancelled_dropped == 1
+    assert sched.scheduled == sched.events_processed + sched.cancelled_dropped + sched.pending
+    before = ledger()
+    handle.cancel()
+    assert ledger() == before

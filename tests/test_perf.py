@@ -261,7 +261,7 @@ def test_scheduler_ledger_balances(ops):
         assert sched.scheduled == (
             sched.events_processed + sched.cancelled_dropped + sched.pending
         )
-        live = sum(1 for entry in sched._queue if not entry[3].cancelled)
+        live = sum(1 for entry in sched._queue if not entry.cancelled)
         assert sched.pending_live == live
 
     def cancel(index):

@@ -158,10 +158,12 @@ def test_port_table_holds_links():
 
 
 def test_link_declares_exactly_its_ten_slots():
-    # Endpoint IDs are read off the nodes and a copy ID is flag | normal,
-    # so a Link stores neither: ten slots, 112 B instead of 144.
+    # Endpoint IDs are read off the nodes, a copy ID is flag | normal
+    # and the key is derived from the endpoints in their repr order, so
+    # a Link stores none of them: ten slots, 112 B instead of 144, and
+    # no key tuple.
     assert Link.__slots__ == (
-        "node_u", "node_v", "active", "key", "fc",
+        "node_u", "node_v", "active", "_u_first", "fc",
         "_normal_u", "_normal_v", "_arrival_u", "_arrival_v", "hops",
     )
 
@@ -245,11 +247,11 @@ def test_fat_tree_build_retains_under_budget():
     # node and its NCU, one port tuple, and the node's share of the
     # links and of the build's link tuple.  Read after one collection,
     # which empties the interpreter's free lists: the build's freed
-    # tuples parked there are not what the network keeps.  It reads 737
-    # B/node on Python 3.11 (841 with a separate SS and API object per
-    # node, 952 and 1,035 without the collection); the budget is 737
-    # plus 10%.  A per-node dict of links or of port IDs would push it
-    # well past.
+    # tuples parked there are not what the network keeps.  It reads 609
+    # B/node on Python 3.11 (737 with a key tuple per link, 841 with a
+    # separate SS and API object per node too, 952 and 1,035 without
+    # the collection); the budget is 609 plus 10%.  A per-node dict of
+    # links or of port IDs would push it well past.
     import gc
     import tracemalloc
 
@@ -263,7 +265,7 @@ def test_fat_tree_build_retains_under_budget():
     finally:
         tracemalloc.stop()
     assert net.n == 1344
-    assert retained / net.n <= 810, f"{retained / net.n:.0f} B/node"
+    assert retained / net.n <= 670, f"{retained / net.n:.0f} B/node"
 
 
 def test_fat_tree_build_lets_go_of_its_scaffolding():
@@ -391,11 +393,13 @@ def test_flood_protocol_state_and_run_peak_per_node():
     # fat_tree:16 (1,344 nodes) flooded at C = 0.  Protocol state after
     # attach reads 64 B/node on Python 3.11 (386 with a __dict__, a
     # seen-key set and a bound dispatch per node).  The traced run peak
-    # above the build reads 842; its bound is that plus 8.7%.  It read
-    # 966 with eight slots per packet and a route-back tuple per one-hop
-    # delivery, 1,063 with a list for each waiting delivery's reverse
-    # route and an ``injected_at`` slot per packet, and 1,630 with a
-    # tuple header per send and a fresh float per free hop too.
+    # above the build reads 768; its bound is that plus 8.7%.  It read
+    # 842 with a heap tuple beside each Event and a Job per in-service
+    # delivery, 966 with eight slots per packet and a route-back tuple
+    # per one-hop delivery too, 1,063 with a list for each waiting
+    # delivery's reverse route and an ``injected_at`` slot per packet,
+    # and 1,630 with a tuple header per send and a fresh float per free
+    # hop too.
     import gc
     import tracemalloc
 
@@ -413,4 +417,36 @@ def test_flood_protocol_state_and_run_peak_per_node():
         tracemalloc.stop()
     assert net.metrics.system_calls == 4802
     assert attached / net.n <= 100, f"{attached / net.n:.0f} B/node"
-    assert peak / net.n <= 915, f"{peak / net.n:.0f} B/node"
+    assert peak / net.n <= 834, f"{peak / net.n:.0f} B/node"
+
+
+def test_a_pending_event_is_one_object():
+    # The tests/test_jobs.py setup: five packets reach node 1 of line:2
+    # at once (C = 0, P = 1).  At t = 0.5 the first is in service and
+    # four wait.  Every scheduler queue entry is the Event itself, the
+    # in-service completion's handle is its own entry, and no Job is
+    # alive: a delivery gets its Job only when its handler runs.
+    import gc
+
+    from conftest import limiting_net
+    from repro.hardware import build_anr
+    from repro.network import topologies
+
+    gc.collect()
+    # Held, so no new Job can reuse an old one's id.
+    old_jobs = [obj for obj in gc.get_objects() if isinstance(obj, Job)]
+    jobs_before = {id(obj) for obj in old_jobs}
+    net = limiting_net(topologies.line(2))
+    net.attach(lambda api: Protocol(api))
+    header = build_anr([0, 1], net.id_lookup)
+    for i in range(5):
+        net.node(0).inject(header, i)
+    net.run(until=0.5)
+    ncu = net.node(1).ncu
+    queue = net.scheduler._queue
+    assert ncu.busy and ncu.queued == 4 and len(queue) == 1
+    assert all(type(entry) is Event for entry in queue)
+    assert queue[0] is ncu._service_event
+    gc.collect()
+    assert [obj for obj in gc.get_objects()
+            if isinstance(obj, Job) and id(obj) not in jobs_before] == []
