@@ -575,11 +575,13 @@ def cmd_observe(args: argparse.Namespace) -> int:
         if dropped:
             # A full trace keeps its first records: the heatmap stops
             # where they do, while the table reads the links' totals.
-            end = f"t={queue_records[-1].time:g}" if queue_records else "its start"
+            stops = (
+                f"ends at t={queue_records[-1].time:g}, its last kept QUEUE record"
+                if queue_records else "kept no QUEUE record"
+            )
             summary = (
-                f"note: the trace dropped {dropped} records, so the heatmap ends "
-                f"at {end}, its last kept QUEUE record; the table below covers "
-                f"the whole run\n\n{summary}"
+                f"note: the trace dropped {dropped} records, so the heatmap "
+                f"{stops}; the table below covers the whole run\n\n{summary}"
             )
     _render_observation(args, build_spans(net.trace), queue_records, summary,
                         f"{args.workload} on {args.topology}")

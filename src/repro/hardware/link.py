@@ -228,8 +228,7 @@ class Link:
         """Restore the pristine post-build state: active, FIFO idle, no hops.
 
         IDs, endpoints and the key's orientation are build products
-        and stay put —
-        that is the whole point of substrate reuse (see
+        and stay put — that is the whole point of substrate reuse (see
         :meth:`repro.network.network.Network.reset`).
         """
         self.active = True

@@ -540,6 +540,14 @@ def test_a_truncated_trace_says_where_the_heatmap_stops(capsys):
         "last kept QUEUE record; the table below covers the whole run"
     )
     assert "t=[1..12]" in lines[heatmap + 1]
+    # Five records hold no QUEUE record: the note names no time.
+    with pytest.warns(RuntimeWarning, match="763 records dropped"):
+        assert main([*argv, "--trace-capacity", "5"]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("note:")] == [
+        "note: the trace dropped 763 records, so the heatmap kept no QUEUE "
+        "record; the table below covers the whole run"
+    ]
     # The whole run keeps every record, and prints no such line.
     assert main(argv) == 0
     assert "note:" not in capsys.readouterr().out
